@@ -388,6 +388,46 @@ class UnionFind:
             self._parent[ra] = rb
 
 
+class ParityUnionFind:
+    """Union-find over a fixed node set whose nodes carry a parity (0 or 1)
+    relative to their root; `sets` counts the classes.
+
+    `find` walks and compresses paths in a loop, so a long chain of unions
+    cannot exhaust the Python stack.
+    """
+
+    def __init__(self, nodes):
+        self._parent = {x: x for x in nodes}
+        self._parity = dict.fromkeys(self._parent, 0)  # relative to parent
+        self.sets = len(self._parent)
+
+    def find(self, x):
+        """(root, parity of x relative to the root)."""
+        parent, parity = self._parent, self._parity
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        total = 0
+        for node in reversed(path):
+            total ^= parity[node]
+            parity[node] = total
+            parent[node] = x
+        return x, total
+
+    def union(self, a, b, rel):
+        """Record parity(a) ^ parity(b) == rel; False when that contradicts
+        the relations recorded so far."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return (pa ^ pb) == rel
+        self._parent[ra] = rb
+        self._parity[ra] = pa ^ pb ^ rel
+        self.sets -= 1
+        return True
+
+
 def strand_circles(poly):
     """The immersed branch circles: arcs joined straight-through at vertices.
 

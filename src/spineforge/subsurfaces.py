@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BOUNDARY, TRIPLE, UnionFind, require_valid
+from .core import BOUNDARY, TRIPLE, ParityUnionFind, UnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
 
 
@@ -22,12 +22,6 @@ class SurfaceSelection:
     arc_slots: dict
     orientable: bool
     euler: int
-
-    @property
-    def genus_or_crosscaps(self):
-        if self.orientable:
-            return (2 - self.euler) // 2
-        return 2 - self.euler
 
     def key(self):
         return tuple(sorted(self.sheets))
@@ -86,9 +80,9 @@ def _selection_connected(poly, sheets, table):
     return len(roots) == 1
 
 
-def selection_euler(poly, sheets):
+def selection_euler(poly, sheets, table=None):
     """Characteristic of the subsurface carried by the selected sheets."""
-    table = _arc_slot_table(poly)
+    table = table or _arc_slot_table(poly)
     used_arcs = [a for a in poly.arcs
                  if sum(1 for _, sid, _ in table[a.id] if sid in sheets) == 2]
     used_open = [a for a in used_arcs if not a.closed]
@@ -97,48 +91,30 @@ def selection_euler(poly, sheets):
     return total + len(used_vertices) - len(used_open)
 
 
-def selection_orientable(poly, sheets):
+def selection_orientable(poly, sheets, table=None):
     """Parity union-find over selected sheets; opposite induced directions
     along each shared arc are the compatible case."""
     if any(not poly.sheet(sid).orientable for sid in sheets):
         return False
-    table = _arc_slot_table(poly)
-    # parity union-find: node -> (parent, parity to parent)
-    parent = {sid: sid for sid in sheets}
-    parity = {sid: 0 for sid in sheets}
-
-    def find(x):
-        if parent[x] == x:
-            return x, 0
-        root, p = find(parent[x])
-        parent[x] = root
-        parity[x] ^= p
-        return root, parity[x]
-
-    def union(a, b, rel):
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        parent[ra] = rb
-        parity[ra] = pa ^ pb ^ rel
-        return True
-
+    table = table or _arc_slot_table(poly)
+    uf = ParityUnionFind(sheets)
     for arc in poly.arcs:
         chosen = [(sid, d) for _, sid, d in table[arc.id] if sid in sheets]
-        if len(chosen) != 2:
-            continue
-        (s1, d1), (s2, d2) = chosen
-        if s1 == s2:
-            if d1 == d2:
+        if len(chosen) == 2:
+            (s1, d1), (s2, d2) = chosen
+            if not _wing_pair_orientable(uf, s1, d1, s2, d2):
                 return False
-            continue
-        # compatible with equal signs exactly when the written directions
-        # already disagree
-        rel = 0 if d1 != d2 else 1
-        if not union(s1, s2, rel):
-            return False
     return True
+
+
+def _wing_pair_orientable(uf, s1, d1, s2, d2):
+    """Record the sign relation two selected wings of one arc impose; False
+    when it cannot hold."""
+    if s1 == s2:
+        return d1 != d2
+    # compatible with equal signs exactly when the written directions
+    # already disagree
+    return uf.union(s1, s2, 0 if d1 != d2 else 1)
 
 
 def make_selection(poly, sheets):
@@ -153,8 +129,8 @@ def make_selection(poly, sheets):
     return SurfaceSelection(
         sheets=sheets,
         arc_slots=_selection_arc_slots(poly, sheets, table),
-        orientable=selection_orientable(poly, sheets),
-        euler=selection_euler(poly, sheets),
+        orientable=selection_orientable(poly, sheets, table),
+        euler=selection_euler(poly, sheets, table),
     )
 
 
@@ -173,80 +149,164 @@ def surface_orientability(poly, selection):
 
 
 def find_closed_surfaces(poly, bound):
-    """All connected closed selections, capped by `bound` examined states."""
+    """All connected closed selections, capped by `bound` examined states.
+
+    A state is one include or exclude decision on a sheet.  From each seed,
+    taken in sorted order with the earlier seeds excluded, the search grows
+    connected selections by deciding the smallest undecided sheet adjacent
+    to the included ones, first including and then excluding it.  Per-arc
+    counts of included and undecided wings are updated on every decision
+    and undone on backtracking, so only the decided sheet's arcs are checked
+    again, and the depth-first walk keeps its own stack.
+    """
     require_valid(poly)
     if bound < 1:
         raise ValueError("bound must be positive")
     table = _arc_slot_table(poly)
 
-    # sheets touching boundary arcs can never be selected
-    banned = set()
-    for arc in poly.arcs:
-        if arc.kind == BOUNDARY:
-            for _, sid, _ in table[arc.id]:
-                banned.add(sid)
-    candidates = [s.id for s in poly.sheets if s.id not in banned]
-    candidates.sort()
+    # sheets touching boundary arcs can never be selected; every wing a
+    # candidate has lies on a triple arc
+    banned = {sid for arc in poly.arcs if arc.kind == BOUNDARY
+              for _, sid, _ in table[arc.id]}
+    # candidates by position in sorted id order, so min() picks the
+    # smallest id
+    order = sorted(s.id for s in poly.sheets if s.id not in banned)
+    index = {sid: i for i, sid in enumerate(order)}
 
-    neighbors = {sid: set() for sid in candidates}
-    for arc in poly.arcs:
-        members = {sid for _, sid, _ in table[arc.id] if sid in neighbors}
-        for a in members:
-            neighbors[a] |= members - {a}
+    arc_members = [[index[sid] for _, sid, _ in table[arc.id] if sid in index]
+                   for arc in poly.arcs]
+    sheet_arcs = [[] for _ in order]  # arc positions, one per wing
+    neighbors = [set() for _ in order]
+    for a, members in enumerate(arc_members):
+        for i in members:
+            sheet_arcs[i].append(a)
+            neighbors[i].update(j for j in members if j != i)
 
-    results = []
-    examined = 0
-    truncated = False
+    UNDECIDED, IN, OUT = 0, 1, 2
+    state = [UNDECIDED] * len(order)
+    # wings per arc: included, and undecided (banned sheets start decided)
+    n_in = [0] * len(arc_members)
+    n_open = [len(members) for members in arc_members]
+    touching = [0] * len(order)  # included neighbors of each sheet
+    frontier = set()  # undecided sheets with an included neighbor
 
-    def arcs_ok(included, complete_under):
-        # complete_under: sheets decided (in or out); others unknown
-        for arc in poly.arcs:
-            wings = [sid for _, sid, _ in table[arc.id]]
-            n_in = sum(1 for sid in wings if sid in included)
-            undecided = sum(1 for sid in wings if sid not in complete_under)
-            if arc.kind == BOUNDARY and n_in > 0:
+    def include(i):
+        state[i] = IN
+        frontier.discard(i)
+        for a in sheet_arcs[i]:
+            n_in[a] += 1
+            n_open[a] -= 1
+        for j in neighbors[i]:
+            touching[j] += 1
+            if state[j] == UNDECIDED:
+                frontier.add(j)
+
+    def exclude(i):
+        state[i] = OUT
+        frontier.discard(i)
+        for a in sheet_arcs[i]:
+            n_open[a] -= 1
+
+    def undo(i):
+        if state[i] == IN:
+            for a in sheet_arcs[i]:
+                n_in[a] -= 1
+                n_open[a] += 1
+            for j in neighbors[i]:
+                touching[j] -= 1
+                if not touching[j]:
+                    frontier.discard(j)
+        else:
+            for a in sheet_arcs[i]:
+                n_open[a] += 1
+        state[i] = UNDECIDED
+        if touching[i]:
+            frontier.add(i)
+
+    def degrees_hold(i):
+        # only arcs with an included wing can break the 0-or-2 rule, and a
+        # decision changes the counts of the decided sheet's arcs alone
+        for a in sheet_arcs[i]:
+            n = n_in[a]
+            if n > 2 or (n == 1 and not n_open[a]):
                 return False
-            if arc.kind == TRIPLE:
-                if n_in > 2:
-                    return False
-                if undecided == 0 and n_in not in (0, 2):
-                    return False
         return True
 
-    for seed_pos, seed in enumerate(candidates):
-        if truncated:
-            break
-        allowed = set(candidates[seed_pos:])
-
-        def grow(included, excluded):
-            nonlocal examined, truncated
-            if truncated:
-                return
+    found = []
+    examined = 0
+    truncated = False
+    for seed in range(len(order)):
+        if seed:
+            exclude(seed - 1)
+        include(seed)
+        ok = degrees_hold(seed)
+        stack = [seed]
+        while True:
             examined += 1
             if examined > bound:
                 truncated = True
-                return
-            decided = included | excluded
-            if not arcs_ok(included, decided):
-                return
-            # frontier: undecided sheets adjacent to the included set
-            frontier = sorted(
-                sid
-                for inc in included
-                for sid in neighbors[inc]
-                if sid not in decided and sid in allowed
-            )
-            if not frontier:
-                # every wing sheet of every touched arc is now decided
-                if selection_is_closed(poly, included, table):
-                    results.append(frozenset(included))
-                return
-            pick = frontier[0]
-            grow(included | {pick}, excluded)
-            grow(included, excluded | {pick})
+                break
+            if ok:
+                if frontier:
+                    pick = min(frontier)
+                    include(pick)
+                    stack.append(pick)
+                    ok = degrees_hold(pick)
+                    continue
+                # every wing of every arc the selection touches is decided,
+                # so the counts make it closed; copied from a set, the
+                # frozenset's table is sized to fit
+                found.append(frozenset({order[i] for i in stack if state[i] == IN}))
+            # backtrack: undo finished exclude branches, then turn the
+            # deepest include into its exclude branch
+            while len(stack) > 1 and state[stack[-1]] == OUT:
+                undo(stack.pop())
+            if len(stack) == 1:
+                break
+            pick = stack[-1]
+            undo(pick)
+            exclude(pick)
+            ok = degrees_hold(pick)
+        if truncated:
+            break
+        undo(seed)
 
-        grow({seed}, set(candidates[:seed_pos]) | banned)
+    # sorted before annotation, so the sort keys are gone before the
+    # per-arc annotations exist
+    found.sort(key=lambda sheets: (len(sheets), sorted(sheets)))
+    selections = []
+    for sheets in found:
+        arcs = sorted({a for sid in sheets for a in sheet_arcs[index[sid]]})
+        selections.append(_annotate(poly, sheets, [poly.arcs[a] for a in arcs],
+                                    table))
+    return SelectionSearch(selections=tuple(selections), examined=examined,
+                           truncated=truncated)
 
-    unique = sorted({r for r in results}, key=lambda s: (len(s), tuple(sorted(s))))
-    selections = tuple(make_selection(poly, sheets) for sheets in unique)
-    return SelectionSearch(selections=selections, examined=examined, truncated=truncated)
+
+def _annotate(poly, sheets, arcs, table):
+    """make_selection for a polyhedron already validated, in one pass over
+    `arcs`, the arcs that carry a selected wing."""
+    orientable = True
+    euler = 0
+    for sid in sheets:
+        sheet = poly.sheet(sid)
+        orientable = orientable and sheet.orientable
+        euler += sheet.euler
+    uf = ParityUnionFind(sheets)
+    arc_slots = {}
+    vertices = set()
+    for arc in arcs:
+        chosen = [(slot, sid, d) for slot, sid, d in table[arc.id] if sid in sheets]
+        if arc.kind == BOUNDARY or len(chosen) != 2:
+            raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
+        (slot1, s1, d1), (slot2, s2, d2) = chosen
+        arc_slots[arc.id] = (slot1, slot2) if slot1 < slot2 else (slot2, slot1)
+        if not _wing_pair_orientable(uf, s1, d1, s2, d2):
+            orientable = False
+        if not arc.closed:
+            euler -= 1
+            vertices.update(vid for vid, _ in arc.endpoints)
+    if uf.sets != 1:
+        raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
+    return SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
+                            orientable=orientable, euler=euler + len(vertices))

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
+import sys
 
 import pytest
 
 from spineforge.errors import SelectionNotClosed
-from spineforge.gallery import (build_base_example, build_closed_sheet,
-                                build_surgered_example, build_theta)
+from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
+                                build_closed_sheet, build_surgered_example,
+                                build_theta, round_reeb)
 from spineforge.subsurfaces import (find_closed_surfaces, make_selection,
+                                    selection_orientable,
                                     surface_orientability)
 
 from randgen import random_round_map
@@ -171,3 +175,54 @@ def test_orientability_matches_exhaustive_enumeration(rng):
         for selection in find_closed_surfaces(poly, 10 ** 6).selections:
             assert selection.orientable == brute_force_orientable(
                 poly, selection.sheets)
+
+
+def tower(n):
+    """round_reeb of n concentric circles with counts n..0 from the center,
+    boundary outermost: 2n-1 sheets, n(n-1)/2 closed selections."""
+    circles = tuple(RoundCircle("boundary" if k == 0 else "triple", k + 1, k)
+                    for k in reversed(range(n)))
+    return round_reeb(RoundSpec(circles, name=f"tower{n}")).polyhedron
+
+
+def test_tower_search_tree_is_pinned():
+    for n, examined, count in ((8, 252, 28), (16, 1512, 120)):
+        search = find_closed_surfaces(tower(n), 10 ** 6)
+        assert (search.examined, len(search.selections)) == (examined, count)
+        assert not search.truncated
+        assert all(s.orientable for s in search.selections)
+
+
+def test_search_annotation_matches_make_selection(rng):
+    cases = [build_theta(), build_base_example().polyhedron,
+             build_surgered_example().polyhedron]
+    cases += [random_round_map(rng, name=f"m{i}").polyhedron for i in range(20)]
+    for poly in cases:
+        for selection in find_closed_surfaces(poly, 10 ** 6).selections:
+            assert make_selection(poly, selection.sheets) == selection
+
+
+def test_large_tower_truncates_instead_of_crashing():
+    search = find_closed_surfaces(tower(600), 20000)
+    assert search.truncated
+    assert search.examined == 20001
+
+
+def test_orientability_of_a_chain_longer_than_the_recursion_limit():
+    n = 600
+    poly = tower(n)
+    # round_reeb names the inner disks s0..s{n-1} and the merged sheets
+    # s{n}..s{2n-2}; the disks s0 and s{n-1} cap the chain of annuli
+    # s{n}..s{2n-3} into a sphere
+    sheets = frozenset(["s0", f"s{n - 1}"] + [f"s{n + i}" for i in range(n - 2)])
+    # arcs listed from the middle outward and then inward, so the parity
+    # union-find first grows one long chain and then looks up its deep end
+    mid = n // 2
+    poly = dataclasses.replace(poly, arcs=poly.arcs[mid:] + poly.arcs[mid - 1::-1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert selection_orientable(poly, sheets)
+        assert make_selection(poly, sheets).orientable
+    finally:
+        sys.setrecursionlimit(limit)
