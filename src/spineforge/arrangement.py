@@ -250,13 +250,6 @@ def validate_arrangement(arr):
     return ValidationReport.passed()
 
 
-def require_valid_arrangement(arr):
-    report = validate_arrangement(arr)
-    if not report.ok:
-        raise InvalidArrangement(report)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # winding numbers
 # ---------------------------------------------------------------------------
@@ -658,12 +651,6 @@ class ArrangementBuilder:
 
     def retag_curve(self, curve_id, source):
         self.curves[curve_id]["source"] = source
-
-    def face_ids_from(self, origin_fid):
-        """Current face ids descending from an original face id."""
-        out = [fid for fid in self.faces
-               if self._face_origin(fid) == origin_fid]
-        return out or ([origin_fid] if origin_fid in self.faces else [])
 
     def freeze(self):
         crossings = tuple(Crossing(xid, tuple(order))

@@ -31,9 +31,9 @@ onto the partner wing of the same quadrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import InvalidPolyhedron, NotNormal
+from .errors import InvalidPolyhedron
 
 BOUNDARY = "boundary"
 TRIPLE = "triple"
@@ -169,9 +169,6 @@ class SimplePolyhedron:
 
     def vertex(self, vid):
         return self._vertex_by_id[vid]
-
-    def with_name(self, name):
-        return replace(self, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +356,6 @@ def is_normal(poly):
     return all(arc.monodromy == TRIVIAL for arc in poly.arcs)
 
 
-def require_normal(poly):
-    if not is_normal(poly):
-        raise NotNormal(f"{poly.name or 'polyhedron'} has swap monodromy")
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # derived structure
 # ---------------------------------------------------------------------------
@@ -446,28 +437,6 @@ def strand_circles(poly):
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def strand_key(poly, arc_id):
-    """Stable identifier of the strand circle containing `arc_id`."""
-    for circle in strand_circles(poly):
-        if arc_id in circle:
-            return circle[0]
-    raise KeyError(arc_id)
-
-
-def branch_components(poly):
-    """Topological components of the branch (arcs plus vertices)."""
-    uf = UnionFind()
-    for arc in poly.arcs:
-        uf.find(arc.id)
-        if not arc.closed:
-            for vid, _ in arc.endpoints:
-                uf.union(arc.id, "v:" + vid)
-    groups = {}
-    for arc in poly.arcs:
-        groups.setdefault(uf.find(arc.id), []).append(arc.id)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
 def euler_characteristic(poly):
     """Sum of sheet characteristics plus the branch graph characteristic.
 
@@ -478,16 +447,6 @@ def euler_characteristic(poly):
     total = sum(sheet.euler for sheet in poly.sheets)
     open_arcs = sum(1 for arc in poly.arcs if not arc.closed)
     return total + len(poly.vertices) - open_arcs
-
-
-def wing_flags(poly):
-    """Map (arc_id, slot) -> (sheet_id, circuit_index, position)."""
-    flags = {}
-    for sheet in poly.sheets:
-        for ci, circuit in enumerate(sheet.circuits):
-            for pos, trav in enumerate(circuit):
-                flags[(trav.arc, trav.slot)] = (sheet.id, ci, pos)
-    return flags
 
 
 def arc_wings(poly, arc_id):

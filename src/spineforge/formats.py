@@ -35,6 +35,21 @@ def _sign(token, lineno):
     raise ParseError(f"line {lineno}: expected + or -, got {token!r}")
 
 
+def _int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
+def _end(token, lineno):
+    """An ``id:n`` reference to a numbered end or slot."""
+    name, sep, number = token.rpartition(":")
+    if not sep:
+        raise ParseError(f"line {lineno}: expected id:n, got {token!r}")
+    return name, _int(number, lineno)
+
+
 def _sign_str(value):
     return "+" if value > 0 else "-"
 
@@ -80,7 +95,8 @@ def parse_spoly(text):
         elif tag == "SHEET":
             if len(tokens) != 4 or tokens[2] not in ("orientable", "nonorientable"):
                 raise ParseError(f"line {lineno}: bad SHEET record")
-            sheets.append((tokens[1], tokens[2] == "orientable", int(tokens[3])))
+            sheets.append((tokens[1], tokens[2] == "orientable",
+                           _int(tokens[3], lineno)))
             order.append(tokens[1])
             circuits.setdefault(tokens[1], [])
         elif tag == "CIRCUIT":
@@ -95,16 +111,16 @@ def parse_spoly(text):
                     arc, slot, d = token.rsplit(":", 2)
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad traversal {token!r}")
-                travs.append(WingTraversal(arc, int(slot), _sign(d, lineno)))
+                travs.append(WingTraversal(arc, _int(slot, lineno), _sign(d, lineno)))
             circuits[sid].append(tuple(travs))
         elif tag == "ARC":
+            if len(tokens) < 4:
+                raise ParseError(f"line {lineno}: bad ARC record")
             if tokens[3] == "closed":
                 endpoints = None
                 rest = tokens[4:]
-            elif tokens[3] == "ends":
-                v0, p0 = tokens[4].rsplit(":", 1)
-                v1, p1 = tokens[5].rsplit(":", 1)
-                endpoints = ((v0, int(p0)), (v1, int(p1)))
+            elif tokens[3] == "ends" and len(tokens) >= 6:
+                endpoints = (_end(tokens[4], lineno), _end(tokens[5], lineno))
                 rest = tokens[6:]
             else:
                 raise ParseError(f"line {lineno}: bad ARC shape {tokens[3]!r}")
@@ -112,16 +128,15 @@ def parse_spoly(text):
                 raise ParseError(f"line {lineno}: bad ARC monodromy")
             arcs.append(BranchArc(tokens[1], tokens[2], endpoints, rest[1]))
         elif tag == "VERTEX":
-            if tokens[2] != "ends" or tokens[7] != "roles" or len(tokens) != 12:
+            if len(tokens) != 12 or tokens[2] != "ends" or tokens[7] != "roles":
                 raise ParseError(f"line {lineno}: bad VERTEX record")
-            ends = []
-            for token in tokens[3:7]:
-                aid, end = token.rsplit(":", 1)
-                ends.append((aid, int(end)))
+            ends = [_end(token, lineno) for token in tokens[3:7]]
             roles = []
             for token in tokens[8:12]:
-                f, lq, rq = token.split(":")
-                roles.append(EndRoles(int(f), int(lq), int(rq)))
+                fields = token.split(":")
+                if len(fields) != 3:
+                    raise ParseError(f"line {lineno}: bad VERTEX role {token!r}")
+                roles.append(EndRoles(*(_int(f, lineno) for f in fields)))
             vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")

@@ -19,7 +19,7 @@ from .bornmap import require_valid_born_map
 from .core import arc_wings
 from .errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
                      NonOrientableSheetMeetsDisk, SeedNotInGraph)
-from .subsurfaces import find_closed_surfaces
+from .subsurfaces import _annotated, _closed_search
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,15 @@ def heegaard_target(witness, circles, twisted=None, disks=None):
 def s3_obstruction(poly, bound):
     """("obstructed", selection) when a closed non-orientable subsurface
     exists within the bound, else ("not-obstructed", None); a third element
-    flags truncation."""
-    search = find_closed_surfaces(poly, bound)
-    for selection in search.selections:
-        if not selection.orientable:
-            return ("obstructed", selection, search.truncated)
-    return ("not-obstructed", None, search.truncated)
+    flags truncation.  The witness is the first non-orientable selection
+    find_closed_surfaces(poly, bound) would list, and the only one
+    annotated."""
+    search = _closed_search(poly, bound)
+    bad = [r for r in search.results if not r[1]]
+    witness = next(_annotated(poly, search, bad), None)
+    if witness is None:
+        return ("not-obstructed", None, search.truncated)
+    return ("obstructed", witness, search.truncated)
 
 
 def disk_obstruction_report(born, disks, surgered, bound=100000, closed_submanifold=False):
@@ -218,8 +221,10 @@ def disk_obstruction_report(born, disks, surgered, bound=100000, closed_submanif
     orientation = outcome[1] if outcome[0] == "oriented" else None
     contradiction = outcome[1] if outcome[0] == "contradiction" else None
 
-    search = find_closed_surfaces(surgered.polyhedron, bound)
-    bad = tuple(s for s in search.selections if not s.orientable)
+    poly = surgered.polyhedron
+    search = _closed_search(poly, bound)
+    bad = tuple(_annotated(poly, search,
+                           [r for r in search.results if not r[1]]))
     if bad and closed_submanifold:
         verdict = "obstructed"
     else:

@@ -10,6 +10,7 @@ so the search reduces to the per-arc degree constraint plus connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BOUNDARY, TRIPLE, ParityUnionFind, UnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
@@ -157,7 +158,31 @@ def find_closed_surfaces(poly, bound):
     to the included ones, first including and then excluding it.  Per-arc
     counts of included and undecided wings are updated on every decision
     and undone on backtracking, so only the decided sheet's arcs are checked
-    again, and the depth-first walk keeps its own stack.
+    again, and the depth-first walk keeps its own stack.  The selections
+    come in order of size, then of sorted sheet ids.
+    """
+    search = _closed_search(poly, bound)
+    return SelectionSearch(selections=tuple(_annotated(poly, search, search.results)),
+                           examined=search.examined, truncated=search.truncated)
+
+
+class _RawSearch(NamedTuple):
+    results: list      # (sheets, orientable), in the order they were found
+    examined: int
+    truncated: bool
+    table: dict        # the call's _arc_slot_table
+    sheet_arcs: dict   # candidate sheet id -> arc positions, one per wing
+
+
+def _closed_search(poly, bound):
+    """The walk behind find_closed_surfaces, with each selection's
+    orientability decided as it grows and nothing annotated.
+
+    Every included sheet but the seed takes the sign its first completed
+    wing pair with an earlier sheet forces, so that the two sheets induce
+    opposite directions on the shared arc; every further pair it completes
+    only checks that relation.  A count of included sheets that broke it
+    (or are non-orientable) then gives each result's orientability.
     """
     require_valid(poly)
     if bound < 1:
@@ -173,29 +198,57 @@ def find_closed_surfaces(poly, bound):
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
     index = {sid: i for i, sid in enumerate(order)}
 
-    arc_members = [[index[sid] for _, sid, _ in table[arc.id] if sid in index]
-                   for arc in poly.arcs]
+    # per arc, the (sheet, direction) of each candidate wing
+    arc_wings = [[(index[sid], d) for _, sid, d in table[arc.id] if sid in index]
+                 for arc in poly.arcs]
     sheet_arcs = [[] for _ in order]  # arc positions, one per wing
+    sheet_wings = [[] for _ in order]  # (arc position, wing position)
     neighbors = [set() for _ in order]
-    for a, members in enumerate(arc_members):
-        for i in members:
+    for a, wings in enumerate(arc_wings):
+        for w, (i, _) in enumerate(wings):
             sheet_arcs[i].append(a)
-            neighbors[i].update(j for j in members if j != i)
+            sheet_wings[i].append((a, w))
+            neighbors[i].update(j for j, _ in wings if j != i)
+    nonorientable = [not poly.sheet(sid).orientable for sid in order]
 
     UNDECIDED, IN, OUT = 0, 1, 2
     state = [UNDECIDED] * len(order)
     # wings per arc: included, and undecided (banned sheets start decided)
-    n_in = [0] * len(arc_members)
-    n_open = [len(members) for members in arc_members]
+    n_in = [0] * len(arc_wings)
+    n_open = [len(wings) for wings in arc_wings]
     touching = [0] * len(order)  # included neighbors of each sheet
     frontier = set()  # undecided sheets with an included neighbor
+    sign = [0] * len(order)  # +-1 on included sheets that reached the seed
+    broke = [False] * len(order)
+    n_broke = 0  # included sheets whose include broke orientability
 
     def include(i):
+        nonlocal n_broke
         state[i] = IN
         frontier.discard(i)
-        for a in sheet_arcs[i]:
+        s = 0
+        bad = nonorientable[i]
+        for a, w in sheet_wings[i]:
             n_in[a] += 1
             n_open[a] -= 1
+            if n_in[a] != 2:
+                continue
+            # the other included wing; when i has two wings on an arc that
+            # another sheet also uses, the arc reaches 3 and is pruned
+            wings = arc_wings[a]
+            d = wings[w][1]
+            for v, (j, dj) in enumerate(wings):
+                if v != w and state[j] == IN:
+                    break
+            if j == i:
+                bad = bad or d == dj
+            elif not s:
+                s = -sign[j] * dj * d
+            elif s != -sign[j] * dj * d:
+                bad = True
+        sign[i] = s
+        broke[i] = bad
+        n_broke += bad
         for j in neighbors[i]:
             touching[j] += 1
             if state[j] == UNDECIDED:
@@ -208,6 +261,7 @@ def find_closed_surfaces(poly, bound):
             n_open[a] -= 1
 
     def undo(i):
+        nonlocal n_broke
         if state[i] == IN:
             for a in sheet_arcs[i]:
                 n_in[a] -= 1
@@ -216,6 +270,8 @@ def find_closed_surfaces(poly, bound):
                 touching[j] -= 1
                 if not touching[j]:
                     frontier.discard(j)
+            sign[i] = 0
+            n_broke -= broke[i]
         else:
             for a in sheet_arcs[i]:
                 n_open[a] += 1
@@ -232,13 +288,14 @@ def find_closed_surfaces(poly, bound):
                 return False
         return True
 
-    found = []
+    results = []
     examined = 0
     truncated = False
     for seed in range(len(order)):
         if seed:
             exclude(seed - 1)
         include(seed)
+        sign[seed] = 1
         ok = degrees_hold(seed)
         stack = [seed]
         while True:
@@ -254,9 +311,17 @@ def find_closed_surfaces(poly, bound):
                     ok = degrees_hold(pick)
                     continue
                 # every wing of every arc the selection touches is decided,
-                # so the counts make it closed; copied from a set, the
-                # frozenset's table is sized to fit
-                found.append(frozenset({order[i] for i in stack if state[i] == IN}))
+                # so the counts make it closed; signs spread from the seed
+                # along completed wing pairs only, so a sheet without one
+                # is not connected to it
+                chosen = [i for i in stack if state[i] == IN]
+                if not all(sign[i] for i in chosen):
+                    raise SelectionNotConnected(
+                        f"selection {sorted(order[i] for i in chosen)} "
+                        "is not connected")
+                # copied from a set, the frozenset's table is sized to fit
+                results.append((frozenset({order[i] for i in chosen}),
+                                not n_broke))
             # backtrack: undo finished exclude branches, then turn the
             # deepest include into its exclude branch
             while len(stack) > 1 and state[stack[-1]] == OUT:
@@ -271,42 +336,37 @@ def find_closed_surfaces(poly, bound):
             break
         undo(seed)
 
+    return _RawSearch(results, examined, truncated, table,
+                      dict(zip(order, sheet_arcs)))
+
+
+def _annotated(poly, search, results):
+    """SurfaceSelections for raw results of `search`, in order of size,
+    then of sorted sheet ids; each is annotated only when it is drawn."""
     # sorted before annotation, so the sort keys are gone before the
     # per-arc annotations exist
-    found.sort(key=lambda sheets: (len(sheets), sorted(sheets)))
-    selections = []
-    for sheets in found:
-        arcs = sorted({a for sid in sheets for a in sheet_arcs[index[sid]]})
-        selections.append(_annotate(poly, sheets, [poly.arcs[a] for a in arcs],
-                                    table))
-    return SelectionSearch(selections=tuple(selections), examined=examined,
-                           truncated=truncated)
+    for sheets, orientable in sorted(results,
+                                     key=lambda r: (len(r[0]), sorted(r[0]))):
+        arcs = sorted({a for sid in sheets for a in search.sheet_arcs[sid]})
+        yield _annotate(poly, sheets, orientable,
+                        [poly.arcs[a] for a in arcs], search.table)
 
 
-def _annotate(poly, sheets, arcs, table):
+def _annotate(poly, sheets, orientable, arcs, table):
     """make_selection for a polyhedron already validated, in one pass over
-    `arcs`, the arcs that carry a selected wing."""
-    orientable = True
-    euler = 0
-    for sid in sheets:
-        sheet = poly.sheet(sid)
-        orientable = orientable and sheet.orientable
-        euler += sheet.euler
-    uf = ParityUnionFind(sheets)
+    `arcs`, the arcs that carry a selected wing; the search that found the
+    selection decided `orientable` and its connectedness."""
+    euler = sum(poly.sheet(sid).euler for sid in sheets)
     arc_slots = {}
     vertices = set()
     for arc in arcs:
-        chosen = [(slot, sid, d) for slot, sid, d in table[arc.id] if sid in sheets]
+        chosen = [slot for slot, sid, _ in table[arc.id] if sid in sheets]
         if arc.kind == BOUNDARY or len(chosen) != 2:
             raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-        (slot1, s1, d1), (slot2, s2, d2) = chosen
+        slot1, slot2 = chosen
         arc_slots[arc.id] = (slot1, slot2) if slot1 < slot2 else (slot2, slot1)
-        if not _wing_pair_orientable(uf, s1, d1, s2, d2):
-            orientable = False
         if not arc.closed:
             euler -= 1
             vertices.update(vid for vid, _ in arc.endpoints)
-    if uf.sets != 1:
-        raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
     return SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
                             orientable=orientable, euler=euler + len(vertices))

@@ -13,7 +13,7 @@ from spineforge.core import BOUNDARY, TRIPLE
 from spineforge.gallery import RoundCircle, RoundSpec, round_reeb
 from spineforge.surgery import (ImageCircle, ImageRoute, PlanCircle,
                                 PlanEvent, PlanSegment, SurfacePatch,
-                                SurgeryPlan)
+                                SurgeryPlan, attach_surface)
 
 
 def random_round_spec(rng, max_depth=6, name="rnd"):
@@ -171,3 +171,15 @@ def random_crossing_plan(rng, born, name="rnd_cross"):
                              boundaries=1, id="rpatch")
         return SurgeryPlan(base=born, circles=(circle,), patch=patch, name=name)
     return None
+
+
+def random_surgered_maps(rng, count, name="rsurg"):
+    """Outputs of `count` random surgery plans on random round maps; every
+    second plan crosses a triple arc when the map has a usable one."""
+    out = []
+    for trial in range(count):
+        born = random_round_map(rng, name=f"{name}{trial}")
+        plan = (random_crossing_plan(rng, born) if trial % 2 else None) \
+            or random_interior_plan(rng, born)
+        out.append(attach_surface(plan))
+    return out

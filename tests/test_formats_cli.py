@@ -64,6 +64,28 @@ def test_parse_error_reports_line():
         formats.parse_spoly("SHEET broken\n")
 
 
+MALFORMED_SPOLY_RECORDS = [
+    "SHEET a orientable q",
+    "CIRCUIT a c:x:+",
+    "ARC c triple",
+    "ARC c triple ends v:0",
+    "VERTEX v ends a:0",
+]
+
+
+@pytest.mark.parametrize("record", MALFORMED_SPOLY_RECORDS)
+def test_malformed_spoly_record_is_a_parse_error(record):
+    text = f"POLY p\nSHEET a orientable 0\n{record}\n"
+    with pytest.raises(formats.ParseError, match="^line 3: "):
+        formats.parse_spoly(text)
+
+
+def test_cli_obstruct_on_malformed_record_is_status_two(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    open("bad.spoly", "w").write("POLY p\nSHEET a orientable q\n")
+    assert main(["obstruct", "bad.spoly"]) == 2
+
+
 def run_cli(args, cwd):
     return main(args)
 

@@ -12,7 +12,9 @@ from spineforge.obstruction import (DiskInP, EmbeddingWitness, GraphEdge,
                                     heegaard_target, maximal_graph,
                                     orient_sheets, s3_obstruction)
 
-from randgen import random_round_map
+from spineforge.subsurfaces import find_closed_surfaces
+
+from randgen import random_round_map, random_surgered_maps
 
 
 def example_disks():
@@ -244,6 +246,21 @@ def test_s3_obstruction_verdicts():
     crosscap = build_closed_sheet(1, orientable=False)
     verdict, witness, _ = s3_obstruction(crosscap, 10 ** 5)
     assert verdict == "obstructed"
+
+
+def test_s3_witness_is_the_first_nonorientable_selection(rng):
+    verdicts = set()
+    for born in random_surgered_maps(rng, 100):
+        poly = born.polyhedron
+        for bound in (3, 50, 10 ** 6):
+            search = find_closed_surfaces(poly, bound)
+            first = next((s for s in search.selections if not s.orientable),
+                         None)
+            verdict = "not-obstructed" if first is None else "obstructed"
+            assert s3_obstruction(poly, bound) == (verdict, first,
+                                                   search.truncated)
+            verdicts.add((verdict, search.truncated))
+    assert len(verdicts) == 4
 
 
 def test_disk_obstruction_report_requires_maximal_graph():

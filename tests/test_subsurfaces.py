@@ -6,13 +6,14 @@ import pytest
 
 from spineforge.errors import SelectionNotClosed
 from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
-                                build_closed_sheet, build_surgered_example,
-                                build_theta, round_reeb)
+                                build_closed_sheet, build_sphere_fixture,
+                                build_surgered_example, build_theta,
+                                round_reeb)
 from spineforge.subsurfaces import (find_closed_surfaces, make_selection,
                                     selection_orientable,
                                     surface_orientability)
 
-from randgen import random_round_map
+from randgen import random_round_map, random_surgered_maps
 
 
 def brute_force_selections(poly):
@@ -226,3 +227,42 @@ def test_orientability_of_a_chain_longer_than_the_recursion_limit():
         assert make_selection(poly, sheets).orientable
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_search_orientability_matches_union_find_oracle(rng):
+    # the search signs sheets as it grows; selection_orientable's parity
+    # union-find is the slow oracle for those signs
+    cases = [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    cases += [random_round_map(rng, name=f"u{i}").polyhedron for i in range(20)]
+    cases += [build_theta(), build_base_example().polyhedron,
+              build_surgered_example().polyhedron,
+              build_sphere_fixture().polyhedron, build_closed_sheet(2),
+              build_closed_sheet(1, orientable=False)]
+    kinds = set()
+    for poly in cases:
+        for selection in find_closed_surfaces(poly, 10 ** 6).selections:
+            assert selection.orientable == selection_orientable(
+                poly, selection.sheets)
+            kinds.add(selection.orientable)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("direction, orientable", [(-1, True), (1, False)])
+def test_sheet_with_both_wings_on_one_arc(direction, orientable):
+    # an annulus whose two boundary circles both run along the triple circle
+    # c0 closes into a torus when it runs along it in opposite directions and
+    # into a Klein bottle otherwise; a disk fills the third slot
+    from spineforge.core import (TRIPLE, TRIVIAL, BranchArc, SheetSpec,
+                                 SimplePolyhedron, WingTraversal)
+    arc = BranchArc("c0", TRIPLE, None, TRIVIAL)
+    annulus = SheetSpec("a", True, 0, ((WingTraversal("c0", 1, 1),),
+                                       (WingTraversal("c0", 2, direction),)))
+    disk = SheetSpec("w", True, 0, ((WingTraversal("c0", 0, 1),),))
+    poly = SimplePolyhedron((disk, annulus), (arc,), (), name="pinched")
+    search = find_closed_surfaces(poly, 1000)
+    assert [s.sheets for s in search.selections] == [frozenset({"a"})]
+    selection = search.selections[0]
+    assert selection.orientable is orientable
+    assert selection_orientable(poly, selection.sheets) is orientable
+    assert brute_force_orientable(poly, selection.sheets) is orientable
+    assert selection.euler == 0
