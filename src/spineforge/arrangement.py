@@ -150,6 +150,12 @@ def validate_arrangement(arr):
                 v.append(Violation("DanglingEdge", crossing.id,
                                    f"{eid}:{end} backref"))
 
+    for curve in arr.curves:
+        for eid in curve.edges:
+            if eid not in arr._edge_by_id:
+                v.append(Violation("CurveMembership", curve.id,
+                                   f"unknown edge {eid}"))
+
     for edge in arr.edges:
         if edge.curve not in arr._curve_by_id:
             v.append(Violation("UnknownCurve", edge.id, edge.curve))

@@ -1,13 +1,16 @@
 """Command line front end.
 
 Exit status: 0 success, 1 validation failure or obstruction-style negative
-finding reported as failure, 2 parse or usage errors.  File emission goes
-through a temporary file and an atomic rename.
+finding reported as failure, 2 parse, usage or file errors.  File emission
+goes through a temporary file and an atomic rename.  ``main`` can be called
+repeatedly in one process; the argument parser is built on the first call
+and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -23,35 +26,54 @@ from .render import render_svg
 from .surgery import attach_surface, normalize_into_disk
 
 
+class _FileAccessError(Exception):
+    """A file named on the command line could not be read or written."""
+
+
+def _reason(exc):
+    if isinstance(exc, UnicodeDecodeError):
+        return (f"not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                f"at offset {exc.start})")
+    return exc.strerror or str(exc)
+
+
+def _read(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _FileAccessError(f"cannot read {path}: {_reason(exc)}") from exc
+
+
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_spineforge_")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_spineforge_")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _FileAccessError(f"cannot write {path}: {_reason(exc)}") from exc
     return path
 
 
 def _load_polyhedron(path):
-    with open(path) as handle:
-        return formats.parse_spoly(handle.read())
+    return formats.parse_spoly(_read(path))
 
 
 def _load_born(spoly_path, arr_path):
     poly = _load_polyhedron(spoly_path)
-    with open(arr_path) as handle:
-        arr, data = formats.parse_arr(handle.read())
+    arr, data = formats.parse_arr(_read(arr_path))
     return formats.assemble_born_map(poly, arr, data)
 
 
 def _load_plan(plan_path, base_dir=None):
-    with open(plan_path) as handle:
-        plan, (spoly_name, arr_name) = formats.parse_plan(handle.read())
+    plan, (spoly_name, arr_name) = formats.parse_plan(_read(plan_path))
     root = base_dir or os.path.dirname(os.path.abspath(plan_path))
     base = _load_born(os.path.join(root, spoly_name),
                       os.path.join(root, arr_name))
@@ -191,7 +213,11 @@ def cmd_render(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``spineforge`` argument parser, built once per process: parsing
+    does not change it, and each ``parse_args`` call returns a new
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="spineforge",
         description="validators, surgeries and obstructions for normal "
@@ -246,9 +272,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Runs one command and returns its exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -256,8 +282,8 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except _FileAccessError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except SpineForgeError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ exact on the in-memory values.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
@@ -27,6 +28,53 @@ def _records(text):
         yield lineno, line.split()
 
 
+@functools.cache
+def _template(template):
+    words = template.split()
+    return len(words), tuple((at, word) for at, word in enumerate(words)
+                             if at and word != "_")
+
+
+def _shape(tokens, lineno, template, more=False):
+    """Checks a record against a template such as ``"COUNT _ _"``: the
+    record's length and the keyword at every position that is not ``_``.
+    With ``more``, tokens after the template are allowed."""
+    size, keywords = _template(template)
+    if len(tokens) != size and (len(tokens) < size or not more):
+        raise ParseError(f"line {lineno}: bad {tokens[0]} record")
+    for at, word in keywords:
+        if tokens[at] != word:
+            raise ParseError(f"line {lineno}: bad {tokens[0]} record")
+
+
+def _options(tokens, lineno, tag, arity):
+    """Keyword fields after a record's fixed part.  ``arity`` gives each
+    keyword's number of values; a keyword maps to True, to its one value,
+    or to the tuple of its values."""
+    options = {}
+    at = 0
+    while at < len(tokens):
+        key = tokens[at]
+        if key not in arity or at + 1 + arity[key] > len(tokens):
+            raise ParseError(f"line {lineno}: bad {tag} field {key!r}")
+        end = at + 1 + arity[key]
+        values = tokens[at + 1:end]
+        options[key] = tuple(values) if len(values) > 1 else \
+            values[0] if values else True
+        at = end
+    return options
+
+
+def _fields(token, count, lineno):
+    """The ``count`` fields of a reference such as ``arc:slot:+``; only the
+    last ``count - 1`` colons separate, so the id may contain colons."""
+    fields = token.rsplit(":", count - 1)
+    if len(fields) != count:
+        raise ParseError(f"line {lineno}: expected {count} fields separated "
+                         f"by ':', got {token!r}")
+    return fields
+
+
 def _sign(token, lineno):
     if token == "+":
         return 1
@@ -35,19 +83,36 @@ def _sign(token, lineno):
     raise ParseError(f"line {lineno}: expected + or -, got {token!r}")
 
 
-def _int(token, lineno):
+def _orientable(token, lineno):
+    if token not in ("orientable", "nonorientable"):
+        raise ParseError(f"line {lineno}: expected orientable or "
+                         f"nonorientable, got {token!r}")
+    return token == "orientable"
+
+
+def _number(kind, what, token, lineno):
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected an integer, got {token!r}") from None
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"line {lineno}: expected {what}, got {token!r}") from None
+
+
+def _int(token, lineno):
+    return _number(int, "an integer", token, lineno)
+
+
+def _fraction(token, lineno):
+    return _number(Fraction, "a fraction", token, lineno)
 
 
 def _end(token, lineno):
     """An ``id:n`` reference to a numbered end or slot."""
-    name, sep, number = token.rpartition(":")
-    if not sep:
-        raise ParseError(f"line {lineno}: expected id:n, got {token!r}")
+    name, number = _fields(token, 2, lineno)
     return name, _int(number, lineno)
+
+
+def _floats(values, lineno):
+    return tuple(_number(float, "a number", x, lineno) for x in values)
 
 
 def _sign_str(value):
@@ -85,7 +150,6 @@ def parse_spoly(text):
     name = ""
     sheets = []          # (id, orientable, genus)
     circuits = {}        # sheet id -> list of circuits
-    order = []
     arcs = []
     vertices = []
     for lineno, tokens in _records(text):
@@ -93,50 +157,33 @@ def parse_spoly(text):
         if tag == "POLY":
             name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "SHEET":
-            if len(tokens) != 4 or tokens[2] not in ("orientable", "nonorientable"):
-                raise ParseError(f"line {lineno}: bad SHEET record")
-            sheets.append((tokens[1], tokens[2] == "orientable",
+            _shape(tokens, lineno, "SHEET _ _ _")
+            sheets.append((tokens[1], _orientable(tokens[2], lineno),
                            _int(tokens[3], lineno)))
-            order.append(tokens[1])
             circuits.setdefault(tokens[1], [])
         elif tag == "CIRCUIT":
-            if len(tokens) < 3:
-                raise ParseError(f"line {lineno}: empty CIRCUIT")
+            _shape(tokens, lineno, "CIRCUIT _ _", more=True)
             sid = tokens[1]
             if sid not in circuits:
                 raise ParseError(f"line {lineno}: CIRCUIT before SHEET {sid}")
             travs = []
             for token in tokens[2:]:
-                try:
-                    arc, slot, d = token.rsplit(":", 2)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad traversal {token!r}")
+                arc, slot, d = _fields(token, 3, lineno)
                 travs.append(WingTraversal(arc, _int(slot, lineno), _sign(d, lineno)))
             circuits[sid].append(tuple(travs))
         elif tag == "ARC":
-            if len(tokens) < 4:
-                raise ParseError(f"line {lineno}: bad ARC record")
-            if tokens[3] == "closed":
-                endpoints = None
-                rest = tokens[4:]
-            elif tokens[3] == "ends" and len(tokens) >= 6:
+            if tokens[3:4] == ["ends"]:
+                _shape(tokens, lineno, "ARC _ _ ends _ _ monodromy _")
                 endpoints = (_end(tokens[4], lineno), _end(tokens[5], lineno))
-                rest = tokens[6:]
             else:
-                raise ParseError(f"line {lineno}: bad ARC shape {tokens[3]!r}")
-            if rest[:1] != ["monodromy"] or len(rest) != 2:
-                raise ParseError(f"line {lineno}: bad ARC monodromy")
-            arcs.append(BranchArc(tokens[1], tokens[2], endpoints, rest[1]))
+                _shape(tokens, lineno, "ARC _ _ closed monodromy _")
+                endpoints = None
+            arcs.append(BranchArc(tokens[1], tokens[2], endpoints, tokens[-1]))
         elif tag == "VERTEX":
-            if len(tokens) != 12 or tokens[2] != "ends" or tokens[7] != "roles":
-                raise ParseError(f"line {lineno}: bad VERTEX record")
+            _shape(tokens, lineno, "VERTEX _ ends _ _ _ _ roles _ _ _ _")
             ends = [_end(token, lineno) for token in tokens[3:7]]
-            roles = []
-            for token in tokens[8:12]:
-                fields = token.split(":")
-                if len(fields) != 3:
-                    raise ParseError(f"line {lineno}: bad VERTEX role {token!r}")
-                roles.append(EndRoles(*(_int(f, lineno) for f in fields)))
+            roles = [EndRoles(*(_int(f, lineno) for f in _fields(token, 3, lineno)))
+                     for token in tokens[8:12]]
             vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
@@ -215,7 +262,6 @@ def parse_arr(text):
     curves = []
     faces = []
     contours = {}
-    face_order = []
     counts = {}
     assignments = {}
     wing_sides = {}
@@ -224,86 +270,68 @@ def parse_arr(text):
     for lineno, tokens in _records(text):
         tag = tokens[0]
         if tag == "NAME":
-            name = tokens[1]
+            name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "CROSSING":
-            rays = []
-            for token in tokens[2:6]:
-                eid, end = token.rsplit(":", 1)
-                rays.append((eid, int(end)))
-            crossings.append(Crossing(tokens[1], tuple(rays)))
+            _shape(tokens, lineno, "CROSSING _ _ _ _ _")
+            rays = tuple(_end(token, lineno) for token in tokens[2:])
+            crossings.append(Crossing(tokens[1], rays))
         elif tag == "EDGE":
-            if tokens[2] != "curve":
-                raise ParseError(f"line {lineno}: bad EDGE record")
-            curve = tokens[3]
-            if tokens[4] == "closed":
+            if tokens[4:5] == ["ends"]:
+                _shape(tokens, lineno, "EDGE _ curve _ ends _ _ left _ right _")
+                ends = (_end(tokens[5], lineno), _end(tokens[6], lineno))
+            else:
+                _shape(tokens, lineno, "EDGE _ curve _ closed left _ right _")
                 ends = None
-                rest = tokens[5:]
-            elif tokens[4] == "ends":
-                x0, p0 = tokens[5].rsplit(":", 1)
-                x1, p1 = tokens[6].rsplit(":", 1)
-                ends = ((x0, int(p0)), (x1, int(p1)))
-                rest = tokens[7:]
-            else:
-                raise ParseError(f"line {lineno}: bad EDGE shape")
-            if rest[0] != "left" or rest[2] != "right":
-                raise ParseError(f"line {lineno}: bad EDGE faces")
-            edges.append(ArrEdge(tokens[1], curve, ends, rest[1], rest[3]))
+            edges.append(ArrEdge(tokens[1], tokens[3], ends, tokens[-3],
+                                 tokens[-1]))
         elif tag == "CURVE":
-            if tokens[2] != "source" or tokens[4] != "edges":
-                raise ParseError(f"line {lineno}: bad CURVE record")
+            _shape(tokens, lineno, "CURVE _ source _ edges", more=True)
             kind, _, label = tokens[3].partition(":")
-            if "draw" in tokens:
-                at = tokens.index("draw")
-                edge_ids = tokens[5:at]
-                draw = tuple(float(x) for x in tokens[at + 1:])
-            else:
-                edge_ids = tokens[5:]
-                draw = None
+            edge_ids = tokens[5:]
+            draw = None
+            if "draw" in edge_ids:
+                at = edge_ids.index("draw")
+                options = _options(edge_ids[at:], lineno, tag, {"draw": 3})
+                draw = _floats(options["draw"], lineno)
+                edge_ids = edge_ids[:at]
             curves.append(Curve(tokens[1], (kind, label), tuple(edge_ids), draw))
         elif tag == "FACE":
-            rest = tokens[2:]
-            unbounded = False
-            label = ""
-            draw = None
-            while rest:
-                if rest[0] == "unbounded":
-                    unbounded = True
-                    rest = rest[1:]
-                elif rest[0] == "label":
-                    label = rest[1]
-                    rest = rest[2:]
-                elif rest[0] == "draw":
-                    draw = tuple(float(x) for x in rest[1:3])
-                    rest = rest[3:]
-                else:
-                    raise ParseError(f"line {lineno}: bad FACE field {rest[0]!r}")
-            faces.append((tokens[1], unbounded, label, draw))
-            face_order.append(tokens[1])
+            _shape(tokens, lineno, "FACE _", more=True)
+            options = _options(tokens[2:], lineno, tag,
+                               {"unbounded": 0, "label": 1, "draw": 2})
+            draw = _floats(options["draw"], lineno) if "draw" in options else None
+            faces.append((tokens[1], "unbounded" in options,
+                          options.get("label", ""), draw))
             contours.setdefault(tokens[1], [])
         elif tag == "CONTOUR":
+            _shape(tokens, lineno, "CONTOUR _", more=True)
             fid = tokens[1]
             if fid not in contours:
                 raise ParseError(f"line {lineno}: CONTOUR before FACE {fid}")
             sides = []
             for token in tokens[2:]:
-                eid, d = token.rsplit(":", 1)
+                eid, d = _fields(token, 2, lineno)
                 sides.append((eid, _sign(d, lineno)))
             contours[fid].append(tuple(sides))
         elif tag == "COUNT":
-            counts[tokens[1]] = int(tokens[2])
+            _shape(tokens, lineno, "COUNT _ _")
+            counts[tokens[1]] = _int(tokens[2], lineno)
         elif tag == "ASSIGN":
+            _shape(tokens, lineno, "ASSIGN _ curve _ dir _ heavy _")
             assignments[tokens[1]] = {
                 "curve": tokens[3],
                 "direction": _sign(tokens[5], lineno),
                 "heavy": tokens[7],
             }
         elif tag == "WINGSIDE":
+            _shape(tokens, lineno, "WINGSIDE _", more=True)
             sides = []
             for token in tokens[2:]:
-                aid, slot, side = token.rsplit(":", 2)
-                sides.append(((aid, int(slot)), side))
+                aid, slot, side = _fields(token, 3, lineno)
+                sides.append(((aid, _int(slot, lineno)), side))
             wing_sides[tokens[1]] = tuple(sides)
         elif tag == "VERTEXMAP":
+            _shape(tokens, lineno, "VERTEXMAP _ _")
             vertexmap[tokens[1]] = tokens[2]
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
@@ -386,6 +414,21 @@ def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
     return "\n".join(out) + "\n"
 
 
+def _put_indexed(table, token, lineno, value):
+    """Stores a numbered record such as ``SEG <circle> <index> ...``."""
+    index = _int(token, lineno)
+    if index in table:
+        raise ParseError(f"line {lineno}: duplicate index {index}")
+    table[index] = value
+
+
+def _in_order(table):
+    return tuple(table[index] for index in sorted(table))
+
+
+_CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN")
+
+
 def parse_plan(text, base=None):
     """Returns (SurgeryPlan, (base_spoly, base_arr)); `base` may be supplied
     later by the caller, the plan is built with base=None otherwise."""
@@ -403,107 +446,103 @@ def parse_plan(text, base=None):
     witness = None
     for lineno, tokens in _records(text):
         tag = tokens[0]
+        cid = tokens[1] if len(tokens) > 1 else None
+        if tag in _CIRCLE_PARTS and cid not in patch_dirs:
+            raise ParseError(f"line {lineno}: {tag} names no earlier CIRCLE")
         if tag == "PLAN":
             name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "BASE":
+            _shape(tokens, lineno, "BASE _ _")
             base_files = (tokens[1], tokens[2])
         elif tag == "PATCH":
+            _shape(tokens, lineno, "PATCH _ genus _ boundaries _ id _")
             patch = SurfacePatch(
-                orientable=tokens[1] == "orientable",
-                genus=int(tokens[3]), boundaries=int(tokens[5]),
-                id=tokens[7])
+                orientable=_orientable(tokens[1], lineno),
+                genus=_int(tokens[3], lineno),
+                boundaries=_int(tokens[5], lineno), id=tokens[7])
         elif tag == "CIRCLE":
-            order.append(tokens[1])
-            patch_dirs[tokens[1]] = _sign(tokens[3], lineno)
-            segments.setdefault(tokens[1], [])
-            events.setdefault(tokens[1], [])
+            _shape(tokens, lineno, "CIRCLE _ patchdir _")
+            if cid in patch_dirs:
+                raise ParseError(f"line {lineno}: duplicate CIRCLE {cid}")
+            order.append(cid)
+            patch_dirs[cid] = _sign(tokens[3], lineno)
+            segments[cid] = {}
+            events[cid] = {}
+            route_runs[cid] = {}
         elif tag == "SEG":
-            cid, index = tokens[1], int(tokens[2])
+            _shape(tokens, lineno, "SEG _ _ sheet _", more=True)
+            options = _options(tokens[5:], lineno, tag,
+                               {"sidegenus": 1, "sidecircuits": 1})
             side_genus = None
+            if "sidegenus" in options:
+                side_genus = _int(options["sidegenus"], lineno)
             side_circuits = None
-            rest = tokens[5:]
-            while rest:
-                if rest[0] == "sidegenus":
-                    side_genus = int(rest[1])
-                    rest = rest[2:]
-                elif rest[0] == "sidecircuits":
-                    side_circuits = () if rest[1] == "-" else \
-                        tuple(int(x) for x in rest[1].split(","))
-                    rest = rest[2:]
-                else:
-                    raise ParseError(f"line {lineno}: bad SEG field")
-            segments[cid].append((index, PlanSegment(tokens[4], side_genus,
-                                                     side_circuits)))
+            if "sidecircuits" in options:
+                listed = options["sidecircuits"]
+                side_circuits = () if listed == "-" else \
+                    tuple(_int(x, lineno) for x in listed.split(","))
+            _put_indexed(segments[cid], tokens[2], lineno,
+                         PlanSegment(tokens[4], side_genus, side_circuits))
         elif tag == "EVENT":
-            cid, index = tokens[1], int(tokens[2])
-            events[cid].append((index, PlanEvent(
-                arc=tokens[4], position=Fraction(tokens[6]),
-                slot_in=int(tokens[8]), slot_out=int(tokens[10]))))
+            _shape(tokens, lineno, "EVENT _ _ arc _ pos _ slotin _ slotout _")
+            _put_indexed(events[cid], tokens[2], lineno, PlanEvent(
+                arc=tokens[4], position=_fraction(tokens[6], lineno),
+                slot_in=_int(tokens[8], lineno),
+                slot_out=_int(tokens[10], lineno)))
         elif tag == "IMAGECIRCLE":
-            cid = tokens[1]
-            face = tokens[3]
-            rest = tokens[4:]
-            inside = None
-            orient = 1
-            label = ""
-            draw = None
-            while rest:
-                if rest[0] == "inside":
-                    inside = rest[1]
-                    rest = rest[2:]
-                elif rest[0] == "orient":
-                    orient = _sign(rest[1], lineno)
-                    rest = rest[2:]
-                elif rest[0] == "label":
-                    label = rest[1]
-                    rest = rest[2:]
-                elif rest[0] == "draw":
-                    draw = tuple(float(x) for x in rest[1:4])
-                    rest = rest[4:]
-                else:
-                    raise ParseError(f"line {lineno}: bad IMAGECIRCLE field")
-            images[cid] = ImageCircle(face, inside, orient, label, draw)
+            _shape(tokens, lineno, "IMAGECIRCLE _ face _", more=True)
+            options = _options(tokens[4:], lineno, tag,
+                               {"inside": 1, "orient": 1, "label": 1, "draw": 3})
+            orient = _sign(options["orient"], lineno) if "orient" in options else 1
+            draw = _floats(options["draw"], lineno) if "draw" in options else None
+            images[cid] = ImageCircle(tokens[3], options.get("inside"), orient,
+                                      options.get("label", ""), draw)
         elif tag == "IMAGEROUTE":
-            cid = tokens[1]
+            _shape(tokens, lineno, "IMAGEROUTE _ cross", more=True)
             crossings = []
             for token in tokens[3:]:
-                eid, _, pos = token.partition("@")
-                crossings.append((eid, Fraction(pos)))
+                eid, at, pos = token.partition("@")
+                if not at:
+                    raise ParseError(f"line {lineno}: expected edge@position, "
+                                     f"got {token!r}")
+                crossings.append((eid, _fraction(pos, lineno)))
             route_crossings[cid] = tuple(crossings)
         elif tag == "IMAGERUN":
-            cid, index = tokens[1], int(tokens[2])
-            holes = None
-            if len(tokens) > 5 and tokens[5] == "holes":
-                holes = tokens[6]
-            route_runs.setdefault(cid, []).append((index, (tokens[4], holes)))
+            _shape(tokens, lineno, "IMAGERUN _ _ face _", more=True)
+            holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
+            _put_indexed(route_runs[cid], tokens[2], lineno, (tokens[4], holes))
         elif tag == "DISK":
+            _shape(tokens, lineno, "DISK _ faces", more=True)
             disks.append(DiskRegion(tokens[1], tuple(tokens[3:])))
         elif tag == "WITNESS":
-            at = tokens.index("surface")
+            at = len(tokens) - 6
+            if at < 2:
+                raise ParseError(f"line {lineno}: bad WITNESS record")
+            _shape(tokens[:2] + tokens[at:], lineno,
+                   "WITNESS nesting surface _ genus _ boundaries _")
             nesting = []
             for token in tokens[2:at]:
-                cid, parent, orient = token.rsplit(":", 2)
-                nesting.append((cid, None if parent == "-" else parent,
-                                1 if orient == "+" else -1))
+                circle, parent, orient = _fields(token, 3, lineno)
+                nesting.append((circle, None if parent == "-" else parent,
+                                _sign(orient, lineno)))
             witness = RelocationWitness(
                 nesting=tuple(nesting),
-                surface_orientable=tokens[at + 1] == "orientable",
-                surface_genus=int(tokens[at + 3]),
-                surface_boundaries=int(tokens[at + 5]))
+                surface_orientable=_orientable(tokens[at + 1], lineno),
+                surface_genus=_int(tokens[at + 3], lineno),
+                surface_boundaries=_int(tokens[at + 5], lineno))
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
     if patch is None:
         raise ParseError("plan has no PATCH record")
     circles = []
     for cid in order:
-        segs = tuple(s for _, s in sorted(segments[cid]))
-        evs = tuple(e for _, e in sorted(events[cid]))
         if cid in images:
             image = images[cid]
         else:
-            runs = tuple(r for _, r in sorted(route_runs.get(cid, [])))
-            image = ImageRoute(route_crossings.get(cid, ()), runs)
-        circles.append(PlanCircle(cid, segs, evs, image, patch_dirs[cid]))
+            image = ImageRoute(route_crossings.get(cid, ()),
+                               _in_order(route_runs[cid]))
+        circles.append(PlanCircle(cid, _in_order(segments[cid]),
+                                  _in_order(events[cid]), image, patch_dirs[cid]))
     plan = SurgeryPlan(base=base, circles=tuple(circles), patch=patch,
                        disks=tuple(disks), witness=witness, name=name)
     return plan, base_files

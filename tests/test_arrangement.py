@@ -100,6 +100,17 @@ def test_dangling_edge_rejected():
     assert any(v.code == "DanglingEdge" for v in report.violations)
 
 
+def test_curve_naming_an_unknown_edge_rejected():
+    arr = two_disjoint_circles()
+    broken = CurveArrangement(
+        arr.crossings, arr.edges,
+        (Curve("A", ("aux", "a"), ("eA", "nowhere")), arr.curves[1]),
+        arr.faces)
+    report = validate_arrangement(broken)
+    assert not report.ok
+    assert any(v.code == "CurveMembership" for v in report.violations)
+
+
 def test_euler_failure_rejected():
     # an extra face breaks the plane count
     arr = two_disjoint_circles()

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from spineforge import formats
-from spineforge.cli import main
+from spineforge.cli import build_parser, main
+from spineforge.errors import SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 klein_plan, relocation_plan)
 from spineforge.render import render_svg
@@ -80,10 +82,137 @@ def test_malformed_spoly_record_is_a_parse_error(record):
         formats.parse_spoly(text)
 
 
+MALFORMED_ARR_RECORDS = [
+    "COUNT r3",
+    "CURVE",
+    "CONTOUR r5 q",
+    "CROSSING x e:0 e:1",
+    "EDGE e curve c ends x:q y:1 left a right b",
+    "CURVE im source branch:c1 edges e draw 0.0 x 1.0",
+    "FACE f label",
+    "ASSIGN c1 curve im dir +",
+    "WINGSIDE c1 c1:0",
+]
+
+
+@pytest.mark.parametrize("record", MALFORMED_ARR_RECORDS)
+def test_malformed_arr_record_is_a_parse_error(record):
+    text = f"NAME m\nFACE r5\n{record}\n"
+    with pytest.raises(formats.ParseError, match="^line 3: "):
+        formats.parse_arr(text)
+
+
+MALFORMED_PLAN_RECORDS = [
+    "CIRCLE outer_cut +",
+    "SEG inner_cut sheet o_floor",
+    "SEG outer_cut 0 sheet i_band",
+    "SEG inner_cut 0 sheet o_floor sidegenus",
+    "EVENT inner_cut 0 arc a pos 1/0 slotin 0 slotout 1",
+    "IMAGEROUTE inner_cut cross e_1",
+    "PATCH orientable genus 0 boundaries",
+    "WITNESS nesting inner_cut:-:+ surface orientable genus 0",
+]
+
+
+@pytest.mark.parametrize("record", MALFORMED_PLAN_RECORDS)
+def test_malformed_plan_record_is_a_parse_error(record):
+    text = f"PLAN p\nCIRCLE inner_cut patchdir +\n{record}\n"
+    with pytest.raises(formats.ParseError, match="^line 3: "):
+        formats.parse_plan(text)
+
+
 def test_cli_obstruct_on_malformed_record_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     open("bad.spoly", "w").write("POLY p\nSHEET a orientable q\n")
     assert main(["obstruct", "bad.spoly"]) == 2
+
+
+def copy_fixtures(directory):
+    for name in os.listdir(repo_path("fixtures")):
+        shutil.copy(repo_path("fixtures", name), directory)
+
+
+def test_cli_on_malformed_arr_and_plan_is_status_two(tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    open("bad.arr", "w").write("COUNT r3\n")
+    assert main(["validate", "roundmap.spoly", "bad.arr"]) == 2
+    plan = open("klein.plan").read().replace("patchdir +", "+", 1)
+    open("bad.plan", "w").write(plan)
+    assert main(["surgery", "bad.plan", "-o", "out"]) == 2
+    assert not os.path.exists("out.spoly")
+
+
+def test_cli_directory_input_is_status_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("adir")
+    assert main(["validate", "adir"]) == 2
+    assert capsys.readouterr().err.startswith("cannot read adir: ")
+
+
+def test_cli_undecodable_input_is_status_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    open("bad.spoly", "wb").write(b"POLY p\nSHEET a orientable \xff\n")
+    assert main(["obstruct", "bad.spoly"]) == 2
+    assert capsys.readouterr().err.startswith("cannot read bad.spoly: ")
+
+
+def test_cli_write_into_missing_directory_is_status_two(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    target = os.path.join("missing", "roundmap")
+    assert main(["example", "base", "-o", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {target}.spoly: ")
+    assert ".tmp_spineforge_" not in err
+
+
+def mutate(rng, text):
+    """One random edit of one line: drop a token, swap in a bad token,
+    truncate the line or duplicate it."""
+    lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    tokens = lines[at].split()
+    edit = rng.randrange(4)
+    if edit == 0:
+        del tokens[rng.randrange(len(tokens))]
+    elif edit == 1:
+        tokens[rng.randrange(len(tokens))] = rng.choice(["q", "-1", "x:y"])
+    elif edit == 2:
+        tokens = tokens[:rng.randrange(len(tokens))]
+    if edit == 3:
+        lines.insert(at, lines[at])
+    else:
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_COMMANDS = {
+    ".spoly": (formats.parse_spoly, ["obstruct", "mutated.spoly"]),
+    ".arr": (formats.parse_arr, ["validate", "roundmap.spoly", "mutated.arr"]),
+    ".plan": (formats.parse_plan, ["surgery", "mutated.plan", "-o", "out"]),
+}
+
+
+def test_mutated_fixtures_raise_only_parse_errors(rng, tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rejected = {}
+    for name in sorted(os.listdir(repo_path("fixtures"))):
+        suffix = os.path.splitext(name)[1]
+        parse = FUZZ_COMMANDS[suffix][0]
+        text = open(name).read()
+        for _ in range(300):
+            mutated = mutate(rng, text)
+            try:
+                parse(mutated)
+            except SpineForgeError:
+                rejected.setdefault(suffix, []).append(mutated)
+    for suffix, (_, argv) in FUZZ_COMMANDS.items():
+        assert len(rejected[suffix]) > 100, suffix
+        for mutated in rng.sample(rejected[suffix], 5):
+            open("mutated" + suffix, "w").write(mutated)
+            assert main(argv) == 2, mutated
 
 
 def run_cli(args, cwd):
@@ -124,6 +253,29 @@ def test_cli_unknown_input_is_status_two(tmp_path, monkeypatch):
 
 def test_cli_unknown_subcommand_is_status_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_main_reuses_one_parser(capsys):
+    assert build_parser() is build_parser()
+    surgered = repo_path("fixtures", "surgered.spoly")
+    for bad in (["frobnicate"], ["obstruct", "--bound", "x", surgered]):
+        assert main(bad) == 2
+        capsys.readouterr()
+        assert main(["obstruct", surgered]) == 0
+        assert capsys.readouterr().out.startswith("obstructed")
+
+
+def test_cli_one_shot_matches_in_process_call(capsys):
+    surgered = repo_path("fixtures", "surgered.spoly")
+    assert main(["obstruct", surgered]) == 0
+    in_process = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [repo_path("src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "spineforge.cli",
+                             "obstruct", surgered],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert result.stdout == in_process
 
 
 def test_render_counts_circles_and_labels():
