@@ -167,11 +167,15 @@ def find_closed_surfaces(poly, bound):
 
 
 class _RawSearch(NamedTuple):
-    results: list      # (sheets, orientable), in the order they were found
+    # (positions in `order` of the selected sheets, orientable), in the
+    # order they were found
+    results: list
     examined: int
     truncated: bool
-    table: dict        # the call's _arc_slot_table
-    sheet_arcs: dict   # candidate sheet id -> arc positions, one per wing
+    order: list        # candidate sheet ids, sorted
+    # candidate wings numbered in (arc position, slot) order
+    wing_slots: list     # wing number -> (arc position, slot)
+    sheet_numbers: list  # per candidate, the numbers of its wings
 
 
 def _closed_search(poly, bound):
@@ -198,17 +202,24 @@ def _closed_search(poly, bound):
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
     index = {sid: i for i, sid in enumerate(order)}
 
-    # per arc, the (sheet, direction) of each candidate wing
-    arc_wings = [[(index[sid], d) for _, sid, d in table[arc.id] if sid in index]
-                 for arc in poly.arcs]
+    # per arc, the (sheet, direction) of each candidate wing, in slot order
+    arc_wings = []
     sheet_arcs = [[] for _ in order]  # arc positions, one per wing
     sheet_wings = [[] for _ in order]  # (arc position, wing position)
+    wing_slots = []  # (arc position, slot), numbered in that order
+    sheet_numbers = [[] for _ in order]  # wing numbers
     neighbors = [set() for _ in order]
-    for a, wings in enumerate(arc_wings):
-        for w, (i, _) in enumerate(wings):
+    for a, arc in enumerate(poly.arcs):
+        wings = sorted((slot, index[sid], d) for slot, sid, d in table[arc.id]
+                       if sid in index)
+        first = len(wing_slots)
+        for w, (slot, i, _) in enumerate(wings):
+            wing_slots.append((a, slot))
             sheet_arcs[i].append(a)
             sheet_wings[i].append((a, w))
-            neighbors[i].update(j for j, _ in wings if j != i)
+            sheet_numbers[i].append(first + w)
+            neighbors[i].update(j for _, j, _ in wings if j != i)
+        arc_wings.append([(i, d) for _, i, d in wings])
     nonorientable = [not poly.sheet(sid).orientable for sid in order]
 
     UNDECIDED, IN, OUT = 0, 1, 2
@@ -218,6 +229,7 @@ def _closed_search(poly, bound):
     n_open = [len(wings) for wings in arc_wings]
     touching = [0] * len(order)  # included neighbors of each sheet
     frontier = set()  # undecided sheets with an included neighbor
+    included = []  # included sheets in include order; undo pops them
     sign = [0] * len(order)  # +-1 on included sheets that reached the seed
     broke = [False] * len(order)
     n_broke = 0  # included sheets whose include broke orientability
@@ -225,6 +237,7 @@ def _closed_search(poly, bound):
     def include(i):
         nonlocal n_broke
         state[i] = IN
+        included.append(i)
         frontier.discard(i)
         s = 0
         bad = nonorientable[i]
@@ -263,6 +276,8 @@ def _closed_search(poly, bound):
     def undo(i):
         nonlocal n_broke
         if state[i] == IN:
+            # the walk undoes decisions in the reverse of their order
+            included.pop()
             for a in sheet_arcs[i]:
                 n_in[a] -= 1
                 n_open[a] += 1
@@ -314,14 +329,11 @@ def _closed_search(poly, bound):
                 # so the counts make it closed; signs spread from the seed
                 # along completed wing pairs only, so a sheet without one
                 # is not connected to it
-                chosen = [i for i in stack if state[i] == IN]
-                if not all(sign[i] for i in chosen):
+                if not all(sign[i] for i in included):
                     raise SelectionNotConnected(
-                        f"selection {sorted(order[i] for i in chosen)} "
+                        f"selection {sorted(order[i] for i in included)} "
                         "is not connected")
-                # copied from a set, the frozenset's table is sized to fit
-                results.append((frozenset({order[i] for i in chosen}),
-                                not n_broke))
+                results.append((tuple(included), not n_broke))
             # backtrack: undo finished exclude branches, then turn the
             # deepest include into its exclude branch
             while len(stack) > 1 and state[stack[-1]] == OUT:
@@ -336,37 +348,52 @@ def _closed_search(poly, bound):
             break
         undo(seed)
 
-    return _RawSearch(results, examined, truncated, table,
-                      dict(zip(order, sheet_arcs)))
+    return _RawSearch(results, examined, truncated, order, wing_slots,
+                      sheet_numbers)
 
 
 def _annotated(poly, search, results):
     """SurfaceSelections for raw results of `search`, in order of size,
-    then of sorted sheet ids; each is annotated only when it is drawn."""
-    # sorted before annotation, so the sort keys are gone before the
-    # per-arc annotations exist
-    for sheets, orientable in sorted(results,
+    then of sorted sheet ids; each is annotated only when it is drawn.
+
+    This is make_selection for a polyhedron already validated: one pass
+    over the arcs that carry a selected wing, whose slots come from the
+    search's own wing index.  The search decided each selection's
+    orientability and connectedness.
+    """
+    order, wing_slots = search.order, search.wing_slots
+    sheet_numbers = search.sheet_numbers
+    euler = [poly.sheet(sid).euler for sid in order]
+    arcs = [(arc.id, arc.kind == BOUNDARY,
+             None if arc.closed else {vid for vid, _ in arc.endpoints})
+            for arc in poly.arcs]
+    # positions follow sorted ids, so sorting positions sorts the ids
+    for chosen, orientable in sorted(results,
                                      key=lambda r: (len(r[0]), sorted(r[0]))):
-        arcs = sorted({a for sid in sheets for a in search.sheet_arcs[sid]})
-        yield _annotate(poly, sheets, orientable,
-                        [poly.arcs[a] for a in arcs], search.table)
-
-
-def _annotate(poly, sheets, orientable, arcs, table):
-    """make_selection for a polyhedron already validated, in one pass over
-    `arcs`, the arcs that carry a selected wing; the search that found the
-    selection decided `orientable` and its connectedness."""
-    euler = sum(poly.sheet(sid).euler for sid in sheets)
-    arc_slots = {}
-    vertices = set()
-    for arc in arcs:
-        chosen = [slot for slot, sid, _ in table[arc.id] if sid in sheets]
-        if arc.kind == BOUNDARY or len(chosen) != 2:
+        # copied from a set, the frozenset's table is sized to fit
+        sheets = frozenset({order[i] for i in chosen})
+        # sorted, the wing numbers of each arc lie together with their
+        # slots in order, and the arcs follow poly.arcs; the selection is
+        # closed when they pair off, two wings to an arc (a triple arc has
+        # three wings, so one or three selected on an arc leave a pair that
+        # straddles two arcs, or a wing over)
+        wings = sorted([w for i in chosen for w in sheet_numbers[i]])
+        if len(wings) % 2:
             raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-        slot1, slot2 = chosen
-        arc_slots[arc.id] = (slot1, slot2) if slot1 < slot2 else (slot2, slot1)
-        if not arc.closed:
-            euler -= 1
-            vertices.update(vid for vid, _ in arc.endpoints)
-    return SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
-                            orientable=orientable, euler=euler + len(vertices))
+        chi = sum(euler[i] for i in chosen)
+        arc_slots = {}
+        vertices = set()
+        for w1, w2 in zip(wings[::2], wings[1::2]):
+            a, slot1 = wing_slots[w1]
+            b, slot2 = wing_slots[w2]
+            arc_id, boundary, ends = arcs[a]
+            if boundary or a != b:
+                raise SelectionNotClosed(
+                    f"selection {sorted(sheets)} is not closed")
+            arc_slots[arc_id] = (slot1, slot2)
+            if ends is not None:
+                chi -= 1
+                vertices |= ends
+        yield SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
+                               orientable=orientable,
+                               euler=chi + len(vertices))

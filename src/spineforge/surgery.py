@@ -188,6 +188,11 @@ def check_attachment_hypotheses(plan):
             if not (0 < event.position < 1):
                 v.append(Violation("EventPosition", circle.id, event.arc))
             wings = arc_wings(poly, event.arc)
+            if event.slot_in not in wings or event.slot_out not in wings:
+                v.append(Violation("UnknownSlot", circle.id,
+                                   f"event {i}: {event.arc} has slots "
+                                   f"{sorted(wings)}"))
+                continue
             sheet_in = wings[event.slot_in][0]
             sheet_out = wings[event.slot_out][0]
             if sheet_in != circle.segments[i].sheet:

@@ -16,16 +16,25 @@ from spineforge.render import render_svg
 from conftest import repo_path
 
 
-def test_spoly_roundtrip():
-    poly = build_surgered_example().polyhedron
-    assert formats.parse_spoly(formats.emit_spoly(poly)) == poly
+def roundtrip_maps(rng):
+    """The surgered example, random round maps and random surgery outputs."""
+    from randgen import random_round_map, random_surgered_maps
+    return ([build_surgered_example()]
+            + [random_round_map(rng, name=f"t{i}") for i in range(100)]
+            + random_surgered_maps(rng, 100))
 
 
-def test_arr_roundtrip():
-    born = build_surgered_example()
-    arr, data = formats.parse_arr(formats.emit_arr(born))
-    assert arr == born.arrangement
-    assert formats.assemble_born_map(born.polyhedron, arr, data) == born
+def test_spoly_roundtrip(rng):
+    for born in roundtrip_maps(rng):
+        poly = born.polyhedron
+        assert formats.parse_spoly(formats.emit_spoly(poly)) == poly
+
+
+def test_arr_roundtrip(rng):
+    for born in roundtrip_maps(rng):
+        arr, data = formats.parse_arr(formats.emit_arr(born))
+        assert arr == born.arrangement
+        assert formats.assemble_born_map(born.polyhedron, arr, data) == born
 
 
 def test_plan_roundtrip():
@@ -37,12 +46,20 @@ def test_plan_roundtrip():
 
 
 def test_crossing_plan_roundtrip(rng):
-    from randgen import random_crossing_plan, random_round_map
-    plan = None
-    while plan is None:
-        plan = random_crossing_plan(rng, random_round_map(rng))
-    parsed, _ = formats.parse_plan(formats.emit_plan(plan))
-    assert replace(parsed, base=None) == replace(plan, base=None)
+    # interior plans, whose circles cross no arc, ride along
+    from randgen import (random_crossing_plan, random_interior_plan,
+                         random_round_map)
+    kinds = set()
+    for i in range(100):
+        born = random_round_map(rng, name=f"p{i}")
+        for plan in (random_crossing_plan(rng, born),
+                     random_interior_plan(rng, born)):
+            if plan is None:
+                continue
+            kinds.add(any(circle.events for circle in plan.circles))
+            parsed, _ = formats.parse_plan(formats.emit_plan(plan))
+            assert replace(parsed, base=None) == replace(plan, base=None)
+    assert kinds == {True, False}
 
 
 def test_fixture_files_regenerate_bit_identically():
@@ -234,6 +251,47 @@ def test_cli_pipeline(tmp_path, monkeypatch):
     assert os.path.exists("g_disk_outer_cut.dot")
 
 
+def crossing_plan_files(rng):
+    """A random crossing plan; its base is written to m.spoly and m.arr."""
+    from randgen import random_crossing_plan, random_round_map
+    plan = None
+    while plan is None:
+        born = random_round_map(rng)
+        plan = random_crossing_plan(rng, born)
+    open("m.spoly", "w").write(formats.emit_spoly(born.polyhedron))
+    open("m.arr", "w").write(formats.emit_arr(born))
+    return plan
+
+
+def with_first_event(plan, **change):
+    circle = plan.circles[0]
+    events = (replace(circle.events[0], **change),) + circle.events[1:]
+    return replace(plan, circles=(replace(circle, events=events),)
+                   + plan.circles[1:])
+
+
+def test_cli_graph_on_plan_unknown_to_its_base_fails_like_surgery(
+        rng, tmp_path, monkeypatch, capsys):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    plans = [(open("klein.plan").read().replace(
+        "SEG outer_cut 0 sheet i_band", "SEG outer_cut 0 sheet x:y"),
+        "UnknownSheet")]
+    plan = crossing_plan_files(rng)
+    for change, code in (({"arc": "zz"}, "UnknownArc"),
+                         ({"slot_in": 7}, "UnknownSlot"),
+                         ({"slot_out": -1}, "UnknownSlot")):
+        plans.append((formats.emit_plan(with_first_event(plan, **change),
+                                        "m.spoly", "m.arr"), code))
+    for text, code in plans:
+        open("bad.plan", "w").write(text)
+        for command in ("surgery", "graph"):
+            capsys.readouterr()
+            assert main([command, "bad.plan", "-o", "out"]) == 1
+            assert capsys.readouterr().err.startswith(f"{code}: ")
+        assert not [name for name in os.listdir() if name.startswith("out")]
+
+
 def test_cli_validate_rejects_broken_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["example", "base", "-o", "roundmap"])
@@ -303,8 +361,8 @@ def test_render_empty_map():
     assert ">0</text>" in svg
 
 
-def test_console_script_installed():
+def test_console_script_installed(tmp_path):
     result = subprocess.run([sys.executable, "-m", "spineforge.cli",
-                             "example", "base", "-o", "/tmp/_sf_test"],
+                             "example", "base", "-o", str(tmp_path / "_sf_test")],
                             capture_output=True, text=True)
     assert result.returncode == 0

@@ -9,7 +9,10 @@ from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 build_closed_sheet, build_sphere_fixture,
                                 build_surgered_example, build_theta,
                                 round_reeb)
-from spineforge.subsurfaces import (find_closed_surfaces, make_selection,
+from spineforge.subsurfaces import (_annotated, _closed_search,
+                                    _selection_arc_slots,
+                                    find_closed_surfaces, make_selection,
+                                    selection_euler, selection_is_closed,
                                     selection_orientable,
                                     surface_orientability)
 
@@ -198,9 +201,41 @@ def test_search_annotation_matches_make_selection(rng):
     cases = [build_theta(), build_base_example().polyhedron,
              build_surgered_example().polyhedron]
     cases += [random_round_map(rng, name=f"m{i}").polyhedron for i in range(20)]
+    # surgered maps have open arcs, which bring in the vertex term of the
+    # characteristic
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    cases += [tower(n) for n in range(4, 17)]
+    open_arcs = 0
     for poly in cases:
         for selection in find_closed_surfaces(poly, 10 ** 6).selections:
             assert make_selection(poly, selection.sheets) == selection
+            open_arcs += any(not poly.arc(aid).closed
+                             for aid in selection.arc_slots)
+    assert open_arcs
+
+
+def test_search_annotation_checks_closedness_of_every_subset():
+    # the walk only yields closed selections; its annotation still checks,
+    # here against the slow oracles on every subset of the candidates
+    for poly in (build_theta(), tower(4), build_base_example().polyhedron):
+        search = _closed_search(poly, 1000)
+        kinds = set()
+        for size in range(1, len(search.order) + 1):
+            for chosen in itertools.combinations(range(len(search.order)),
+                                                 size):
+                sheets = {search.order[i] for i in chosen}
+                closed = selection_is_closed(poly, sheets)
+                kinds.add(closed)
+                annotation = _annotated(poly, search, [(chosen, True)])
+                if not closed:
+                    with pytest.raises(SelectionNotClosed):
+                        next(annotation)
+                    continue
+                selection = next(annotation)
+                assert selection.sheets == sheets
+                assert selection.euler == selection_euler(poly, sheets)
+                assert selection.arc_slots == _selection_arc_slots(poly, sheets)
+        assert kinds == {True, False}
 
 
 def test_large_tower_truncates_instead_of_crashing():
