@@ -17,9 +17,8 @@ import tempfile
 
 from . import formats
 from .bornmap import validate_born_map
-from .core import (Violation, arc_wings, euler_characteristic, is_normal,
-                   validate_polyhedron)
-from .errors import ParseError, PlanError, SpineForgeError
+from .core import euler_characteristic, is_normal, validate_polyhedron
+from .errors import ParseError, SpineForgeError
 from .gallery import build_base_example, build_surgered_example, klein_plan
 from .homology import z2_homology
 from .obstruction import build_graph, graph_to_dot, maximal_graph, s3_obstruction
@@ -67,10 +66,13 @@ def _load_polyhedron(path):
     return formats.parse_spoly(_read(path))
 
 
-def _load_born(spoly_path, arr_path):
-    poly = _load_polyhedron(spoly_path)
+def _with_arr(poly, arr_path):
     arr, data = formats.parse_arr(_read(arr_path))
     return formats.assemble_born_map(poly, arr, data)
+
+
+def _load_born(spoly_path, arr_path):
+    return _with_arr(_load_polyhedron(spoly_path), arr_path)
 
 
 def _load_plan(plan_path, base_dir=None):
@@ -92,7 +94,7 @@ def cmd_validate(args):
     if args.arr:
         if not ok:
             return 1
-        born = _load_born(args.spoly, args.arr)
+        born = _with_arr(poly, args.arr)
         born_report = validate_born_map(born)
         print(f"born map: {born_report}")
         ok = ok and born_report.ok
@@ -163,34 +165,12 @@ def cmd_obstruct(args):
     return 0
 
 
-def _check_plan_disk(poly, circle):
-    """Raise the PlanError surgery raises when the circle names a sheet,
-    arc or slot the base lacks."""
-    def unknown(code, detail):
-        violation = Violation(code, circle.id, detail)
-        raise PlanError(code, str(violation))
-
-    sheet_ids = {s.id for s in poly.sheets}
-    arc_ids = {a.id for a in poly.arcs}
-    for seg in circle.segments:
-        if seg.sheet not in sheet_ids:
-            unknown("UnknownSheet", seg.sheet)
-    for i, event in enumerate(circle.events):
-        if event.arc not in arc_ids:
-            unknown("UnknownArc", event.arc)
-        wings = arc_wings(poly, event.arc)
-        if event.slot_in not in wings or event.slot_out not in wings:
-            unknown("UnknownSlot",
-                    f"event {i}: {event.arc} has slots {sorted(wings)}")
-
-
 def cmd_graph(args):
     plan = _load_plan(args.plan)
     from .obstruction import DiskInP
     born = plan.base
     disks = []
     for circle in plan.circles:
-        _check_plan_disk(born.polyhedron, circle)
         sheets = tuple(sorted({seg.sheet for seg in circle.segments}))
         arcs = tuple((e.arc, e.slot_in, e.slot_out, False) for e in circle.events)
         disks.append(DiskInP(id=f"disk_{circle.id}", boundary_circle=circle.id,

@@ -107,17 +107,21 @@ def cellulate(poly):
 
 
 def gf2_rank(rows):
-    """Rank over GF(2) of a list of bitmask integers."""
-    rank = 0
-    pivots = []
+    """Rank over GF(2) of a list of bitmask integers.
+
+    The pivots are kept in a table keyed by their leading bit, so each
+    reduction step clears the row's leading bit with one lookup; a row whose
+    leading bit has no pivot becomes one.
+    """
+    pivots = {}
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 def z2_homology(poly):

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bornmap import require_valid_born_map
-from .core import arc_wings
+from .core import Violation, arc_wings
 from .errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
-                     NonOrientableSheetMeetsDisk, SeedNotInGraph)
+                     NonOrientableSheetMeetsDisk, PlanError, SeedNotInGraph)
 from .subsurfaces import _annotated, _closed_search
 
 
@@ -82,19 +82,38 @@ class ObstructionReport:
     truncated: bool = False
 
 
+def _unknown_in_disk(disk, code, detail):
+    """Raise the PlanError surgery raises for a plan circle naming a sheet,
+    arc or slot its base lacks."""
+    raise PlanError(code, str(Violation(code, disk.boundary_circle, detail)))
+
+
 def build_graph(born, disk):
-    """Vertices: sheets meeting the disk; edges: arcs joining two of them."""
+    """Vertices: sheets meeting the disk; edges: arcs joining two of them.
+
+    A disk naming a sheet, an arc or a slot the polyhedron lacks raises
+    PlanError with code UnknownSheet, UnknownArc or UnknownSlot.
+    """
     require_valid_born_map(born)
     poly = born.polyhedron
+    sheet_ids = {s.id for s in poly.sheets}
     for sid in disk.sheets:
+        if sid not in sheet_ids:
+            _unknown_in_disk(disk, "UnknownSheet", sid)
         if not poly.sheet(sid).orientable:
             raise NonOrientableSheetMeetsDisk(
                 f"disk {disk.id} meets non-orientable sheet {sid}")
+    arc_ids = {a.id for a in poly.arcs}
     vertex_set = set(disk.sheets)
     edges = []
-    for entry in disk.arcs:
+    for i, entry in enumerate(disk.arcs):
         arc_id, slot_a, slot_b = entry[0], entry[1], entry[2]
+        if arc_id not in arc_ids:
+            _unknown_in_disk(disk, "UnknownArc", arc_id)
         wings = arc_wings(poly, arc_id)
+        if slot_a not in wings or slot_b not in wings:
+            _unknown_in_disk(disk, "UnknownSlot", f"entry {i}: {arc_id} has "
+                             f"slots {sorted(wings)}")
         sheet_a = wings[slot_a][0]
         sheet_b = wings[slot_b][0]
         if sheet_a == sheet_b:

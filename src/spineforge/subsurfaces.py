@@ -10,6 +10,7 @@ so the search reduces to the per-arc degree constraint plus connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .core import BOUNDARY, TRIPLE, ParityUnionFind, UnionFind, require_valid
@@ -173,9 +174,10 @@ class _RawSearch(NamedTuple):
     examined: int
     truncated: bool
     order: list        # candidate sheet ids, sorted
-    # candidate wings numbered in (arc position, slot) order
-    wing_slots: list     # wing number -> (arc position, slot)
+    # candidate wings are numbered in (arc position, slot) order
     sheet_numbers: list  # per candidate, the numbers of its wings
+    # (w1, w2) with w1 < w2 on one triple arc -> (arc id, (slot1, slot2))
+    pairs: dict
 
 
 def _closed_search(poly, bound):
@@ -187,6 +189,15 @@ def _closed_search(poly, bound):
     opposite directions on the shared arc; every further pair it completes
     only checks that relation.  A count of included sheets that broke it
     (or are non-orientable) then gives each result's orientability.
+
+    Include, exclude, undo and the degree check are inlined in one loop,
+    and an include checks each arc as it counts the wing.  Backtracking turns
+    a finished include branch straight into its exclude branch (IN to OUT):
+    the sheet's wings stay decided, so the undecided counts and the frontier
+    entry it never had are left alone.  A finished seed is turned the same
+    way and stays excluded for the later seeds.  Signs spread from the seed
+    along completed wing pairs only, so a count of included sheets without
+    a sign tells at each leaf, in O(1), that the selection is connected.
     """
     require_valid(poly)
     if bound < 1:
@@ -202,198 +213,170 @@ def _closed_search(poly, bound):
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
     index = {sid: i for i, sid in enumerate(order)}
 
-    # per arc, the (sheet, direction) of each candidate wing, in slot order
-    arc_wings = []
     sheet_arcs = [[] for _ in order]  # arc positions, one per wing
-    sheet_wings = [[] for _ in order]  # (arc position, wing position)
-    wing_slots = []  # (arc position, slot), numbered in that order
+    # per wing: (arc position, its direction, the (sheet, direction) of the
+    # arc's other candidate wings in slot order)
+    sheet_wings = [[] for _ in order]
     sheet_numbers = [[] for _ in order]  # wing numbers
+    pairs = {}
     neighbors = [set() for _ in order]
+    n_open = []  # undecided wings per arc (banned sheets start decided)
+    first = 0  # the number of the arc's first wing
     for a, arc in enumerate(poly.arcs):
         wings = sorted((slot, index[sid], d) for slot, sid, d in table[arc.id]
                        if sid in index)
-        first = len(wing_slots)
-        for w, (slot, i, _) in enumerate(wings):
-            wing_slots.append((a, slot))
+        for w, (slot, i, d) in enumerate(wings):
             sheet_arcs[i].append(a)
-            sheet_wings[i].append((a, w))
+            sheet_wings[i].append((a, d, [(j, dj) for v, (_, j, dj)
+                                          in enumerate(wings) if v != w]))
             sheet_numbers[i].append(first + w)
             neighbors[i].update(j for _, j, _ in wings if j != i)
-        arc_wings.append([(i, d) for _, i, d in wings])
+            for v in range(w + 1, len(wings)):
+                pairs[first + w, first + v] = (arc.id, (slot, wings[v][0]))
+        n_open.append(len(wings))
+        first += len(wings)
     nonorientable = [not poly.sheet(sid).orientable for sid in order]
 
     UNDECIDED, IN, OUT = 0, 1, 2
     state = [UNDECIDED] * len(order)
-    # wings per arc: included, and undecided (banned sheets start decided)
-    n_in = [0] * len(arc_wings)
-    n_open = [len(wings) for wings in arc_wings]
+    n_in = [0] * len(n_open)  # included wings per arc
     touching = [0] * len(order)  # included neighbors of each sheet
     frontier = set()  # undecided sheets with an included neighbor
-    included = []  # included sheets in include order; undo pops them
+    included = []  # included sheets in include order
     sign = [0] * len(order)  # +-1 on included sheets that reached the seed
     broke = [False] * len(order)
     n_broke = 0  # included sheets whose include broke orientability
-
-    def include(i):
-        nonlocal n_broke
-        state[i] = IN
-        included.append(i)
-        frontier.discard(i)
-        s = 0
-        bad = nonorientable[i]
-        for a, w in sheet_wings[i]:
-            n_in[a] += 1
-            n_open[a] -= 1
-            if n_in[a] != 2:
-                continue
-            # the other included wing; when i has two wings on an arc that
-            # another sheet also uses, the arc reaches 3 and is pruned
-            wings = arc_wings[a]
-            d = wings[w][1]
-            for v, (j, dj) in enumerate(wings):
-                if v != w and state[j] == IN:
-                    break
-            if j == i:
-                bad = bad or d == dj
-            elif not s:
-                s = -sign[j] * dj * d
-            elif s != -sign[j] * dj * d:
-                bad = True
-        sign[i] = s
-        broke[i] = bad
-        n_broke += bad
-        for j in neighbors[i]:
-            touching[j] += 1
-            if state[j] == UNDECIDED:
-                frontier.add(j)
-
-    def exclude(i):
-        state[i] = OUT
-        frontier.discard(i)
-        for a in sheet_arcs[i]:
-            n_open[a] -= 1
-
-    def undo(i):
-        nonlocal n_broke
-        if state[i] == IN:
-            # the walk undoes decisions in the reverse of their order
-            included.pop()
-            for a in sheet_arcs[i]:
-                n_in[a] -= 1
-                n_open[a] += 1
-            for j in neighbors[i]:
-                touching[j] -= 1
-                if not touching[j]:
-                    frontier.discard(j)
-            sign[i] = 0
-            n_broke -= broke[i]
-        else:
-            for a in sheet_arcs[i]:
-                n_open[a] += 1
-        state[i] = UNDECIDED
-        if touching[i]:
-            frontier.add(i)
-
-    def degrees_hold(i):
-        # only arcs with an included wing can break the 0-or-2 rule, and a
-        # decision changes the counts of the decided sheet's arcs alone
-        for a in sheet_arcs[i]:
-            n = n_in[a]
-            if n > 2 or (n == 1 and not n_open[a]):
-                return False
-        return True
+    n_unsigned = 0  # included sheets without a sign
 
     results = []
     examined = 0
     truncated = False
     for seed in range(len(order)):
-        if seed:
-            exclude(seed - 1)
-        include(seed)
-        sign[seed] = 1
-        ok = degrees_hold(seed)
         stack = [seed]
+        i = seed
         while True:
+            if state[i] == UNDECIDED:  # include i
+                state[i] = IN
+                included.append(i)
+                frontier.discard(i)
+                s = 1 if i == seed else 0
+                bad = nonorientable[i]
+                # only arcs with an included wing can break the 0-or-2
+                # rule, and a decision changes the counts of the decided
+                # sheet's arcs alone; a count checked before i's last wing
+                # on its arc fails only when the final one does
+                ok = True
+                for a, d, others in sheet_wings[i]:
+                    k = n_in[a] = n_in[a] + 1
+                    n_open[a] -= 1
+                    if k != 2:
+                        if k > 2 or not n_open[a]:
+                            ok = False
+                        continue
+                    # the other included wing; when i has two wings on an
+                    # arc that another sheet also uses, the arc reaches 3
+                    # and is pruned
+                    for j, dj in others:
+                        if state[j] == IN:
+                            break
+                    if j == i:
+                        bad = bad or d == dj
+                    elif not s:
+                        s = -sign[j] * dj * d
+                    elif s != -sign[j] * dj * d:
+                        bad = True
+                sign[i] = s
+                n_unsigned += not s
+                broke[i] = bad
+                n_broke += bad
+                for j in neighbors[i]:
+                    touching[j] += 1
+                    if state[j] == UNDECIDED:
+                        frontier.add(j)
             examined += 1
             if examined > bound:
                 truncated = True
                 break
             if ok:
                 if frontier:
-                    pick = min(frontier)
-                    include(pick)
-                    stack.append(pick)
-                    ok = degrees_hold(pick)
+                    i = min(frontier)
+                    stack.append(i)
                     continue
                 # every wing of every arc the selection touches is decided,
-                # so the counts make it closed; signs spread from the seed
-                # along completed wing pairs only, so a sheet without one
-                # is not connected to it
-                if not all(sign[i] for i in included):
+                # so the counts make it closed
+                if n_unsigned:
                     raise SelectionNotConnected(
                         f"selection {sorted(order[i] for i in included)} "
                         "is not connected")
                 results.append((tuple(included), not n_broke))
-            # backtrack: undo finished exclude branches, then turn the
-            # deepest include into its exclude branch
-            while len(stack) > 1 and state[stack[-1]] == OUT:
-                undo(stack.pop())
+            # backtrack: undo finished exclude branches (the seed is never
+            # one), then turn the deepest include into its exclude branch
+            i = stack[-1]
+            while state[i] == OUT:
+                stack.pop()
+                state[i] = UNDECIDED
+                for a in sheet_arcs[i]:
+                    n_open[a] += 1
+                if touching[i]:
+                    frontier.add(i)
+                i = stack[-1]
+            state[i] = OUT
+            included.pop()  # the deepest include is the last one
+            for a in sheet_arcs[i]:
+                n_in[a] -= 1
+            for j in neighbors[i]:
+                touching[j] -= 1
+                if not touching[j]:
+                    frontier.discard(j)
+            n_unsigned -= not sign[i]
+            sign[i] = 0
+            n_broke -= broke[i]
             if len(stack) == 1:
                 break
-            pick = stack[-1]
-            undo(pick)
-            exclude(pick)
-            ok = degrees_hold(pick)
+            # checked once all of i's wings are out: an arc where i had two
+            # can pass through a count of one with no undecided wing
+            ok = True
+            for a in sheet_arcs[i]:
+                k = n_in[a]
+                if k > 2 or (k == 1 and not n_open[a]):
+                    ok = False
+                    break
         if truncated:
             break
-        undo(seed)
 
-    return _RawSearch(results, examined, truncated, order, wing_slots,
-                      sheet_numbers)
+    return _RawSearch(results, examined, truncated, order, sheet_numbers,
+                      pairs)
 
 
 def _annotated(poly, search, results):
     """SurfaceSelections for raw results of `search`, in order of size,
     then of sorted sheet ids; each is annotated only when it is drawn.
 
-    This is make_selection for a polyhedron already validated: one pass
-    over the arcs that carry a selected wing, whose slots come from the
-    search's own wing index.  The search decided each selection's
+    This is make_selection for a polyhedron already validated, read from
+    the search's own wing index.  The search decided each selection's
     orientability and connectedness.
     """
-    order, wing_slots = search.order, search.wing_slots
-    sheet_numbers = search.sheet_numbers
+    order, sheet_numbers, pairs = search.order, search.sheet_numbers, search.pairs
     euler = [poly.sheet(sid).euler for sid in order]
-    arcs = [(arc.id, arc.kind == BOUNDARY,
-             None if arc.closed else {vid for vid, _ in arc.endpoints})
-            for arc in poly.arcs]
+    open_ends = {arc.id: frozenset(vid for vid, _ in arc.endpoints)
+                 for arc in poly.arcs if not arc.closed}
     # positions follow sorted ids, so sorting positions sorts the ids
     for chosen, orientable in sorted(results,
                                      key=lambda r: (len(r[0]), sorted(r[0]))):
         # copied from a set, the frozenset's table is sized to fit
-        sheets = frozenset({order[i] for i in chosen})
+        sheets = frozenset(set(map(order.__getitem__, chosen)))
         # sorted, the wing numbers of each arc lie together with their
         # slots in order, and the arcs follow poly.arcs; the selection is
-        # closed when they pair off, two wings to an arc (a triple arc has
-        # three wings, so one or three selected on an arc leave a pair that
-        # straddles two arcs, or a wing over)
-        wings = sorted([w for i in chosen for w in sheet_numbers[i]])
-        if len(wings) % 2:
+        # closed when they pair off, two wings to a triple arc (three
+        # wings on an arc leave one over, which pairs with the next arc's)
+        wings = sorted(chain.from_iterable(map(sheet_numbers.__getitem__,
+                                               chosen)))
+        found = list(map(pairs.get, zip(wings[::2], wings[1::2])))
+        if len(wings) % 2 or None in found:
             raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-        chi = sum(euler[i] for i in chosen)
-        arc_slots = {}
-        vertices = set()
-        for w1, w2 in zip(wings[::2], wings[1::2]):
-            a, slot1 = wing_slots[w1]
-            b, slot2 = wing_slots[w2]
-            arc_id, boundary, ends = arcs[a]
-            if boundary or a != b:
-                raise SelectionNotClosed(
-                    f"selection {sorted(sheets)} is not closed")
-            arc_slots[arc_id] = (slot1, slot2)
-            if ends is not None:
-                chi -= 1
-                vertices |= ends
-        yield SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
-                               orientable=orientable,
-                               euler=chi + len(vertices))
+        arc_slots = dict(found)
+        ends = list(filter(None, map(open_ends.get, arc_slots)))
+        yield SurfaceSelection(
+            sheets=sheets, arc_slots=arc_slots, orientable=orientable,
+            euler=(sum(map(euler.__getitem__, chosen)) - len(ends)
+                   + len(frozenset().union(*ends))))

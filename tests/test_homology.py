@@ -2,7 +2,7 @@ from spineforge.core import euler_characteristic
 from spineforge.gallery import (build_base_example, build_closed_sheet,
                                 build_sphere_fixture, build_surgered_example,
                                 build_theta)
-from spineforge.homology import cellulate, z2_homology
+from spineforge.homology import cellulate, gf2_rank, z2_homology
 
 from randgen import random_crossing_plan, random_interior_plan, random_round_map
 
@@ -167,3 +167,18 @@ def test_euler_agrees_with_cellulation_on_random_samples(rng):
         assert cellulate(poly).euler == chi
         b0, b1, b2 = z2_homology(poly)
         assert b0 - b1 + b2 == chi
+
+
+def test_gf2_rank_matches_the_size_of_the_row_span(rng):
+    # independent oracle: enumerate the row span; its size is 2 ** rank
+    kinds = set()
+    for _ in range(500):
+        width = rng.randint(1, 12)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 10))]
+        span = {0}
+        for row in rows:
+            span |= {vector ^ row for vector in span}
+        rank = gf2_rank(rows)
+        assert 2 ** rank == len(span)
+        kinds.add(rank == len(rows))
+    assert kinds == {True, False}

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from spineforge.errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
-                               NonOrientableSheetMeetsDisk, SeedNotInGraph)
+                               NonOrientableSheetMeetsDisk, PlanError,
+                               SeedNotInGraph)
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta)
 from spineforge.obstruction import (DiskInP, EmbeddingWitness, GraphEdge,
@@ -37,6 +38,19 @@ def test_disk_straddling_an_arc():
     assert graph.vertices == ("i_band", "i_floor")
     assert len(graph.edges) == 1
     assert graph.edges[0].arc == "c8"
+
+
+@pytest.mark.parametrize("sheets, arcs, code", [
+    (("i_band", "nope"), (), "UnknownSheet"),
+    (("i_band", "i_floor"), (("zz", 0, 1, False),), "UnknownArc"),
+    (("i_band", "i_floor"), (("c8", 0, 7, False),), "UnknownSlot"),
+])
+def test_build_graph_rejects_what_the_polyhedron_lacks(sheets, arcs, code):
+    disk = DiskInP(id="d", boundary_circle="x", sheets=sheets, arcs=arcs)
+    with pytest.raises(PlanError) as caught:
+        build_graph(build_base_example(), disk)
+    assert caught.value.code == code
+    assert str(caught.value).startswith(f"{code}(x)")
 
 
 def test_nonorientable_hypothesis_error():

@@ -197,6 +197,34 @@ def test_tower_search_tree_is_pinned():
         assert all(s.orientable for s in search.selections)
 
 
+def test_tower_32_search_tree_is_pinned():
+    search = find_closed_surfaces(tower(32), 10 ** 6)
+    assert (search.examined, len(search.selections)) == (5532, 496)
+    assert not search.truncated
+
+
+def test_search_cut_at_every_bound_is_a_prefix_of_the_full_walk(rng):
+    # the walk counts one state per decision and stops on the first state
+    # past the bound, so a cut examines bound + 1 states and keeps only
+    # selections the full walk also finds
+    full_runs = [(poly, find_closed_surfaces(poly, 10 ** 6))
+                 for poly in [born.polyhedron
+                              for born in random_surgered_maps(rng, 8)]]
+    cases = [(tower(6), find_closed_surfaces(tower(6), 10 ** 6)),
+             # the most states, and the first with a non-orientable selection
+             max(full_runs, key=lambda run: run[1].examined),
+             next(run for run in full_runs
+                  if not all(s.orientable for s in run[1].selections))]
+    for poly, full in cases:
+        assert full.examined > 10 and not full.truncated
+        for bound in range(1, full.examined + 1):
+            cut = find_closed_surfaces(poly, bound)
+            assert cut.examined == min(bound + 1, full.examined)
+            assert cut.truncated == (bound < full.examined)
+            assert all(s in full.selections for s in cut.selections)
+        assert cut.selections == full.selections
+
+
 def test_search_annotation_matches_make_selection(rng):
     cases = [build_theta(), build_base_example().polyhedron,
              build_surgered_example().polyhedron]
