@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import UnionFind, ValidationReport, Violation
 from .errors import InvalidArrangement, PlanError
@@ -85,6 +86,10 @@ class CurveArrangement:
     def face(self, fid):
         return self._face_by_id[fid]
 
+    @cached_property
+    def _report(self):
+        return _check_arrangement(self)
+
     @property
     def unbounded_face(self):
         for f in self.faces:
@@ -126,6 +131,12 @@ def _walk_step(arr, eid, direction):
 
 
 def validate_arrangement(arr):
+    """Structural validation, computed on the first call for an arrangement
+    object and returned again by every later call for it."""
+    return arr._report
+
+
+def _check_arrangement(arr):
     v = []
     ids = ([c.id for c in arr.crossings] + [e.id for e in arr.edges]
            + [c.id for c in arr.curves] + [f.id for f in arr.faces])
@@ -254,6 +265,23 @@ def validate_arrangement(arr):
     if v:
         return ValidationReport.failed(v)
     return ValidationReport.passed()
+
+
+def face_depths(arr):
+    """face id -> number of curves crossed on a shortest way out to the
+    unbounded face; faces it cannot reach are left out."""
+    neighbors = {}
+    for edge in arr.edges:
+        neighbors.setdefault(edge.left, []).append(edge.right)
+        neighbors.setdefault(edge.right, []).append(edge.left)
+    depth = {arr.unbounded_face.id: 0}
+    queue = [arr.unbounded_face.id]
+    for fid in queue:
+        for nxt in neighbors.get(fid, ()):
+            if nxt not in depth:
+                depth[nxt] = depth[fid] + 1
+                queue.append(nxt)
+    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import validate_arrangement
-from .core import (TRIPLE, ValidationReport, Violation, arc_wings,
-                   is_normal, strand_circles, validate_polyhedron)
+from .arrangement import face_depths, validate_arrangement
+from .core import (TRIPLE, ValidationReport, Violation, is_normal,
+                   strand_circles, validate_polyhedron)
 from .errors import DimensionTooLow, InvalidBornMap
 
 
@@ -155,7 +155,6 @@ def validate_born_map(born):
         sides = dict((tuple(k), s) for k, s in assignment.wing_sides)
         for arc_id in strands[key]:
             arc = poly.arc(arc_id)
-            wings = arc_wings(poly, arc_id)
             expected = {0, 1, 2} if arc.kind == TRIPLE else {0}
             got = {slot for (aid, slot) in sides if aid == arc_id}
             if got != expected:
@@ -185,14 +184,10 @@ def validate_born_map(born):
                                "not a bijection onto branch crossings"))
         else:
             curve_of_strand = {k: a.curve for k, a in born.assignments.items()}
-            strand_of_arc = {}
-            for key, circle in strands.items():
-                for arc_id in circle:
-                    strand_of_arc[arc_id] = key
             for vertex in poly.vertices:
                 xid = born.vertex_crossings[vertex.id]
                 vertex_curves = tuple(sorted(
-                    {curve_of_strand[strand_of_arc[aid]] for aid, _ in vertex.ends}))
+                    {curve_of_strand[poly._strand_of[aid]] for aid, _ in vertex.ends}))
                 if vertex_curves != crossing_curves[xid]:
                     v.append(Violation("VertexMap", vertex.id,
                                        f"curves {vertex_curves} vs crossing {xid}"))
@@ -226,16 +221,7 @@ def region_counts(born):
     nesting-depth order."""
     require_valid_born_map(born)
     arr = born.arrangement
-
-    depth = {arr.unbounded_face.id: 0}
-    queue = [arr.unbounded_face.id]
-    while queue:
-        fid = queue.pop(0)
-        for edge in arr.edges:
-            for nxt in (edge.left, edge.right):
-                if nxt not in depth and fid in (edge.left, edge.right):
-                    depth[nxt] = depth[fid] + 1
-                    queue.append(nxt)
+    depth = face_depths(arr)
     ordered = sorted(arr.faces,
                      key=lambda f: (-depth.get(f.id, 0), f.label or f.id))
     return {f.label or f.id: born.fiber_counts[f.id] for f in ordered}

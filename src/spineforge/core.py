@@ -32,6 +32,7 @@ onto the partner wing of the same quadrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidPolyhedron
 
@@ -170,6 +171,31 @@ class SimplePolyhedron:
     def vertex(self, vid):
         return self._vertex_by_id[vid]
 
+    # Derived data, built on first use and kept on this object.  None of it
+    # is a field, so ==, hash and repr ignore it, and dataclasses.replace
+    # starts the copy without it.
+
+    @cached_property
+    def _report(self):
+        return _check_polyhedron(self)
+
+    @cached_property
+    def _wings(self):
+        """arc id -> {slot: (sheet id, circuit index, position, direction)}."""
+        table = {arc.id: {} for arc in self.arcs}
+        for sheet in self.sheets:
+            for ci, circuit in enumerate(sheet.circuits):
+                for pos, trav in enumerate(circuit):
+                    table.setdefault(trav.arc, {})[trav.slot] = (
+                        sheet.id, ci, pos, trav.direction)
+        return table
+
+    @cached_property
+    def _strand_of(self):
+        """arc id -> key of its strand circle, the circle's smallest arc id."""
+        return {aid: circle[0] for circle in strand_circles(self)
+                for aid in circle}
+
 
 # ---------------------------------------------------------------------------
 # continuation machinery
@@ -221,7 +247,14 @@ def next_traversal(poly, trav):
 # ---------------------------------------------------------------------------
 
 def validate_polyhedron(poly):
-    """Structural validation; all failures are reported, never raised."""
+    """Structural validation; all failures are reported, never raised.
+
+    The report is computed on the first call for a polyhedron object and
+    returned again by every later call for it."""
+    return poly._report
+
+
+def _check_polyhedron(poly):
     v = []
 
     ids = [s.id for s in poly.sheets] + [a.id for a in poly.arcs] + [w.id for w in poly.vertices]
@@ -451,10 +484,4 @@ def euler_characteristic(poly):
 
 def arc_wings(poly, arc_id):
     """The traversals occupying the slots of one arc, keyed by slot."""
-    out = {}
-    for sheet in poly.sheets:
-        for ci, circuit in enumerate(sheet.circuits):
-            for pos, trav in enumerate(circuit):
-                if trav.arc == arc_id:
-                    out[trav.slot] = (sheet.id, ci, pos, trav.direction)
-    return out
+    return dict(poly._wings.get(arc_id, {}))  # a copy: the table is shared

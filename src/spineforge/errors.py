@@ -15,33 +15,33 @@ class ParseError(SpineForgeError):
     code = "ParseError"
 
 
-class InvalidPolyhedron(SpineForgeError):
+class InvalidValue(SpineForgeError):
+    """Raised when an operation receives a value that fails validation;
+    `.report` carries the violations.  Subclasses set `code` and `noun`."""
+
+    noun = "value"
+
+    def __init__(self, report):
+        lines = "; ".join(v.code for v in report.violations[:8])
+        super().__init__(f"{self.noun} fails validation: {lines}")
+        self.report = report
+
+
+class InvalidPolyhedron(InvalidValue):
     """Raised when an operation receives a polyhedron that fails validation."""
 
     code = "InvalidPolyhedron"
-
-    def __init__(self, report):
-        lines = "; ".join(v.code for v in report.violations[:8])
-        super().__init__(f"polyhedron fails validation: {lines}")
-        self.report = report
+    noun = "polyhedron"
 
 
-class InvalidArrangement(SpineForgeError):
+class InvalidArrangement(InvalidValue):
     code = "InvalidArrangement"
-
-    def __init__(self, report):
-        lines = "; ".join(v.code for v in report.violations[:8])
-        super().__init__(f"arrangement fails validation: {lines}")
-        self.report = report
+    noun = "arrangement"
 
 
-class InvalidBornMap(SpineForgeError):
+class InvalidBornMap(InvalidValue):
     code = "InvalidBornMap"
-
-    def __init__(self, report):
-        lines = "; ".join(v.code for v in report.violations[:8])
-        super().__init__(f"born map fails validation: {lines}")
-        self.report = report
+    noun = "born map"
 
 
 class NotNormal(SpineForgeError):

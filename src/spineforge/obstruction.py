@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bornmap import require_valid_born_map
-from .core import Violation, arc_wings
+from .core import Violation
 from .errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
                      NonOrientableSheetMeetsDisk, PlanError, SeedNotInGraph)
 from .subsurfaces import _annotated, _closed_search
@@ -96,21 +96,19 @@ def build_graph(born, disk):
     """
     require_valid_born_map(born)
     poly = born.polyhedron
-    sheet_ids = {s.id for s in poly.sheets}
     for sid in disk.sheets:
-        if sid not in sheet_ids:
+        if sid not in poly._sheet_by_id:
             _unknown_in_disk(disk, "UnknownSheet", sid)
         if not poly.sheet(sid).orientable:
             raise NonOrientableSheetMeetsDisk(
                 f"disk {disk.id} meets non-orientable sheet {sid}")
-    arc_ids = {a.id for a in poly.arcs}
     vertex_set = set(disk.sheets)
     edges = []
     for i, entry in enumerate(disk.arcs):
         arc_id, slot_a, slot_b = entry[0], entry[1], entry[2]
-        if arc_id not in arc_ids:
+        if arc_id not in poly._arc_by_id:
             _unknown_in_disk(disk, "UnknownArc", arc_id)
-        wings = arc_wings(poly, arc_id)
+        wings = poly._wings[arc_id]
         if slot_a not in wings or slot_b not in wings:
             _unknown_in_disk(disk, "UnknownSlot", f"entry {i}: {arc_id} has "
                              f"slots {sorted(wings)}")
@@ -156,12 +154,11 @@ def orient_sheets(born, graph, seed):
     if seed_sign not in (1, -1):
         raise ValueError("seed sign must be +1 or -1")
 
-    wings = {}
     adjacency = {v: [] for v in graph.vertices}
     for edge in graph.edges:
-        table = arc_wings(poly, edge.arc)
-        d_a = table[edge.slot_a][3]
-        d_b = table[edge.slot_b][3]
+        wings = poly._wings[edge.arc]
+        d_a = wings[edge.slot_a][3]
+        d_b = wings[edge.slot_b][3]
         # equal signs are compatible exactly when written directions differ
         relation = 1 if d_a != d_b else -1
         adjacency[edge.sheet_a].append((edge.sheet_b, relation, edge.arc))

@@ -9,23 +9,9 @@ depth, faces label the rings between.
 
 from __future__ import annotations
 
+from .arrangement import face_depths
 from .bornmap import require_valid_born_map
 from .core import BOUNDARY
-
-
-def _depths(arr):
-    depth = {arr.unbounded_face.id: 0}
-    queue = [arr.unbounded_face.id]
-    while queue:
-        fid = queue.pop(0)
-        for edge in arr.edges:
-            if fid not in (edge.left, edge.right):
-                continue
-            for nxt in (edge.left, edge.right):
-                if nxt not in depth:
-                    depth[nxt] = depth[fid] + 1
-                    queue.append(nxt)
-    return depth
 
 
 def render_svg(born, size=420):
@@ -34,14 +20,11 @@ def render_svg(born, size=420):
     arr = born.arrangement
     poly = born.polyhedron
 
-    kind_of_curve = {}
-    for key, assignment in born.assignments.items():
-        arc_ids = [aid for circle in _strands(poly) if circle[0] == key
-                   for aid in circle]
-        kind = poly.arc(arc_ids[0]).kind if arc_ids else BOUNDARY
-        kind_of_curve[assignment.curve] = kind
+    # a strand's key is its smallest arc id, and all its arcs share a kind
+    kind_of_curve = {assignment.curve: poly.arc(key).kind
+                     for key, assignment in born.assignments.items()}
 
-    depth = _depths(arr)
+    depth = face_depths(arr)
     max_depth = max(depth.values(), default=1) or 1
 
     radius_hint = {}
@@ -94,8 +77,3 @@ def render_svg(born, size=420):
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _strands(poly):
-    from .core import strand_circles
-    return strand_circles(poly)

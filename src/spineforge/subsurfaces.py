@@ -36,31 +36,25 @@ class SelectionSearch:
     truncated: bool
 
 
-def _arc_slot_table(poly):
-    """arc_id -> list of (slot, sheet_id, direction)."""
-    table = {arc.id: [] for arc in poly.arcs}
-    for sheet in poly.sheets:
-        for circuit in sheet.circuits:
-            for trav in circuit:
-                table[trav.arc].append((trav.slot, sheet.id, trav.direction))
-    return table
+def _selected(poly, arc, sheets):
+    """(slot, sheet id, direction) of each wing of `arc` in a selected sheet."""
+    return [(slot, sid, d) for slot, (sid, _, _, d) in poly._wings[arc.id].items()
+            if sid in sheets]
 
 
-def _selection_arc_slots(poly, sheets, table=None):
-    table = table or _arc_slot_table(poly)
+def _selection_arc_slots(poly, sheets):
     out = {}
     for arc in poly.arcs:
-        chosen = tuple(sorted(s for s, sid, _ in table[arc.id] if sid in sheets))
+        chosen = tuple(sorted(slot for slot, _, _ in _selected(poly, arc, sheets)))
         if chosen:
             out[arc.id] = chosen
     return out
 
 
-def selection_is_closed(poly, sheets, table=None):
+def selection_is_closed(poly, sheets):
     """Degree check: 2 selected wings on used triple arcs, none on boundary."""
-    table = table or _arc_slot_table(poly)
     for arc in poly.arcs:
-        n = sum(1 for _, sid, _ in table[arc.id] if sid in sheets)
+        n = len(_selected(poly, arc, sheets))
         if arc.kind == BOUNDARY and n != 0:
             return False
         if arc.kind == TRIPLE and n not in (0, 2):
@@ -68,40 +62,37 @@ def selection_is_closed(poly, sheets, table=None):
     return True
 
 
-def _selection_connected(poly, sheets, table):
+def _selection_connected(poly, sheets):
     if not sheets:
         return False
     uf = UnionFind()
     for sid in sheets:
         uf.find(sid)
     for arc in poly.arcs:
-        chosen = [sid for _, sid, _ in table[arc.id] if sid in sheets]
+        chosen = [sid for _, sid, _ in _selected(poly, arc, sheets)]
         for first, second in zip(chosen, chosen[1:]):
             uf.union(first, second)
     roots = {uf.find(sid) for sid in sheets}
     return len(roots) == 1
 
 
-def selection_euler(poly, sheets, table=None):
+def selection_euler(poly, sheets):
     """Characteristic of the subsurface carried by the selected sheets."""
-    table = table or _arc_slot_table(poly)
-    used_arcs = [a for a in poly.arcs
-                 if sum(1 for _, sid, _ in table[a.id] if sid in sheets) == 2]
+    used_arcs = [a for a in poly.arcs if len(_selected(poly, a, sheets)) == 2]
     used_open = [a for a in used_arcs if not a.closed]
     used_vertices = {vid for a in used_open for vid, _ in a.endpoints}
     total = sum(poly.sheet(sid).euler for sid in sheets)
     return total + len(used_vertices) - len(used_open)
 
 
-def selection_orientable(poly, sheets, table=None):
+def selection_orientable(poly, sheets):
     """Parity union-find over selected sheets; opposite induced directions
     along each shared arc are the compatible case."""
     if any(not poly.sheet(sid).orientable for sid in sheets):
         return False
-    table = table or _arc_slot_table(poly)
     uf = ParityUnionFind(sheets)
     for arc in poly.arcs:
-        chosen = [(sid, d) for _, sid, d in table[arc.id] if sid in sheets]
+        chosen = [(sid, d) for _, sid, d in _selected(poly, arc, sheets)]
         if len(chosen) == 2:
             (s1, d1), (s2, d2) = chosen
             if not _wing_pair_orientable(uf, s1, d1, s2, d2):
@@ -123,16 +114,15 @@ def make_selection(poly, sheets):
     """Build an annotated SurfaceSelection; raises when not closed/connected."""
     require_valid(poly)
     sheets = frozenset(sheets)
-    table = _arc_slot_table(poly)
-    if not selection_is_closed(poly, sheets, table):
+    if not selection_is_closed(poly, sheets):
         raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-    if not _selection_connected(poly, sheets, table):
+    if not _selection_connected(poly, sheets):
         raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
     return SurfaceSelection(
         sheets=sheets,
-        arc_slots=_selection_arc_slots(poly, sheets, table),
-        orientable=selection_orientable(poly, sheets, table),
-        euler=selection_euler(poly, sheets, table),
+        arc_slots=_selection_arc_slots(poly, sheets),
+        orientable=selection_orientable(poly, sheets),
+        euler=selection_euler(poly, sheets),
     )
 
 
@@ -202,12 +192,12 @@ def _closed_search(poly, bound):
     require_valid(poly)
     if bound < 1:
         raise ValueError("bound must be positive")
-    table = _arc_slot_table(poly)
+    wings_of = poly._wings
 
     # sheets touching boundary arcs can never be selected; every wing a
     # candidate has lies on a triple arc
-    banned = {sid for arc in poly.arcs if arc.kind == BOUNDARY
-              for _, sid, _ in table[arc.id]}
+    banned = {wing[0] for arc in poly.arcs if arc.kind == BOUNDARY
+              for wing in wings_of[arc.id].values()}
     # candidates by position in sorted id order, so min() picks the
     # smallest id
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
@@ -223,7 +213,8 @@ def _closed_search(poly, bound):
     n_open = []  # undecided wings per arc (banned sheets start decided)
     first = 0  # the number of the arc's first wing
     for a, arc in enumerate(poly.arcs):
-        wings = sorted((slot, index[sid], d) for slot, sid, d in table[arc.id]
+        wings = sorted((slot, index[sid], d)
+                       for slot, (sid, _, _, d) in wings_of[arc.id].items()
                        if sid in index)
         for w, (slot, i, d) in enumerate(wings):
             sheet_arcs[i].append(a)

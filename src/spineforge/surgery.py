@@ -24,7 +24,7 @@ from .arrangement import ArrangementBuilder, RouteCross, RouteFaceRun
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
-                   WingTraversal, arc_wings, strand_circles)
+                   WingTraversal, strand_circles)
 from .errors import (ContainmentViolated, NoEmptyRegion, PatchNotOrientable,
                      PlanError, UnsupportedItinerary, WitnessMismatch)
 
@@ -113,12 +113,19 @@ def _is_disk(sheet):
     return sheet.orientable and sheet.genus == 0 and len(sheet.circuits) == 1
 
 
-def _strand_of_arc(poly):
-    out = {}
-    for circle in strand_circles(poly):
-        for arc_id in circle:
-            out[arc_id] = circle[0]
-    return out
+def _nesting_order(circles):
+    """The circles, those whose images nest in fewer other images first,
+    then by id."""
+    by_id = {c.id: c for c in circles}
+
+    def depth(circle):
+        d = 0
+        while isinstance(circle.image, ImageCircle) and circle.image.inside:
+            circle = by_id[circle.image.inside]
+            d += 1
+        return d
+
+    return sorted(circles, key=lambda c: (depth(c), c.id))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,6 @@ def check_attachment_hypotheses(plan):
     if len(set(ids)) != len(ids):
         v.append(Violation("CircleIds", plan.name or "plan"))
 
-    strand_of = _strand_of_arc(poly)
     arcs_used = {}
     chord_sheets = {}
     interior_sheets = {}
@@ -157,12 +163,12 @@ def check_attachment_hypotheses(plan):
                 v.append(Violation("ItineraryShape", circle.id))
                 continue
             seg = circle.segments[0]
-            if seg.sheet not in {s.id for s in poly.sheets}:
+            if seg.sheet not in poly._sheet_by_id:
                 v.append(Violation("UnknownSheet", circle.id, seg.sheet))
                 continue
             interior_sheets.setdefault(seg.sheet, []).append(circle.id)
             host = circle.image.face
-            if circle.image.inside is None and host not in {f.id for f in arr.faces}:
+            if circle.image.inside is None and host not in arr._face_by_id:
                 v.append(Violation("UnknownFace", circle.id, host))
             continue
         if len(circle.segments) != k or not isinstance(circle.image, ImageRoute):
@@ -173,7 +179,7 @@ def check_attachment_hypotheses(plan):
                                "route shape does not match the events"))
             continue
         for i, event in enumerate(circle.events):
-            if event.arc not in {a.id for a in poly.arcs}:
+            if event.arc not in poly._arc_by_id:
                 v.append(Violation("UnknownArc", circle.id, event.arc))
                 continue
             arc = poly.arc(event.arc)
@@ -187,7 +193,7 @@ def check_attachment_hypotheses(plan):
                 continue
             if not (0 < event.position < 1):
                 v.append(Violation("EventPosition", circle.id, event.arc))
-            wings = arc_wings(poly, event.arc)
+            wings = poly._wings[event.arc]
             if event.slot_in not in wings or event.slot_out not in wings:
                 v.append(Violation("UnknownSlot", circle.id,
                                    f"event {i}: {event.arc} has slots "
@@ -203,7 +209,7 @@ def check_attachment_hypotheses(plan):
                 v.append(Violation("ItineraryMismatch", circle.id,
                                    f"event {i}: wing {event.slot_out} lies in "
                                    f"{sheet_out}"))
-            assignment = plan.base.assignments[strand_of[event.arc]]
+            assignment = plan.base.assignments[poly._strand_of[event.arc]]
             side_in = assignment.wing_side(event.arc, event.slot_in)
             side_out = assignment.wing_side(event.arc, event.slot_out)
             if side_in == side_out:
@@ -248,9 +254,8 @@ def check_attachment_hypotheses(plan):
                                    f"repeated position on {event.arc}"))
             positions[key] = circle.id
 
-    sheet_ids = {s.id for s in poly.sheets}
     for sheet_id, chords in chord_sheets.items():
-        if sheet_id not in sheet_ids:
+        if sheet_id not in poly._sheet_by_id:
             v.append(Violation("UnknownSheet", sheet_id))
             continue
         if sheet_id in interior_sheets:
@@ -535,15 +540,14 @@ def attach_surface(plan):
 
     # --- chords, keyed by sheet -------------------------------------------
     chords_by_sheet = {}
-    wings_by_arc = {a.id: arc_wings(poly, a.id) for a in poly.arcs}
     for circle in plan.circles:
         k = len(circle.events)
         for i in range(k):
             prev_event = circle.events[(i - 1) % k]
             event = circle.events[i]
             seg = circle.segments[i]
-            d_p = wings_by_arc[prev_event.arc][prev_event.slot_out][3]
-            d_q = wings_by_arc[event.arc][event.slot_in][3]
+            d_p = poly._wings[prev_event.arc][prev_event.slot_out][3]
+            d_q = poly._wings[event.arc][event.slot_in][3]
             chord = _Chord(
                 circle=circle.id, index=i, sheet=seg.sheet,
                 t_arc=f"t_{circle.id}.{i}",
@@ -694,20 +698,8 @@ def attach_surface(plan):
     count_of = dict(base.fiber_counts)
     new_vertex_crossings = dict(base.vertex_crossings)
 
-    ordered = []
-    by_id = {c.id: c for c in plan.circles}
-    def depth(circle):
-        d, cur = 0, circle
-        while isinstance(cur.image, ImageCircle) and cur.image.inside:
-            cur = by_id[cur.image.inside]
-            d += 1
-        return d
-    for circle in sorted(plan.circles,
-                         key=lambda c: (depth(c), c.id)):
-        ordered.append(circle)
-
     inner_face_of = {}
-    for circle in ordered:
+    for circle in _nesting_order(plan.circles):
         curve_id = f"im_{circle.id}"
         if isinstance(circle.image, ImageCircle):
             host = (inner_face_of[circle.image.inside]
@@ -741,28 +733,26 @@ def attach_surface(plan):
     new_counts = {f.id: count_of[f.id] + coverage[f.id] for f in new_arr.faces}
 
     # retag image curves as branch and rebuild assignments
-    new_strand_of = _strand_of_arc(new_poly)
     sub_parent = {}
     for arc_id, subs in splits.sub_arcs.items():
         for sub in subs:
             sub_parent[sub] = arc_id
-    old_strand_of = _strand_of_arc(poly)
 
-    new_t_arcs = {}
+    new_t_arcs = {}  # new arc id -> its plan circle
     for circle in plan.circles:
         k = len(circle.events)
         if k == 0:
-            new_t_arcs[f"t_{circle.id}"] = circle.id
+            new_t_arcs[f"t_{circle.id}"] = circle
         else:
             for i in range(k):
-                new_t_arcs[f"t_{circle.id}.{i}"] = circle.id
+                new_t_arcs[f"t_{circle.id}.{i}"] = circle
 
     new_assignments = {}
     for strand in strand_circles(new_poly):
         key = strand[0]
         member = strand[0]
         if member in new_t_arcs:
-            circle = by_id[new_t_arcs[member]]
+            circle = new_t_arcs[member]
             curve_id = f"im_{circle.id}"
             builder2_sides = []
             for arc_id in strand:
@@ -783,7 +773,7 @@ def attach_surface(plan):
                 wing_sides=tuple(builder2_sides))
             continue
         parent0 = sub_parent.get(member, member)
-        old_key = old_strand_of[parent0]
+        old_key = poly._strand_of[parent0]
         old = base.assignments[old_key]
         sides = []
         for arc_id in strand:
@@ -898,17 +888,8 @@ def normalize_into_disk(plan):
     builder = ArrangementBuilder(base.arrangement)
     counts = dict(base.fiber_counts)
     inner_face_of = {}
-    by_id = {c.id: c for c in moved.circles}
-
-    def depth(circle):
-        d, cur = 0, circle
-        while cur.image.inside:
-            cur = by_id[cur.image.inside]
-            d += 1
-        return d
-
     changed = False
-    for circle in sorted(moved.circles, key=lambda c: (depth(c), c.id)):
+    for circle in _nesting_order(moved.circles):
         curve_id = f"im_{circle.id}"
         if curve_id in existing_curves:
             continue

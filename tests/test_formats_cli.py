@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +141,7 @@ def test_malformed_plan_record_is_a_parse_error(record):
 
 def test_cli_obstruct_on_malformed_record_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    open("bad.spoly", "w").write("POLY p\nSHEET a orientable q\n")
+    Path("bad.spoly").write_text("POLY p\nSHEET a orientable q\n")
     assert main(["obstruct", "bad.spoly"]) == 2
 
 
@@ -152,10 +153,10 @@ def copy_fixtures(directory):
 def test_cli_on_malformed_arr_and_plan_is_status_two(tmp_path, monkeypatch):
     copy_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
-    open("bad.arr", "w").write("COUNT r3\n")
+    Path("bad.arr").write_text("COUNT r3\n")
     assert main(["validate", "roundmap.spoly", "bad.arr"]) == 2
-    plan = open("klein.plan").read().replace("patchdir +", "+", 1)
-    open("bad.plan", "w").write(plan)
+    plan = Path("klein.plan").read_text().replace("patchdir +", "+", 1)
+    Path("bad.plan").write_text(plan)
     assert main(["surgery", "bad.plan", "-o", "out"]) == 2
     assert not os.path.exists("out.spoly")
 
@@ -169,7 +170,7 @@ def test_cli_directory_input_is_status_two(tmp_path, monkeypatch, capsys):
 
 def test_cli_undecodable_input_is_status_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    open("bad.spoly", "wb").write(b"POLY p\nSHEET a orientable \xff\n")
+    Path("bad.spoly").write_bytes(b"POLY p\nSHEET a orientable \xff\n")
     assert main(["obstruct", "bad.spoly"]) == 2
     assert capsys.readouterr().err.startswith("cannot read bad.spoly: ")
 
@@ -218,7 +219,7 @@ def test_mutated_fixtures_raise_only_parse_errors(rng, tmp_path, monkeypatch):
     for name in sorted(os.listdir(repo_path("fixtures"))):
         suffix = os.path.splitext(name)[1]
         parse = FUZZ_COMMANDS[suffix][0]
-        text = open(name).read()
+        text = Path(name).read_text()
         for _ in range(300):
             mutated = mutate(rng, text)
             try:
@@ -228,7 +229,7 @@ def test_mutated_fixtures_raise_only_parse_errors(rng, tmp_path, monkeypatch):
     for suffix, (_, argv) in FUZZ_COMMANDS.items():
         assert len(rejected[suffix]) > 100, suffix
         for mutated in rng.sample(rejected[suffix], 5):
-            open("mutated" + suffix, "w").write(mutated)
+            Path("mutated" + suffix).write_text(mutated)
             assert main(argv) == 2, mutated
 
 
@@ -258,8 +259,8 @@ def crossing_plan_files(rng):
     while plan is None:
         born = random_round_map(rng)
         plan = random_crossing_plan(rng, born)
-    open("m.spoly", "w").write(formats.emit_spoly(born.polyhedron))
-    open("m.arr", "w").write(formats.emit_arr(born))
+    Path("m.spoly").write_text(formats.emit_spoly(born.polyhedron))
+    Path("m.arr").write_text(formats.emit_arr(born))
     return plan
 
 
@@ -274,7 +275,7 @@ def test_cli_graph_on_plan_unknown_to_its_base_fails_like_surgery(
         rng, tmp_path, monkeypatch, capsys):
     copy_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
-    plans = [(open("klein.plan").read().replace(
+    plans = [(Path("klein.plan").read_text().replace(
         "SEG outer_cut 0 sheet i_band", "SEG outer_cut 0 sheet x:y"),
         "UnknownSheet")]
     plan = crossing_plan_files(rng)
@@ -284,7 +285,7 @@ def test_cli_graph_on_plan_unknown_to_its_base_fails_like_surgery(
         plans.append((formats.emit_plan(with_first_event(plan, **change),
                                         "m.spoly", "m.arr"), code))
     for text, code in plans:
-        open("bad.plan", "w").write(text)
+        Path("bad.plan").write_text(text)
         for command in ("surgery", "graph"):
             capsys.readouterr()
             assert main([command, "bad.plan", "-o", "out"]) == 1
@@ -295,17 +296,17 @@ def test_cli_graph_on_plan_unknown_to_its_base_fails_like_surgery(
 def test_cli_validate_rejects_broken_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["example", "base", "-o", "roundmap"])
-    text = open("roundmap.spoly").read()
+    text = Path("roundmap.spoly").read_text()
     # drop one circuit line: a triple arc is left with two filled slots
     lines = [l for l in text.splitlines() if not l.startswith("CIRCUIT o_cap")]
-    open("broken.spoly", "w").write("\n".join(lines) + "\n")
+    Path("broken.spoly").write_text("\n".join(lines) + "\n")
     assert main(["validate", "broken.spoly"]) == 1
 
 
 def test_cli_unknown_input_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["validate", "missing.spoly"]) == 2
-    open("garbage.spoly", "w").write("WHAT is this\n")
+    Path("garbage.spoly").write_text("WHAT is this\n")
     assert main(["validate", "garbage.spoly"]) == 2
 
 
