@@ -216,6 +216,18 @@ def cmd_render(args):
     return 0
 
 
+def _positive_int(text):
+    """A search bound: argparse reports anything else as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser():
     """The ``spineforge`` argument parser, built once per process: parsing
@@ -252,7 +264,7 @@ def build_parser():
 
     p = sub.add_parser("obstruct", help="closed non-orientable subsurface search")
     p.add_argument("spoly")
-    p.add_argument("--bound", type=int, default=100000)
+    p.add_argument("--bound", type=_positive_int, default=100000)
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("graph", help="incidence graphs of the plan's disks (DOT)")

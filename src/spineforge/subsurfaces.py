@@ -146,11 +146,13 @@ def find_closed_surfaces(poly, bound):
     A state is one include or exclude decision on a sheet.  From each seed,
     taken in sorted order with the earlier seeds excluded, the search grows
     connected selections by deciding the smallest undecided sheet adjacent
-    to the included ones, first including and then excluding it.  Per-arc
-    counts of included and undecided wings are updated on every decision
-    and undone on backtracking, so only the decided sheet's arcs are checked
-    again, and the depth-first walk keeps its own stack.  The selections
-    come in order of size, then of sorted sheet ids.
+    to the included ones, first including and then excluding it.  The
+    included and undecided sheets are bitmasks, and an arc's wing counts
+    are popcounts of its sheet masks, so a decision checks only the decided
+    sheet's arcs.  Each include pushes a frame holding the masks as they
+    were before it, and backtracking reads a frame back instead of undoing
+    anything.  The selections come in order of size, then of sorted sheet
+    ids.
     """
     search = _closed_search(poly, bound)
     return SelectionSearch(selections=tuple(_annotated(poly, search, search.results)),
@@ -174,20 +176,30 @@ def _closed_search(poly, bound):
     """The walk behind find_closed_surfaces, with each selection's
     orientability decided as it grows and nothing annotated.
 
+    The state is a few ints, bit i standing for the sheet `order[i]`:
+    `inc` masks the included sheets and `free` the undecided ones (neither
+    included nor excluded), `near` is the union of the included sheets'
+    neighbour masks and `neg` masks the included sheets signed -1.  The
+    frontier is `near & free`, and its lowest bit is its smallest id.  An
+    arc's included wings are the popcounts against `inc` of its sheet mask
+    and of its mask of sheets with two wings on it, and it keeps an
+    undecided wing while its sheet mask meets `free`.  A decision checks
+    only the decided sheet's arcs.
+
     Every included sheet but the seed takes the sign its first completed
     wing pair with an earlier sheet forces, so that the two sheets induce
     opposite directions on the shared arc; every further pair it completes
-    only checks that relation.  A count of included sheets that broke it
-    (or are non-orientable) then gives each result's orientability.
+    only checks that relation, and `flat` is cleared when one fails (or the
+    sheet is non-orientable).  Signs spread from the seed along completed
+    wing pairs only, so a count of included sheets without a sign (`loose`)
+    tells at each leaf, in O(1), that the selection is connected.
 
-    Include, exclude, undo and the degree check are inlined in one loop,
-    and an include checks each arc as it counts the wing.  Backtracking turns
-    a finished include branch straight into its exclude branch (IN to OUT):
-    the sheet's wings stay decided, so the undecided counts and the frontier
-    entry it never had are left alone.  A finished seed is turned the same
-    way and stays excluded for the later seeds.  Signs spread from the seed
-    along completed wing pairs only, so a count of included sheets without
-    a sign tells at each leaf, in O(1), that the selection is connected.
+    Each include pushes a frame holding the state as it was before it, so
+    the frames' sheets are the included ones in include order.
+    Backtracking pops the deepest frame and takes its exclude branch from
+    the state the frame holds; nothing is undone by hand.  A seed's exclude
+    branch is not a state: the finished seed leaves `unseeded`, the free
+    mask every later seed starts from.
     """
     require_valid(poly)
     if bound < 1:
@@ -198,142 +210,110 @@ def _closed_search(poly, bound):
     # candidate has lies on a triple arc
     banned = {wing[0] for arc in poly.arcs if arc.kind == BOUNDARY
               for wing in wings_of[arc.id].values()}
-    # candidates by position in sorted id order, so min() picks the
-    # smallest id
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
     index = {sid: i for i, sid in enumerate(order)}
 
-    sheet_arcs = [[] for _ in order]  # arc positions, one per wing
-    # per wing: (arc position, its direction, the (sheet, direction) of the
-    # arc's other candidate wings in slot order)
-    sheet_wings = [[] for _ in order]
     sheet_numbers = [[] for _ in order]  # wing numbers
     pairs = {}
-    neighbors = [set() for _ in order]
-    n_open = []  # undecided wings per arc (banned sheets start decided)
+    near_of = [0] * len(order)  # neighbour masks
+    # per sheet, one (sheet mask, two-wing mask, own wings, rel) per arc it
+    # lies on; with one own wing, rel is the mask that, XORed with `neg`,
+    # has the partner's bit set when the pair forces sign -1, and with two
+    # it is whether they break orientability
+    arcs_of = [[] for _ in order]
     first = 0  # the number of the arc's first wing
-    for a, arc in enumerate(poly.arcs):
+    for arc in poly.arcs:
         wings = sorted((slot, index[sid], d)
                        for slot, (sid, _, _, d) in wings_of[arc.id].items()
                        if sid in index)
+        mask = twice = flip = 0
         for w, (slot, i, d) in enumerate(wings):
-            sheet_arcs[i].append(a)
-            sheet_wings[i].append((a, d, [(j, dj) for v, (_, j, dj)
-                                          in enumerate(wings) if v != w]))
             sheet_numbers[i].append(first + w)
-            neighbors[i].update(j for _, j, _ in wings if j != i)
+            twice |= mask & 1 << i
+            mask |= 1 << i
+            flip |= (d < 0) << i
             for v in range(w + 1, len(wings)):
                 pairs[first + w, first + v] = (arc.id, (slot, wings[v][0]))
-        n_open.append(len(wings))
+        for i in dict.fromkeys(i for _, i, _ in wings):
+            near_of[i] |= mask & ~(1 << i)
+            own = [d for _, j, d in wings if j == i]
+            rel = (own[0] == own[1] if len(own) > 1
+                   else flip if own[0] < 0 else ~flip)
+            arcs_of[i].append((mask, twice, len(own), rel))
         first += len(wings)
     nonorientable = [not poly.sheet(sid).orientable for sid in order]
-
-    UNDECIDED, IN, OUT = 0, 1, 2
-    state = [UNDECIDED] * len(order)
-    n_in = [0] * len(n_open)  # included wings per arc
-    touching = [0] * len(order)  # included neighbors of each sheet
-    frontier = set()  # undecided sheets with an included neighbor
-    included = []  # included sheets in include order
-    sign = [0] * len(order)  # +-1 on included sheets that reached the seed
-    broke = [False] * len(order)
-    n_broke = 0  # included sheets whose include broke orientability
-    n_unsigned = 0  # included sheets without a sign
 
     results = []
     examined = 0
     truncated = False
+    unseeded = (1 << len(order)) - 1  # finished seeds stay excluded
     for seed in range(len(order)):
-        stack = [seed]
-        i = seed
+        stack = []  # (sheet, inc, free, near, neg, loose, flat) before it
+        inc, free, near, neg, loose, flat = 0, unseeded, 0, 0, 0, True
+        i, include = seed, True
         while True:
-            if state[i] == UNDECIDED:  # include i
-                state[i] = IN
-                included.append(i)
-                frontier.discard(i)
-                s = 1 if i == seed else 0
-                bad = nonorientable[i]
-                # only arcs with an included wing can break the 0-or-2
-                # rule, and a decision changes the counts of the decided
-                # sheet's arcs alone; a count checked before i's last wing
-                # on its arc fails only when the final one does
-                ok = True
-                for a, d, others in sheet_wings[i]:
-                    k = n_in[a] = n_in[a] + 1
-                    n_open[a] -= 1
-                    if k != 2:
-                        if k > 2 or not n_open[a]:
-                            ok = False
-                        continue
-                    # the other included wing; when i has two wings on an
-                    # arc that another sheet also uses, the arc reaches 3
-                    # and is pruned
-                    for j, dj in others:
-                        if state[j] == IN:
-                            break
-                    if j == i:
-                        bad = bad or d == dj
-                    elif not s:
-                        s = -sign[j] * dj * d
-                    elif s != -sign[j] * dj * d:
-                        bad = True
-                sign[i] = s
-                n_unsigned += not s
-                broke[i] = bad
-                n_broke += bad
-                for j in neighbors[i]:
-                    touching[j] += 1
-                    if state[j] == UNDECIDED:
-                        frontier.add(j)
+            bit = 1 << i
+            ok = True
+            if include:
+                stack.append((i, inc, free, near, neg, loose, flat))
+                free ^= bit
+                signed, minus, bad = i == seed, False, nonorientable[i]
+                for mask, twice, w, rel in arcs_of[i]:
+                    # i is not in inc; an arc where it has three wings has
+                    # no other sheet, and fails at once
+                    pair = mask & inc
+                    k = pair.bit_count() + w
+                    if twice:
+                        k += (twice & inc).bit_count()
+                    if k == 2:
+                        if w == 2:  # i's own two wings pair up
+                            bad = bad or rel
+                        elif not signed:  # with an included sheet's wing
+                            signed, minus = True, bool(pair & (neg ^ rel))
+                        elif minus != bool(pair & (neg ^ rel)):
+                            bad = True
+                    elif k > 2 or not mask & free:
+                        ok = False
+                        break
+                if ok:
+                    inc |= bit
+                    near |= near_of[i]
+                    if minus:
+                        neg |= bit
+                    loose += not signed
+                    flat = flat and not bad
+            else:
+                free ^= bit
+                # the frame's state passed its checks, so no count exceeds
+                # 2, and a count of 1 needs an undecided wing
+                for mask, twice, _, _ in arcs_of[i]:
+                    if not mask & free and ((mask & inc).bit_count()
+                                            + (twice & inc).bit_count() == 1):
+                        ok = False
+                        break
             examined += 1
             if examined > bound:
                 truncated = True
                 break
             if ok:
+                frontier = near & free
                 if frontier:
-                    i = min(frontier)
-                    stack.append(i)
+                    i, include = (frontier & -frontier).bit_length() - 1, True
                     continue
                 # every wing of every arc the selection touches is decided,
                 # so the counts make it closed
-                if n_unsigned:
+                if loose:
                     raise SelectionNotConnected(
-                        f"selection {sorted(order[i] for i in included)} "
+                        f"selection {sorted(order[f[0]] for f in stack)} "
                         "is not connected")
-                results.append((tuple(included), not n_broke))
-            # backtrack: undo finished exclude branches (the seed is never
-            # one), then turn the deepest include into its exclude branch
-            i = stack[-1]
-            while state[i] == OUT:
-                stack.pop()
-                state[i] = UNDECIDED
-                for a in sheet_arcs[i]:
-                    n_open[a] += 1
-                if touching[i]:
-                    frontier.add(i)
-                i = stack[-1]
-            state[i] = OUT
-            included.pop()  # the deepest include is the last one
-            for a in sheet_arcs[i]:
-                n_in[a] -= 1
-            for j in neighbors[i]:
-                touching[j] -= 1
-                if not touching[j]:
-                    frontier.discard(j)
-            n_unsigned -= not sign[i]
-            sign[i] = 0
-            n_broke -= broke[i]
-            if len(stack) == 1:
+                results.append((tuple([f[0] for f in stack]), flat))
+            i, inc, free, near, neg, loose, flat = stack.pop()
+            if not stack:
                 break
-            # checked once all of i's wings are out: an arc where i had two
-            # can pass through a count of one with no undecided wing
-            ok = True
-            for a in sheet_arcs[i]:
-                k = n_in[a]
-                if k > 2 or (k == 1 and not n_open[a]):
-                    ok = False
-                    break
+            include = False
         if truncated:
             break
+        unseeded ^= 1 << seed
 
     return _RawSearch(results, examined, truncated, order, sheet_numbers,
                       pairs)

@@ -314,6 +314,15 @@ def test_cli_unknown_subcommand_is_status_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_cli_obstruct_rejects_a_bound_below_one(bound, capsys):
+    surgered = repo_path("fixtures", "surgered.spoly")
+    assert main(["obstruct", surgered, "--bound", bound]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spineforge obstruct")
+    assert f"must be a positive integer, got '{bound}'" in err
+
+
 def test_cli_main_reuses_one_parser(capsys):
     assert build_parser() is build_parser()
     surgered = repo_path("fixtures", "surgered.spoly")

@@ -203,18 +203,38 @@ def test_tower_32_search_tree_is_pinned():
     assert not search.truncated
 
 
+def test_tower_64_search_tree_is_pinned():
+    search = find_closed_surfaces(tower(64), 10 ** 6)
+    assert (search.examined, len(search.selections)) == (24040, 2016)
+    assert not search.truncated
+
+
+def test_search_tree_is_pinned_beyond_towers():
+    for poly, examined, count, nonorientable in (
+            (build_theta(), 11, 3, 0),
+            (build_base_example().polyhedron, 47, 6, 0),
+            (build_surgered_example().polyhedron, 148, 13, 1)):
+        search = find_closed_surfaces(poly, 10 ** 6)
+        assert (search.examined, len(search.selections)) == (examined, count)
+        assert not search.truncated
+        assert sum(not s.orientable for s in search.selections) == nonorientable
+
+
 def test_search_cut_at_every_bound_is_a_prefix_of_the_full_walk(rng):
     # the walk counts one state per decision and stops on the first state
     # past the bound, so a cut examines bound + 1 states and keeps only
     # selections the full walk also finds
     full_runs = [(poly, find_closed_surfaces(poly, 10 ** 6))
                  for poly in [born.polyhedron
-                              for born in random_surgered_maps(rng, 8)]]
+                              for born in random_surgered_maps(rng, 30)]]
     cases = [(tower(6), find_closed_surfaces(tower(6), 10 ** 6)),
-             # the most states, and the first with a non-orientable selection
-             max(full_runs, key=lambda run: run[1].examined),
-             next(run for run in full_runs
-                  if not all(s.orientable for s in run[1].selections))]
+             # the most states among the first 8 maps, and the most states
+             # among all 30 with a non-orientable selection (at least 16 at
+             # every seed from 0 to 20; the first 8 maps may have none)
+             max(full_runs[:8], key=lambda run: run[1].examined),
+             max((run for run in full_runs
+                  if not all(s.orientable for s in run[1].selections)),
+                 key=lambda run: run[1].examined)]
     for poly, full in cases:
         assert full.examined > 10 and not full.truncated
         for bound in range(1, full.examined + 1):
@@ -323,9 +343,26 @@ def test_sheet_with_both_wings_on_one_arc(direction, orientable):
     disk = SheetSpec("w", True, 0, ((WingTraversal("c0", 0, 1),),))
     poly = SimplePolyhedron((disk, annulus), (arc,), (), name="pinched")
     search = find_closed_surfaces(poly, 1000)
+    assert search.examined == 4
     assert [s.sheets for s in search.selections] == [frozenset({"a"})]
     selection = search.selections[0]
     assert selection.orientable is orientable
     assert selection_orientable(poly, selection.sheets) is orientable
     assert brute_force_orientable(poly, selection.sheets) is orientable
     assert selection.euler == 0
+
+
+def test_sheet_with_three_wings_on_one_arc():
+    # a pair of pants whose three boundary circles run along one triple
+    # circle fills all of its slots: the arc always carries 0 or 3 selected
+    # wings, so the one include fails and the seed has no exclude state
+    from spineforge.core import (TRIPLE, TRIVIAL, BranchArc, SheetSpec,
+                                 SimplePolyhedron, WingTraversal)
+    arc = BranchArc("c0", TRIPLE, None, TRIVIAL)
+    pants = SheetSpec("p", True, 0, tuple((WingTraversal("c0", slot, d),)
+                                          for slot, d in ((0, 1), (1, 1),
+                                                          (2, -1))))
+    poly = SimplePolyhedron((pants,), (arc,), (), name="pants")
+    search = find_closed_surfaces(poly, 1000)
+    assert (search.examined, search.selections) == (1, ())
+    assert brute_force_selections(poly) == []
