@@ -113,21 +113,18 @@ def _side_face(edge, direction):
     return edge.left if direction > 0 else edge.right
 
 
-def _walk_step(arr, eid, direction):
+def _next_side(eid, direction, ends, rays):
     """Continue a face-on-left contour walk past the end of (eid, direction).
 
-    Rays at a crossing are stored in counterclockwise order, so walking with
-    the face on the left turns from the arrival ray to its clockwise
-    neighbor."""
-    edge = arr.edge(eid)
-    if edge.closed:
+    `ends` are the edge's ends (None for a closed edge) and `rays` maps each
+    crossing id to its four rays.  Rays are stored in counterclockwise
+    order, so walking with the face on the left turns from the arrival ray
+    to its clockwise neighbor."""
+    if ends is None:
         return eid, direction
-    end_index = 1 if direction > 0 else 0
-    xid, pos = edge.ends[end_index]
-    crossing = arr.crossing(xid)
-    out_edge, out_end = crossing.order[(pos - 1) % 4]
-    out_dir = 1 if out_end == 0 else -1
-    return out_edge, out_dir
+    xid, pos = ends[1 if direction > 0 else 0]
+    out_edge, out_end = rays[xid][(pos - 1) % 4]
+    return out_edge, (1 if out_end == 0 else -1)
 
 
 def validate_arrangement(arr):
@@ -208,6 +205,7 @@ def _check_arrangement(arr):
     # checked above via CurveChain for every consecutive pair.
 
     side_claims = {}
+    rays = {c.id: c.order for c in arr.crossings}
     for face in arr.faces:
         for contour in face.contours:
             if not contour:
@@ -225,7 +223,7 @@ def _check_arrangement(arr):
                     v.append(Violation("SideFaceMismatch", face.id, f"{eid}:{direction}"))
             for i, (eid, direction) in enumerate(contour):
                 nxt = contour[(i + 1) % len(contour)]
-                if _walk_step(arr, eid, direction) != nxt:
+                if _next_side(eid, direction, arr.edge(eid).ends, rays) != nxt:
                     v.append(Violation("ContourWalk", face.id, f"after {eid}:{direction}"))
 
     for edge in arr.edges:
@@ -295,19 +293,19 @@ def winding_numbers(arr, oriented_curves):
     direction).  Faces not separated by the family share a value; the
     unbounded face is 0.
     """
+    # face -> [(face across an edge, winding step)], in edge order
+    across = {}
+    for edge in arr.edges:
+        sign = oriented_curves.get(edge.curve, 0)
+        across.setdefault(edge.left, []).append((edge.right, -sign))
+        if edge.right != edge.left:
+            across.setdefault(edge.right, []).append((edge.left, sign))
     values = {arr.unbounded_face.id: 0}
     queue = [arr.unbounded_face.id]
     while queue:
         fid = queue.pop()
         base = values[fid]
-        for edge in arr.edges:
-            sign = oriented_curves.get(edge.curve, 0)
-            if edge.left == fid:
-                nxt, delta = edge.right, -sign
-            elif edge.right == fid:
-                nxt, delta = edge.left, sign
-            else:
-                continue
+        for nxt, delta in across.get(fid, ()):
             target = base + delta
             if nxt in values:
                 if values[nxt] != target:
@@ -349,6 +347,7 @@ class ArrangementBuilder:
         self.faces = {f.id: {"contours": [list(c) for c in f.contours],
                              "unbounded": f.unbounded, "label": f.label,
                              "draw": f.draw} for f in arr.faces}
+        self._origins = {}  # face split off by a route -> the face it came from
         self._counter = 0
 
     def fresh(self, prefix):
@@ -388,8 +387,8 @@ class ArrangementBuilder:
     # -- routes with crossings ------------------------------------------
 
     def _split_edge(self, eid, positions):
-        """Split directed edge `eid` at sorted positions; returns segment ids
-        and the fresh crossing ids in order along the edge.
+        """Split directed edge `eid` at sorted positions; returns the fresh
+        crossing ids in order along the edge.
 
         An edge with endpoints splits into n+1 segments; a closed edge
         splits into n segments cyclically, segment i running from the
@@ -450,7 +449,7 @@ class ArrangementBuilder:
                     else:
                         out.extend((s, -1) for s in reversed(segs))
                 contour[:] = out
-        return segs, xids
+        return xids
 
     def insert_route(self, curve_id, crossing_points, face_runs, source,
                      draw=None):
@@ -480,7 +479,7 @@ class ArrangementBuilder:
         new_crossing_of = [None] * k
 
         for eid, items in positions_seen.items():
-            segs, xids = self._split_edge(eid, [p for p, _ in items])
+            xids = self._split_edge(eid, [p for p, _ in items])
             for (_, idx), xid in zip(items, xids):
                 new_crossing_of[idx] = xid
 
@@ -492,9 +491,6 @@ class ArrangementBuilder:
             left, right = self.edges[seg_in]["left"], self.edges[seg_in]["right"]
             prev_face = face_runs[(i - 1) % k].face
             next_face = face_runs[i].face
-            base_of = {}
-            for fid in (left, right):
-                base_of[fid] = fid
             from_face = self._resolve_side(prev_face, (left, right))
             to_face = self._resolve_side(next_face, (left, right))
             if from_face == to_face:
@@ -536,9 +532,8 @@ class ArrangementBuilder:
                         f"face {declared_face} not adjacent to crossed edge")
 
     def _face_origin(self, fid):
-        origins = getattr(self, "_origins", {})
-        while fid in origins:
-            fid = origins[fid]
+        while fid in self._origins:
+            fid = self._origins[fid]
         return fid
 
     def _resplit_faces(self, route_edge_ids, face_runs):
@@ -564,7 +559,7 @@ class ArrangementBuilder:
             cur = (eid, direction)
             while True:
                 cycle.append(cur)
-                nxt = self._builder_walk_step(*cur)
+                nxt = _next_side(*cur, self.edges[cur[0]]["ends"], self.crossings)
                 if nxt == (eid, direction):
                     return cycle
                 cur = nxt
@@ -602,9 +597,6 @@ class ArrangementBuilder:
                 raise PlanError("RouteShape", f"ambiguous face for cycle: {sorted(votes)}")
             groups.setdefault(votes.pop(), []).append(cycle)
 
-        if not hasattr(self, "_origins"):
-            self._origins = {}
-
         for fid, face_cycles in groups.items():
             face = self.faces.pop(fid)
             route_cycles = [c for c in face_cycles
@@ -620,7 +612,7 @@ class ArrangementBuilder:
                                    "unbounded": face["unbounded"],
                                    "label": face["label"], "draw": face["draw"]}
                 for cycle in route_cycles:
-                    self._set_route_sides(cycle, fid, route_set)
+                    self._set_route_sides(cycle, fid)
                 continue
 
             if face["unbounded"]:
@@ -640,18 +632,13 @@ class ArrangementBuilder:
                                       "unbounded": False,
                                       "label": face["label"], "draw": face["draw"]}
                 new_ids.append(new_id)
-                self._set_route_sides(cycle, new_id, route_set)
+                self._set_route_sides(cycle, new_id)
             if hole_cycles:
                 side = holes_decl.get(self._face_origin(fid))
                 target = self._piece_on_side(new_ids, route_set, side)
                 for cycle in hole_cycles:
                     self.faces[target]["contours"].append([tuple(x) for x in cycle])
-                    for eid, direction in cycle:
-                        info = self.edges[eid]
-                        if direction > 0:
-                            info["left"] = target
-                        else:
-                            info["right"] = target
+                    self._set_route_sides(cycle, target)
 
     def _piece_on_side(self, new_ids, route_set, side):
         for fid in new_ids:
@@ -664,22 +651,13 @@ class ArrangementBuilder:
                             return fid
         raise PlanError("UnsupportedRoute", "hole side does not touch the route")
 
-    def _set_route_sides(self, cycle, face_id, route_set):
+    def _set_route_sides(self, cycle, face_id):
         for eid, direction in cycle:
             info = self.edges[eid]
             if direction > 0:
                 info["left"] = face_id
             else:
                 info["right"] = face_id
-
-    def _builder_walk_step(self, eid, direction):
-        info = self.edges[eid]
-        if info["ends"] is None:
-            return eid, direction
-        end_index = 1 if direction > 0 else 0
-        xid, pos = info["ends"][end_index]
-        out_edge, out_end = self.crossings[xid][(pos - 1) % 4]
-        return out_edge, (1 if out_end == 0 else -1)
 
     # -- retagging and freezing -----------------------------------------
 

@@ -160,6 +160,9 @@ def cmd_obstruct(args):
         print(f"obstructed: closed {kind} subsurface [{sheets}] "
               f"chi={witness.euler}")
         print("no embedding into the 3-sphere or any mod-2 homology 3-sphere")
+    elif truncated:
+        print(f"undecided: no closed non-orientable subsurface within bound "
+              f"{args.bound}")
     else:
         print("not obstructed by a closed non-orientable subsurface")
     return 0

@@ -224,10 +224,8 @@ _BASE_RENAME = {
 def _rename_sheets(born, rename):
     poly = born.polyhedron
     sheets = tuple(replace(s, id=rename.get(s.id, s.id)) for s in poly.sheets)
-    new_poly = SimplePolyhedron(sheets, poly.arcs, poly.vertices, name=poly.name)
-    return BornMap(polyhedron=new_poly, arrangement=born.arrangement,
-                   assignments=born.assignments, fiber_counts=born.fiber_counts,
-                   vertex_crossings=born.vertex_crossings, name=born.name)
+    return replace(born, polyhedron=SimplePolyhedron(
+        sheets, poly.arcs, poly.vertices, name=poly.name))
 
 
 def _flip_sheet(born, sheet_id):
@@ -240,11 +238,8 @@ def _flip_sheet(born, sheet_id):
             continue
         circuits = tuple(tuple(t.reversed() for t in reversed(c)) for c in s.circuits)
         sheets.append(replace(s, circuits=circuits))
-    new_poly = SimplePolyhedron(tuple(sheets), poly.arcs, poly.vertices,
-                                name=poly.name)
-    return BornMap(polyhedron=new_poly, arrangement=born.arrangement,
-                   assignments=born.assignments, fiber_counts=born.fiber_counts,
-                   vertex_crossings=born.vertex_crossings, name=born.name)
+    return replace(born, polyhedron=SimplePolyhedron(
+        tuple(sheets), poly.arcs, poly.vertices, name=poly.name))
 
 
 def build_base_example():

@@ -176,13 +176,21 @@ def orient_sheets(born, graph, seed):
                 parent_arc[other] = (current, arc)
                 queue.append(other)
             elif assignment[other] != want:
-                cycle = [arc]
+                # the tree paths from both ends up to their lowest common
+                # ancestor close an odd cycle with `arc`
+                paths = []
                 for node in (current, other):
-                    while parent_arc.get(node):
-                        prev, via = parent_arc[node]
-                        cycle.append(via)
-                        node = prev
-                return ("contradiction", tuple(cycle))
+                    path = [(node, None)]
+                    while parent_arc[node]:
+                        node, via = parent_arc[node]
+                        path.append((node, via))
+                    paths.append(path)
+                a, b = paths
+                while len(a) > 1 and len(b) > 1 and a[-2][0] == b[-2][0]:
+                    a.pop()
+                    b.pop()
+                return ("contradiction",
+                        (arc,) + tuple(via for _, via in a[1:] + b[1:]))
     # vertices in other components of the graph stay unoriented; the graph
     # of one disk is connected in practice, but report what was reached
     return ("oriented", assignment)

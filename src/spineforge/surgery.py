@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arrangement import ArrangementBuilder, RouteCross, RouteFaceRun
+from .arrangement import (ArrangementBuilder, RouteCross, RouteFaceRun,
+                          winding_numbers)
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
@@ -113,19 +114,43 @@ def _is_disk(sheet):
     return sheet.orientable and sheet.genus == 0 and len(sheet.circuits) == 1
 
 
+def _nesting(parent_of):
+    """circle id -> (depth, outermost circle id), walking each chain of
+    `parent_of` (circle id -> the id it nests in, or None) once.
+
+    A parent that is not a key raises PlanError UnknownCircle, and a chain
+    that comes back to itself raises NestingCycle."""
+    found = {}
+    for cid in parent_of:
+        chain = []
+        while cid is not None and cid not in found:
+            if cid not in parent_of:
+                raise PlanError("UnknownCircle", f"{chain[-1]} nests in "
+                                f"unknown circle {cid}", circle=chain[-1])
+            if cid in chain:
+                raise PlanError("NestingCycle", "nesting cycle "
+                                + " in ".join(chain[chain.index(cid):] + [cid]),
+                                circle=cid)
+            chain.append(cid)
+            cid = parent_of[cid]
+        depth, root = found[cid] if cid is not None else (-1, chain[-1])
+        for member in reversed(chain):
+            depth += 1
+            found[member] = (depth, root)
+    return found
+
+
+def _image_nesting(circles):
+    """_nesting over the images of the crossing-free circles."""
+    return _nesting({c.id: c.image.inside for c in circles
+                     if isinstance(c.image, ImageCircle)})
+
+
 def _nesting_order(circles):
     """The circles, those whose images nest in fewer other images first,
-    then by id."""
-    by_id = {c.id: c for c in circles}
-
-    def depth(circle):
-        d = 0
-        while isinstance(circle.image, ImageCircle) and circle.image.inside:
-            circle = by_id[circle.image.inside]
-            d += 1
-        return d
-
-    return sorted(circles, key=lambda c: (depth(c), c.id))
+    then by id; a route image nests in none."""
+    nesting = _image_nesting(circles)
+    return sorted(circles, key=lambda c: (nesting.get(c.id, (0,))[0], c.id))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +305,11 @@ def check_attachment_hypotheses(plan):
                         for ci in seg.side_circuits):
                     v.append(Violation("ItineraryShape", sheet_id, "side circuits"))
 
+    try:
+        _image_nesting(plan.circles)
+    except PlanError as exc:
+        v.append(Violation(exc.code, exc.context["circle"], str(exc)))
+
     if v:
         return ValidationReport.failed(v)
     return ValidationReport.passed()
@@ -298,75 +328,32 @@ def _require_attachable(plan):
 # ---------------------------------------------------------------------------
 
 class _ArcSplits:
-    """Sub-arc layout of every arc crossed by plan events."""
+    """Sub-arc layout of every arc crossed by plan events.
+
+    A crossed arc becomes sub-arcs (id, start vertex, end vertex) in arc
+    direction, one new vertex per event; an end at the arc's old endpoint
+    is None."""
 
     def __init__(self, poly, plan):
-        self.poly = poly
-        self.events = {}      # arc_id -> [(position, circle_id, event_index)]
-        self.sub_arcs = {}    # arc_id -> [sub_arc_id, ...] in arc direction
-        self.vertex_of = {}   # (circle_id, event_index) -> vertex_id
-        self.event_at = {}    # arc_id -> [(position, vertex_id, circle, idx)]
+        self.sub_arcs = {}   # arc_id -> [(sub_arc_id, start, end)]
+        self.arriving = {}   # new vertex id -> the sub-arc ending there
+        self.leaving = {}    # new vertex id -> the sub-arc starting there
+        crossed = {}
         for circle in plan.circles:
             for i, event in enumerate(circle.events):
-                self.events.setdefault(event.arc, []).append(
-                    (event.position, circle.id, i))
-        for arc_id, items in self.events.items():
-            items.sort()
-            arc = poly.arc(arc_id)
-            m = len(items)
-            n_subs = m if arc.closed else m + 1
-            subs = [f"{arc_id}.{j}" for j in range(n_subs)]
+                crossed.setdefault(event.arc, []).append(
+                    (event.position, f"v_{circle.id}_{i}"))
+        for arc_id, marks in crossed.items():
+            vids = [vid for _, vid in sorted(marks)]
+            if poly.arc(arc_id).closed:
+                spans = zip(vids, vids[1:] + vids[:1])
+            else:
+                spans = zip([None] + vids, vids + [None])
+            subs = [(f"{arc_id}.{j}", start, end)
+                    for j, (start, end) in enumerate(spans)]
             self.sub_arcs[arc_id] = subs
-            marks = []
-            for j, (pos, cid, ei) in enumerate(items):
-                vid = f"v_{cid}_{ei}"
-                self.vertex_of[(cid, ei)] = vid
-                marks.append((pos, vid, cid, ei))
-            self.event_at[arc_id] = marks
-
-    def walk(self, arc_id, direction):
-        """Atoms along a full traversal: sub-arc ids and vertex marks between."""
-        subs = self.sub_arcs.get(arc_id)
-        if subs is None:
-            return None
-        arc = self.poly.arc(arc_id)
-        marks = self.event_at[arc_id]
-        atoms = []
-        if arc.closed:
-            # sub j leaves the vertex of mark j and arrives at mark j+1
-            m = len(marks)
-            for j in range(m):
-                atoms.append(("sub", subs[j]))
-                atoms.append(("vertex", marks[(j + 1) % m]))
-        else:
-            for j, sub in enumerate(subs):
-                atoms.append(("sub", sub))
-                if j < len(marks):
-                    atoms.append(("vertex", marks[j]))
-        if direction < 0:
-            atoms = list(reversed(atoms))
-        return atoms
-
-    def left_right_subs(self, arc_id, event_pos):
-        """Sub-arcs arriving at / leaving the given event along arc direction."""
-        marks = self.event_at[arc_id]
-        subs = self.sub_arcs[arc_id]
-        arc = self.poly.arc(arc_id)
-        j = next(i for i, (pos, *_rest) in enumerate(marks) if pos == event_pos)
-        if arc.closed:
-            m = len(marks)
-            return subs[(j - 1) % m], subs[j]
-        return subs[j], subs[j + 1]
-
-
-def _rewrite_traversal(splits, trav):
-    """Expand a traversal of a split arc into sub-traversals; uncut wings
-    pass every new vertex as its free wing."""
-    atoms = splits.walk(trav.arc, trav.direction)
-    if atoms is None:
-        return [trav]
-    return [WingTraversal(sub, trav.slot, trav.direction)
-            for kind, sub in atoms if kind == "sub"]
+            self.arriving.update((end, sub) for sub, _, end in subs if end)
+            self.leaving.update((start, sub) for sub, start, _ in subs if start)
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +378,36 @@ class _Chord:
 
 
 def _expand_circuit(splits, circuit, marks_by_wing):
-    """Circuit atoms: ('trav', WingTraversal) and ('mark', chord, end)."""
+    """Circuit atoms: ('trav', WingTraversal) and ('mark', chord, end).
+
+    `marks_by_wing` maps (arc, slot) -> {new vertex id: (chord, end)}; a
+    wing passes every other new vertex as its free wing."""
     atoms = []
     for trav in circuit:
-        walk = splits.walk(trav.arc, trav.direction)
-        if walk is None:
+        subs = splits.sub_arcs.get(trav.arc)
+        if subs is None:
             atoms.append(("trav", trav))
             continue
-        wing_marks = marks_by_wing.get((trav.arc, trav.slot), [])
-        vertex_to_mark = {vid: (chord, end) for vid, chord, end in wing_marks}
-        for kind, payload in walk:
-            if kind == "sub":
-                atoms.append(("trav", WingTraversal(payload, trav.slot,
-                                                    trav.direction)))
-            else:
-                _pos, vid, _cid, _ei = payload
-                if vid in vertex_to_mark:
-                    chord, end = vertex_to_mark[vid]
-                    atoms.append(("mark", chord, end))
+        marks = marks_by_wing.get((trav.arc, trav.slot), {})
+        pieces = []
+        for sub, _, end in subs:
+            pieces.append(("trav", WingTraversal(sub, trav.slot, trav.direction)))
+            if end in marks:
+                pieces.append(("mark",) + marks[end])
+        atoms.extend(pieces if trav.direction > 0 else reversed(pieces))
     return atoms
 
 
-def _cut_sheet(poly, splits, sheet, chords):
-    """Cut one sheet along its chords; returns (pieces, per-chord sides).
-
-    pieces: list of (piece_id, circuits, genus) -- all orientable.
+def _cut_sheet(splits, sheet, chords):
+    """Cut one sheet along its chords; returns its pieces, a list of
+    (piece_id, circuits, genus) -- all orientable -- and records on each
+    chord the pieces on its two sides.
     """
     marks_by_wing = {}
     for chord in chords:
-        p_arc, _p_pos, p_slot, _ = chord.p
-        q_arc, _q_pos, q_slot, _ = chord.q
-        marks_by_wing.setdefault((p_arc, p_slot), []).append(
-            (chord.p_vertex, chord, "p"))
-        marks_by_wing.setdefault((q_arc, q_slot), []).append(
-            (chord.q_vertex, chord, "q"))
+        for end, (arc, _, slot, _), vid in (("p", chord.p, chord.p_vertex),
+                                             ("q", chord.q, chord.q_vertex)):
+            marks_by_wing.setdefault((arc, slot), {})[vid] = (chord, end)
 
     circuits_atoms = [_expand_circuit(splits, c, marks_by_wing)
                       for c in sheet.circuits]
@@ -521,6 +504,19 @@ def _plain_circuit(atoms):
 # the main operation
 # ---------------------------------------------------------------------------
 
+def _insert_image(builder, circle, inner_face_of, counts):
+    """Insert the image of a crossing-free circle, inside the inner face of
+    the circle it nests in or else in its face; the new inner face takes
+    the count of its host."""
+    image = circle.image
+    host = inner_face_of[image.inside] if image.inside else image.face
+    inner = builder.insert_circle(f"im_{circle.id}", host, image.orient,
+                                  source=("aux", f"image:{circle.id}"),
+                                  label=image.label, draw=image.draw)
+    inner_face_of[circle.id] = inner
+    counts[inner] = counts[host]
+
+
 def attach_surface(plan):
     """Attach the plan's patch along its circles; returns the new BornMap."""
     _require_attachable(plan)
@@ -538,10 +534,15 @@ def attach_surface(plan):
 
     splits = _ArcSplits(poly, plan)
 
-    # --- chords, keyed by sheet -------------------------------------------
+    # --- chords, keyed by sheet and by their new triple arc ---------------
     chords_by_sheet = {}
+    interior_by_sheet = {}
+    t_arcs = {}  # new triple arc id -> (its plan circle, its chord or None)
     for circle in plan.circles:
         k = len(circle.events)
+        if k == 0:
+            t_arcs[f"t_{circle.id}"] = (circle, None)
+            interior_by_sheet.setdefault(circle.segments[0].sheet, []).append(circle)
         for i in range(k):
             prev_event = circle.events[(i - 1) % k]
             event = circle.events[i]
@@ -553,39 +554,28 @@ def attach_surface(plan):
                 t_arc=f"t_{circle.id}.{i}",
                 p=(prev_event.arc, prev_event.position, prev_event.slot_out, d_p),
                 q=(event.arc, event.position, event.slot_in, d_q),
-                p_vertex=splits.vertex_of[(circle.id, (i - 1) % k)],
-                q_vertex=splits.vertex_of[(circle.id, i)],
+                p_vertex=f"v_{circle.id}_{(i - 1) % k}",
+                q_vertex=f"v_{circle.id}_{i}",
                 side_genus=seg.side_genus, side_circuits=seg.side_circuits)
             chords_by_sheet.setdefault(seg.sheet, []).append(chord)
-
-    interior_by_sheet = {}
-    for circle in plan.circles:
-        if not circle.events:
-            interior_by_sheet.setdefault(circle.segments[0].sheet, []).append(circle)
+            t_arcs[chord.t_arc] = (circle, chord)
 
     # --- build new sheets ---------------------------------------------------
     new_sheets = []
-    all_chords = [c for cs in chords_by_sheet.values() for c in cs]
     for sheet in poly.sheets:
         if sheet.id in chords_by_sheet:
-            for pid, circuits, genus in _cut_sheet(poly, splits, sheet,
+            for pid, circuits, genus in _cut_sheet(splits, sheet,
                                                    chords_by_sheet[sheet.id]):
                 new_sheets.append(SheetSpec(pid, True, genus, tuple(circuits)))
             continue
-        circuits = tuple(
-            tuple(t for trav in circuit for t in _rewrite_traversal(splits, trav))
-            for circuit in sheet.circuits)
-        if sheet.id in interior_by_sheet:
-            rest_circuits = list(circuits)
-            for circle in interior_by_sheet[sheet.id]:
-                t_arc = f"t_{circle.id}"
-                rest_circuits.append((WingTraversal(t_arc, 2, -1),))
-                new_sheets.append(SheetSpec(
-                    f"d_{circle.id}", True, 0,
-                    ((WingTraversal(t_arc, 1, 1),),)))
-            new_sheets.append(replace(sheet, circuits=tuple(rest_circuits)))
-        else:
-            new_sheets.append(replace(sheet, circuits=circuits))
+        circuits = [_plain_circuit(_expand_circuit(splits, circuit, {}))
+                    for circuit in sheet.circuits]
+        for circle in interior_by_sheet.get(sheet.id, ()):
+            t_arc = f"t_{circle.id}"
+            circuits.append((WingTraversal(t_arc, 2, -1),))
+            new_sheets.append(SheetSpec(f"d_{circle.id}", True, 0,
+                                        ((WingTraversal(t_arc, 1, 1),),)))
+        new_sheets.append(replace(sheet, circuits=tuple(circuits)))
 
     # patch sheet
     patch_id = plan.patch.id
@@ -594,17 +584,14 @@ def attach_surface(plan):
         patch_id += "_"
     patch_circuits = []
     for circle in plan.circles:
-        k = len(circle.events)
-        if k == 0:
+        if not circle.events:
             patch_circuits.append(
                 (WingTraversal(f"t_{circle.id}", 0, circle.patch_dir),))
-        elif circle.patch_dir > 0:
-            patch_circuits.append(tuple(
-                WingTraversal(f"t_{circle.id}.{i}", 0, 1) for i in range(k)))
-        else:
-            patch_circuits.append(tuple(
-                WingTraversal(f"t_{circle.id}.{i}", 0, -1)
-                for i in reversed(range(k))))
+            continue
+        sign = 1 if circle.patch_dir > 0 else -1
+        patch_circuits.append(tuple(
+            WingTraversal(f"t_{circle.id}.{i}", 0, sign)
+            for i in range(len(circle.events))[::sign]))
     new_sheets.append(SheetSpec(patch_id, plan.patch.orientable,
                                 plan.patch.genus, tuple(patch_circuits)))
 
@@ -615,62 +602,43 @@ def attach_surface(plan):
         if subs is None:
             new_arcs.append(arc)
             continue
-        marks = splits.event_at[arc.id]
-        if arc.closed:
-            m = len(marks)
-            for j, sub in enumerate(subs):
-                start_v = marks[j][1]
-                end_v = marks[(j + 1) % m][1]
-                new_arcs.append(BranchArc(sub, arc.kind,
-                                          ((start_v, 2), (end_v, 0)), TRIVIAL))
-        else:
-            for j, sub in enumerate(subs):
-                start = arc.endpoints[0] if j == 0 else (marks[j - 1][1], 2)
-                end = arc.endpoints[1] if j == len(subs) - 1 else (marks[j][1], 0)
-                new_arcs.append(BranchArc(sub, arc.kind, (start, end), TRIVIAL))
-
-    chord_by_key = {(c.circle, c.index): c for c in all_chords}
-    for circle in plan.circles:
-        k = len(circle.events)
-        if k == 0:
-            new_arcs.append(BranchArc(f"t_{circle.id}", TRIPLE, None, TRIVIAL))
-            continue
-        for i in range(k):
-            vid_start = splits.vertex_of[(circle.id, (i - 1) % k)]
-            vid_end = splits.vertex_of[(circle.id, i)]
-            new_arcs.append(BranchArc(f"t_{circle.id}.{i}", TRIPLE,
-                                      ((vid_start, 3), (vid_end, 1)), TRIVIAL))
+        for sub, start, end in subs:
+            new_arcs.append(BranchArc(sub, arc.kind, (
+                (start, 2) if start else arc.endpoints[0],
+                (end, 0) if end else arc.endpoints[1]), TRIVIAL))
+    for t_arc, (_, chord) in t_arcs.items():
+        new_arcs.append(BranchArc(t_arc, TRIPLE, None if chord is None else (
+            (chord.p_vertex, 3), (chord.q_vertex, 1)), TRIVIAL))
 
     new_vertices = []
     for vertex in poly.vertices:
         # remap ends naming split arcs onto the outermost sub-arcs
         fixed = []
-        for port, (aid, end_index) in enumerate(vertex.ends):
+        for aid, end_index in vertex.ends:
             subs = splits.sub_arcs.get(aid)
             if subs is None:
                 fixed.append((aid, end_index))
             else:
-                fixed.append((subs[0], 0) if end_index == 0 else (subs[-1], 1))
+                fixed.append((subs[0][0], 0) if end_index == 0
+                             else (subs[-1][0], 1))
         new_vertices.append(replace(vertex, ends=tuple(fixed)))
 
     def slot_on_t(chord, piece_id):
-        if piece_id == chord.minus_piece:
-            return 1
-        return 2
+        return 1 if piece_id == chord.minus_piece else 2
 
     for circle in plan.circles:
         k = len(circle.events)
         for i in range(k):
             event = circle.events[i]
-            vid = splits.vertex_of[(circle.id, i)]
-            a_left, a_right = splits.left_right_subs(event.arc, event.position)
+            vid = f"v_{circle.id}_{i}"
+            a_left, a_right = splits.arriving[vid], splits.leaving[vid]
             t_prev = f"t_{circle.id}.{i}"
             t_next = f"t_{circle.id}.{(i + 1) % k}"
             ends = ((a_left, 1), (t_prev, 1), (a_right, 0), (t_next, 0))
             free_a = next(s for s in (0, 1, 2)
                           if s not in (event.slot_in, event.slot_out))
-            chord_in = chord_by_key[(circle.id, i)]
-            chord_out = chord_by_key[(circle.id, (i + 1) % k)]
+            chord_in = t_arcs[t_prev][1]
+            chord_out = t_arcs[t_next][1]
             d_in = chord_in.q[3]
             d_out = chord_out.p[3]
             # pieces flanking the incoming chord near its q end
@@ -700,80 +668,37 @@ def attach_surface(plan):
 
     inner_face_of = {}
     for circle in _nesting_order(plan.circles):
-        curve_id = f"im_{circle.id}"
         if isinstance(circle.image, ImageCircle):
-            host = (inner_face_of[circle.image.inside]
-                    if circle.image.inside else circle.image.face)
-            inner = builder.insert_circle(curve_id, host, circle.image.orient,
-                                          source=("aux", f"image:{circle.id}"),
-                                          label=circle.image.label,
-                                          draw=circle.image.draw)
-            inner_face_of[circle.id] = inner
-            count_of[inner] = count_of[host]
-        else:
-            crossings = [RouteCross(eid, pos) for eid, pos in circle.image.crossings]
-            runs = [RouteFaceRun(fid, holes) for fid, holes in circle.image.runs]
-            xids = builder.insert_route(curve_id, crossings, runs,
-                                        source=("aux", f"image:{circle.id}"))
-            for i, xid in enumerate(xids):
-                new_vertex_crossings[splits.vertex_of[(circle.id, i)]] = xid
+            _insert_image(builder, circle, inner_face_of, count_of)
+            continue
+        crossings = [RouteCross(eid, pos) for eid, pos in circle.image.crossings]
+        runs = [RouteFaceRun(fid, holes) for fid, holes in circle.image.runs]
+        xids = builder.insert_route(f"im_{circle.id}", crossings, runs,
+                                    source=("aux", f"image:{circle.id}"))
+        for i, xid in enumerate(xids):
+            new_vertex_crossings[f"v_{circle.id}_{i}"] = xid
 
-    new_arr = builder.freeze()
-    # counts for faces created by route splitting: inherit the origin face
-    for face in new_arr.faces:
-        if face.id not in count_of:
-            origin = builder._face_origin(face.id)
-            count_of[face.id] = count_of[origin]
-
-    from .arrangement import winding_numbers
-    coverage = winding_numbers(new_arr, {f"im_{c.id}": 1 for c in plan.circles})
-    if any(w < 0 for w in coverage.values()):
-        raise PlanError("PatchCoverageNegative",
-                        "image orientations cover a region negatively")
-    new_counts = {f.id: count_of[f.id] + coverage[f.id] for f in new_arr.faces}
-
-    # retag image curves as branch and rebuild assignments
-    sub_parent = {}
-    for arc_id, subs in splits.sub_arcs.items():
-        for sub in subs:
-            sub_parent[sub] = arc_id
-
-    new_t_arcs = {}  # new arc id -> its plan circle
-    for circle in plan.circles:
-        k = len(circle.events)
-        if k == 0:
-            new_t_arcs[f"t_{circle.id}"] = circle
-        else:
-            for i in range(k):
-                new_t_arcs[f"t_{circle.id}.{i}"] = circle
+    # rebuild assignments; each image curve becomes the branch of its circle
+    sub_parent = {sub: arc_id for arc_id, subs in splits.sub_arcs.items()
+                  for sub, _, _ in subs}
 
     new_assignments = {}
     for strand in strand_circles(new_poly):
         key = strand[0]
-        member = strand[0]
-        if member in new_t_arcs:
-            circle = new_t_arcs[member]
-            curve_id = f"im_{circle.id}"
-            builder2_sides = []
-            for arc_id in strand:
-                chord = _chord_for_t_arc(all_chords, arc_id)
-                if chord is None:  # interior circle
-                    orient = circle.image.orient
-                    disk_side = "L" if orient > 0 else "R"
-                    rest_side = "R" if orient > 0 else "L"
-                    builder2_sides += [((arc_id, 0), "L"),
-                                       ((arc_id, 1), disk_side),
-                                       ((arc_id, 2), rest_side)]
-                else:
-                    builder2_sides += [((arc_id, 0), "L"),
-                                       ((arc_id, 1), "R"),
-                                       ((arc_id, 2), "L")]
+        if key in t_arcs:
+            circle = t_arcs[key][0]
+            # slot 1 of a crossing-free circle's arc is its cut disk, on
+            # the side its image encloses
+            if not circle.events and circle.image.orient > 0:
+                slot_sides = ("L", "L", "R")
+            else:
+                slot_sides = ("L", "R", "L")
             new_assignments[key] = StrandAssignment(
-                curve=curve_id, direction=1, heavy="L",
-                wing_sides=tuple(builder2_sides))
+                curve=f"im_{circle.id}", direction=1, heavy="L",
+                wing_sides=tuple(((arc_id, slot), side) for arc_id in strand
+                                 for slot, side in enumerate(slot_sides)))
             continue
-        parent0 = sub_parent.get(member, member)
-        old_key = poly._strand_of[parent0]
+        old_key = poly._strand_of[sub_parent.get(key, key)]
         old = base.assignments[old_key]
         sides = []
         for arc_id in strand:
@@ -785,13 +710,22 @@ def attach_surface(plan):
         new_assignments[key] = StrandAssignment(
             curve=old.curve, direction=old.direction, heavy=old.heavy,
             wing_sides=tuple(sides))
-
-    final_builder = ArrangementBuilder(new_arr)
     for key, assignment in new_assignments.items():
-        final_builder.retag_curve(assignment.curve, ("branch", key))
-    final_arr = final_builder.freeze()
+        builder.retag_curve(assignment.curve, ("branch", key))
 
-    result = BornMap(polyhedron=new_poly, arrangement=final_arr,
+    new_arr = builder.freeze()
+    # counts for faces created by route splitting: inherit the origin face
+    for face in new_arr.faces:
+        if face.id not in count_of:
+            count_of[face.id] = count_of[builder._face_origin(face.id)]
+
+    coverage = winding_numbers(new_arr, {f"im_{c.id}": 1 for c in plan.circles})
+    if any(w < 0 for w in coverage.values()):
+        raise PlanError("PatchCoverageNegative",
+                        "image orientations cover a region negatively")
+    new_counts = {f.id: count_of[f.id] + coverage[f.id] for f in new_arr.faces}
+
+    result = BornMap(polyhedron=new_poly, arrangement=new_arr,
                      assignments=new_assignments, fiber_counts=new_counts,
                      vertex_crossings=new_vertex_crossings,
                      name=f"{base.name or 'map'}+{plan.name or 'patch'}")
@@ -801,13 +735,6 @@ def attach_surface(plan):
                         "surgery output failed validation: "
                         + "; ".join(str(x) for x in report.violations[:6]))
     return result
-
-
-def _chord_for_t_arc(chords, arc_id):
-    for chord in chords:
-        if chord.t_arc == arc_id:
-            return chord
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +753,8 @@ def normalized_plan(plan):
         raise NoEmptyRegion("every face carries at least one fiber component")
     require_valid_born_map(plan.base)
 
-    if any(circle.events for circle in plan.circles):
+    if any(circle.events or not isinstance(circle.image, ImageCircle)
+           for circle in plan.circles):
         raise UnsupportedItinerary("relocation requires crossing-free circles")
 
     if plan.witness is None:
@@ -838,17 +766,18 @@ def normalized_plan(plan):
             plan.witness.surface_orientable != plan.patch.orientable or \
             plan.witness.surface_genus != plan.patch.genus:
         raise WitnessMismatch("witness surface does not match the patch")
+    parent_of = {cid: parent for cid, parent, _ in plan.witness.nesting}
+    try:
+        _nesting(parent_of)
+    except PlanError as exc:
+        raise WitnessMismatch(f"witness nesting: {exc}") from exc
 
     # already relocated: every top-level image sits in an empty face
     counts = plan.base.fiber_counts
     by_id = {c.id: c for c in plan.circles}
-
-    def host_face(circle):
-        while circle.image.inside is not None:
-            circle = by_id[circle.image.inside]
-        return circle.image.face
-
-    if all(counts[host_face(c)] == 0 for c in plan.circles):
+    nesting = _image_nesting(plan.circles)
+    if all(counts[by_id[nesting[c.id][1]].image.face] == 0
+           for c in plan.circles):
         return plan
 
     regions = {d.circle: set(d.faces) for d in plan.disks}
@@ -868,7 +797,6 @@ def normalized_plan(plan):
                 f"image of {circle.id} not inside its disk region")
 
     target = sorted(zero)[0]
-    parent_of = {cid: parent for cid, parent, _ in plan.witness.nesting}
     orient_of = {cid: orient for cid, _, orient in plan.witness.nesting}
     new_circles = tuple(
         replace(circle, image=ImageCircle(
@@ -890,18 +818,9 @@ def normalize_into_disk(plan):
     inner_face_of = {}
     changed = False
     for circle in _nesting_order(moved.circles):
-        curve_id = f"im_{circle.id}"
-        if curve_id in existing_curves:
-            continue
-        host = (inner_face_of[circle.image.inside]
-                if circle.image.inside else circle.image.face)
-        inner = builder.insert_circle(curve_id, host, circle.image.orient,
-                                      source=("aux", f"image:{circle.id}"),
-                                      label=circle.image.label,
-                                      draw=circle.image.draw)
-        inner_face_of[circle.id] = inner
-        counts[inner] = counts[host]
-        changed = True
+        if f"im_{circle.id}" not in existing_curves:
+            _insert_image(builder, circle, inner_face_of, counts)
+            changed = True
 
     if not changed:
         return base

@@ -1,6 +1,12 @@
+import pytest
+
 from spineforge.arrangement import (ArrEdge, Crossing, Curve,
                                     CurveArrangement, Face, empty_arrangement,
                                     validate_arrangement, winding_numbers)
+from spineforge.core import ValidationReport, Violation
+from spineforge.errors import InvalidArrangement
+
+from randgen import random_surgered_maps
 
 
 def two_disjoint_circles():
@@ -138,3 +144,50 @@ def test_winding_numbers_on_figure_eight():
     assert winding["f_out"] == 0
     assert winding["f_left"] == 1
     assert winding["f_right"] == -1
+
+
+def test_winding_numbers_reject_an_edge_with_one_face_on_both_sides():
+    edges = (ArrEdge("e", "C", None, "f_out", "f_out"),)
+    curves = (Curve("C", ("aux", "c"), ("e",)),)
+    faces = (Face("f_out", ((("e", 1),), (("e", -1),)), unbounded=True),)
+    arr = CurveArrangement((), edges, curves, faces)
+    with pytest.raises(InvalidArrangement) as caught:
+        winding_numbers(arr, {"C": 1})
+    assert [v.code for v in caught.value.report.violations] == \
+        ["WindingInconsistent"]
+
+
+def edge_scan_winding_numbers(arr, oriented_curves):
+    """Oracle: winding numbers by rescanning every edge for each face."""
+    values = {arr.unbounded_face.id: 0}
+    queue = [arr.unbounded_face.id]
+    while queue:
+        fid = queue.pop()
+        base = values[fid]
+        for edge in arr.edges:
+            sign = oriented_curves.get(edge.curve, 0)
+            if edge.left == fid:
+                nxt, delta = edge.right, -sign
+            elif edge.right == fid:
+                nxt, delta = edge.left, sign
+            else:
+                continue
+            target = base + delta
+            if nxt in values:
+                if values[nxt] != target:
+                    raise InvalidArrangement(ValidationReport.failed(
+                        [Violation("WindingInconsistent", nxt)]))
+            else:
+                values[nxt] = target
+                queue.append(nxt)
+    for face in arr.faces:
+        values.setdefault(face.id, 0)
+    return values
+
+
+def test_winding_numbers_match_an_edge_scan_on_surgery_outputs(rng):
+    for born in random_surgered_maps(rng, 100):
+        arr = born.arrangement
+        every_curve = {curve.id: 1 for curve in arr.curves}
+        assert winding_numbers(arr, every_curve) == \
+            edge_scan_winding_numbers(arr, every_curve)

@@ -346,6 +346,74 @@ def test_cli_one_shot_matches_in_process_call(capsys):
     assert result.stdout == in_process
 
 
+def run_cli(*argv, cwd):
+    """`python -m spineforge.cli` in a subprocess that cannot outlive 60 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [repo_path("src"), os.environ.get("PYTHONPATH")])))
+    try:
+        return subprocess.run([sys.executable, "-m", "spineforge.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=cwd, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"spineforge {' '.join(argv)} did not stop within 60 s")
+
+
+def test_cli_rejects_cyclic_image_nesting(tmp_path):
+    copy_fixtures(tmp_path)
+    plan = (tmp_path / "klein.plan").read_text().replace(
+        "face r2 orient +", "face r2 inside inner_cut orient +")
+    (tmp_path / "cyclic.plan").write_text(plan)
+    result = run_cli("surgery", "cyclic.plan", "-o", "out", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("NestingCycle: ")
+
+
+def test_cli_rejects_image_nested_in_unknown_circle(tmp_path, monkeypatch,
+                                                    capsys):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    plan = Path("klein.plan").read_text().replace("inside outer_cut",
+                                                   "inside nowhere")
+    Path("unknown.plan").write_text(plan)
+    assert main(["surgery", "unknown.plan", "-o", "out"]) == 1
+    assert capsys.readouterr().err.startswith("UnknownCircle: ")
+    assert not os.path.exists("out.spoly")
+
+
+def relocation_plan_text(nesting):
+    return formats.emit_plan(relocation_plan(), "roundmap.spoly",
+                             "roundmap.arr").replace(
+        "nesting outer_cut:-:+ inner_cut:outer_cut:-", f"nesting {nesting}")
+
+
+def test_cli_normalize_rejects_cyclic_witness_nesting(tmp_path):
+    copy_fixtures(tmp_path)
+    (tmp_path / "cyclic.plan").write_text(relocation_plan_text(
+        "outer_cut:inner_cut:+ inner_cut:outer_cut:-"))
+    result = run_cli("normalize", "cyclic.plan", "-o", "out", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("WitnessMismatch: ")
+
+
+def test_cli_normalize_rejects_witness_with_unknown_parent(
+        tmp_path, monkeypatch, capsys):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path("unknown.plan").write_text(relocation_plan_text(
+        "outer_cut:-:+ inner_cut:nowhere:-"))
+    assert main(["normalize", "unknown.plan", "-o", "out"]) == 1
+    assert capsys.readouterr().err.startswith("WitnessMismatch: ")
+    assert not os.path.exists("out.spoly")
+
+
+def test_cli_obstruct_after_a_truncated_search_is_undecided(capsys):
+    surgered = repo_path("fixtures", "surgered.spoly")
+    assert main(["obstruct", surgered, "--bound", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "search truncated at bound 3\n"
+        "undecided: no closed non-orientable subsurface within bound 3\n")
+
+
 def test_render_counts_circles_and_labels():
     base = build_base_example()
     svg = render_svg(base)

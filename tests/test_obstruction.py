@@ -170,6 +170,18 @@ def test_orient_sheets_contradiction():
     assert brute_force_orientation(surgered, graph, ("patch", 1)) is None
 
 
+def test_orient_sheets_contradiction_cycle_stops_at_common_ancestor():
+    born = build_base_example()
+    disk = DiskInP(id="d", boundary_circle="x",
+                   sheets=("i_band", "i_cap", "o_cap", "tube"),
+                   arcs=(("c2", 0, 1, False), ("c1", 2, 0, False),
+                         ("c1", 2, 1, False), ("c1", 0, 1, False)))
+    graph = build_graph(born, disk)
+    # o_cap hangs off tube by c2, which lies on no odd cycle
+    assert orient_sheets(born, graph, ("o_cap", 1)) == \
+        ("contradiction", ("c1", "c1", "c1"))
+
+
 def test_orient_sheets_agrees_with_enumeration(rng):
     for trial in range(60):
         born = random_round_map(rng, name=f"og{trial}")

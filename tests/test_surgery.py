@@ -5,7 +5,7 @@ import pytest
 
 from spineforge.core import euler_characteristic, is_normal, strand_circles, validate_polyhedron
 from spineforge.bornmap import validate_born_map
-from spineforge.errors import (NoEmptyRegion, PatchNotOrientable,
+from spineforge.errors import (NoEmptyRegion, PatchNotOrientable, PlanError,
                                WitnessMismatch)
 from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 build_closed_sheet, build_surgered_example,
@@ -163,6 +163,46 @@ def test_normalize_checks_witness():
     broken = replace(plan, witness=replace(plan.witness, surface_boundaries=5))
     with pytest.raises(WitnessMismatch):
         normalize_into_disk(broken)
+
+
+def nested_in(plan, circle_id, parent):
+    """The plan with one circle image nested in `parent`."""
+    return replace(plan, circles=tuple(
+        replace(c, image=replace(c.image, inside=parent))
+        if c.id == circle_id else c for c in plan.circles))
+
+
+@pytest.mark.parametrize("circle_id, parent, code", [
+    ("inner_cut", "nowhere", "UnknownCircle"),
+    ("outer_cut", "inner_cut", "NestingCycle"),
+    ("outer_cut", "outer_cut", "NestingCycle"),
+])
+def test_bad_image_nesting_is_rejected(circle_id, parent, code):
+    plan = nested_in(klein_plan(), circle_id, parent)
+    report = check_attachment_hypotheses(plan)
+    assert [v.code for v in report.violations] == [code]
+    with pytest.raises(PlanError) as caught:
+        attach_surface(plan)
+    assert caught.value.code == code
+
+
+@pytest.mark.parametrize("nesting", [
+    (("outer_cut", "inner_cut", 1), ("inner_cut", "outer_cut", -1)),
+    (("outer_cut", None, 1), ("inner_cut", "nowhere", -1)),
+])
+def test_bad_witness_nesting_is_a_witness_mismatch(nesting):
+    plan = relocation_plan()
+    broken = replace(plan, witness=replace(plan.witness, nesting=nesting))
+    with pytest.raises(WitnessMismatch):
+        normalized_plan(broken)
+
+
+def test_normalize_rejects_a_route_image():
+    plan = relocation_plan()
+    circle = replace(plan.circles[0], image=ImageRoute(crossings=(), runs=()))
+    with pytest.raises(PlanError) as caught:
+        normalized_plan(replace(plan, circles=(circle,) + plan.circles[1:]))
+    assert caught.value.code == "UnsupportedItinerary"
 
 
 def test_relocation_requires_orientable_patch():
