@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import UnionFind, ValidationReport, Violation
+from .core import ParityUnionFind, ValidationReport, Violation
 from .errors import InvalidArrangement, PlanError
 
 
@@ -242,15 +242,12 @@ def _check_arrangement(arr):
     closed_curves = sum(1 for c in arr.curves
                         if len(c.edges) == 1 and arr.edge(c.edges[0]).closed)
     vertices = len(arr.crossings) + closed_curves
-    uf = UnionFind()
-    for curve in arr.curves:
-        uf.find(curve.id)
+    uf = ParityUnionFind(curve.id for curve in arr.curves)
     for crossing in arr.crossings:
-        curves_here = {arr.edge(eid).curve for eid, _ in crossing.order}
-        curves_here = sorted(curves_here)
+        curves_here = sorted({arr.edge(eid).curve for eid, _ in crossing.order})
         for a, b in zip(curves_here, curves_here[1:]):
-            uf.union(a, b)
-    components = len({uf.find(c.id) for c in arr.curves}) if arr.curves else 0
+            uf.union(a, b, 0)
+    components = uf.sets
     faces = len(arr.faces)
     if arr.curves:
         if vertices - len(arr.edges) + faces != 1 + components:
@@ -390,47 +387,31 @@ class ArrangementBuilder:
         """Split directed edge `eid` at sorted positions; returns the fresh
         crossing ids in order along the edge.
 
-        An edge with endpoints splits into n+1 segments; a closed edge
-        splits into n segments cyclically, segment i running from the
-        crossing at positions[i] to the one at positions[i+1]."""
+        An edge with endpoints splits into n+1 segments, segment i running
+        into crossing i; a closed edge splits into n segments cyclically,
+        segment i-1 running into crossing i."""
         info = self.edges.pop(eid)
         closed = info["ends"] is None
-        n = len(positions)
-        n_segs = n if closed else n + 1
-        segs = []
-        for i in range(n_segs):
-            seg = self.fresh("e_")
-            segs.append(seg)
+        n_segs = len(positions) if closed else len(positions) + 1
+        segs = [self.fresh("e_") for _ in range(n_segs)]
+        for seg in segs:
             self.edges[seg] = {"curve": info["curve"], "ends": [None, None],
                                "left": info["left"], "right": info["right"]}
-        xids = [self.fresh("x_") for _ in range(n)]
-        for xid in xids:
-            # ray positions 0 (incoming segment) and 2 (outgoing) reserved
-            # now; the route rays 1 and 3 are filled by the caller
-            self.crossings[xid] = [None, None, None, None]
-        if closed:
-            for i, xid in enumerate(xids):
-                seg_in = segs[(i - 1) % n]
-                seg_out = segs[i]
-                self.crossings[xid][0] = (seg_in, 1)
-                self.crossings[xid][2] = (seg_out, 0)
-                self.edges[seg_in]["ends"][1] = (xid, 0)
-                self.edges[seg_out]["ends"][0] = (xid, 2)
-        else:
-            first_end, last_end = info["ends"]
-            self.edges[segs[0]]["ends"][0] = first_end
-            self.edges[segs[-1]]["ends"][1] = last_end
-            for i, xid in enumerate(xids):
-                self.crossings[xid][0] = (segs[i], 1)
-                self.crossings[xid][2] = (segs[i + 1], 0)
-                self.edges[segs[i]]["ends"][1] = (xid, 0)
-                self.edges[segs[i + 1]]["ends"][0] = (xid, 2)
-            if first_end is not None:
-                xid, pos = first_end
-                self.crossings[xid][pos] = (segs[0], 0)
-            if last_end is not None:
-                xid, pos = last_end
-                self.crossings[xid][pos] = (segs[-1], 1)
+        xids = [self.fresh("x_") for _ in positions]
+        shift = -1 if closed else 0
+        for i, xid in enumerate(xids):
+            seg_in = segs[(i + shift) % n_segs]
+            seg_out = segs[(i + shift + 1) % n_segs]
+            # the route rays 1 and 3 are filled by the caller
+            self.crossings[xid] = [(seg_in, 1), None, (seg_out, 0), None]
+            self.edges[seg_in]["ends"][1] = (xid, 0)
+            self.edges[seg_out]["ends"][0] = (xid, 2)
+        if not closed:
+            first, last = info["ends"]
+            self.edges[segs[0]]["ends"][0] = first
+            self.edges[segs[-1]]["ends"][1] = last
+            self.crossings[first[0]][first[1]] = (segs[0], 0)
+            self.crossings[last[0]][last[1]] = (segs[-1], 1)
         for seg in segs:
             self.edges[seg]["ends"] = tuple(self.edges[seg]["ends"])
         # replace in curve edge list

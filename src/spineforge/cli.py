@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import formats
 from .bornmap import validate_born_map
@@ -21,7 +22,8 @@ from .core import euler_characteristic, is_normal, validate_polyhedron
 from .errors import ParseError, SpineForgeError
 from .gallery import build_base_example, build_surgered_example, klein_plan
 from .homology import z2_homology
-from .obstruction import build_graph, graph_to_dot, maximal_graph, s3_obstruction
+from .obstruction import (DiskInP, build_graph, graph_to_dot, maximal_graph,
+                          s3_obstruction)
 from .render import render_svg
 from .surgery import attach_surface, normalize_into_disk
 
@@ -75,12 +77,11 @@ def _load_born(spoly_path, arr_path):
     return _with_arr(_load_polyhedron(spoly_path), arr_path)
 
 
-def _load_plan(plan_path, base_dir=None):
+def _load_plan(plan_path):
     plan, (spoly_name, arr_name) = formats.parse_plan(_read(plan_path))
-    root = base_dir or os.path.dirname(os.path.abspath(plan_path))
+    root = os.path.dirname(os.path.abspath(plan_path))
     base = _load_born(os.path.join(root, spoly_name),
                       os.path.join(root, arr_name))
-    from dataclasses import replace
     return replace(plan, base=base)
 
 
@@ -170,7 +171,6 @@ def cmd_obstruct(args):
 
 def cmd_graph(args):
     plan = _load_plan(args.plan)
-    from .obstruction import DiskInP
     born = plan.base
     disks = []
     for circle in plan.circles:

@@ -393,28 +393,10 @@ def is_normal(poly):
 # derived structure
 # ---------------------------------------------------------------------------
 
-class UnionFind:
-    def __init__(self):
-        self._parent = {}
-
-    def find(self, x):
-        parent = self._parent
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-
 class ParityUnionFind:
     """Union-find over a fixed node set whose nodes carry a parity (0 or 1)
-    relative to their root; `sets` counts the classes.
+    relative to their root; `sets` counts the classes.  Plain grouping
+    unions with relation 0.
 
     `find` walks and compresses paths in a loop, so a long chain of unions
     cannot exhaust the Python stack.
@@ -458,15 +440,14 @@ def strand_circles(poly):
     Returns a sorted list of sorted arc-id tuples.  Each circle is the image
     of one component of the singular set of any realizing map.
     """
-    uf = UnionFind()
-    for arc in poly.arcs:
-        uf.find(arc.id)
+    require_valid(poly)
+    uf = ParityUnionFind(arc.id for arc in poly.arcs)
     for vertex in poly.vertices:
         for first, second in vertex.strands:
-            uf.union(first[0], second[0])
+            uf.union(first[0], second[0], 0)
     groups = {}
     for arc in poly.arcs:
-        groups.setdefault(uf.find(arc.id), []).append(arc.id)
+        groups.setdefault(uf.find(arc.id)[0], []).append(arc.id)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 

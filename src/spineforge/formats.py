@@ -429,9 +429,9 @@ def _in_order(table):
 _CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN")
 
 
-def parse_plan(text, base=None):
-    """Returns (SurgeryPlan, (base_spoly, base_arr)); `base` may be supplied
-    later by the caller, the plan is built with base=None otherwise."""
+def parse_plan(text):
+    """Returns (SurgeryPlan, (base_spoly, base_arr)); the plan is built with
+    base=None, and the caller supplies the base it loads from those files."""
     name = ""
     base_files = ("base.spoly", "base.arr")
     patch = None
@@ -543,6 +543,6 @@ def parse_plan(text, base=None):
                                _in_order(route_runs[cid]))
         circles.append(PlanCircle(cid, _in_order(segments[cid]),
                                   _in_order(events[cid]), image, patch_dirs[cid]))
-    plan = SurgeryPlan(base=base, circles=tuple(circles), patch=patch,
+    plan = SurgeryPlan(base=None, circles=tuple(circles), patch=patch,
                        disks=tuple(disks), witness=witness, name=name)
     return plan, base_files

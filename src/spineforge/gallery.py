@@ -16,6 +16,7 @@ closed non-orientable subsurface (a Klein bottle) of characteristic 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 from .arrangement import ArrEdge, Curve, CurveArrangement, Face
@@ -23,8 +24,9 @@ from .bornmap import BornMap, StrandAssignment
 from .core import (BOUNDARY, TRIPLE, TRIVIAL, BranchArc, SheetSpec,
                    SimplePolyhedron, WingTraversal)
 from .errors import PlanError
-from .surgery import (ImageCircle, PlanCircle, PlanSegment, SurfacePatch,
-                      SurgeryPlan, attach_surface)
+from .surgery import (DiskRegion, ImageCircle, PlanCircle, PlanSegment,
+                      RelocationWitness, SurfacePatch, SurgeryPlan,
+                      attach_surface)
 
 
 @dataclass(frozen=True)
@@ -60,95 +62,84 @@ def round_reeb(spec):
     _check_round_spec(spec)
     circles = spec.circles
     n = len(circles)
+    radii = [c.radius if c.radius is not None else i + 1
+             for i, c in enumerate(circles)]
+    arc_ids = [f"c{r:g}" if isinstance(r, (int, float)) else f"c{i}"
+               for i, r in enumerate(radii)]
 
-    arc_ids = []
-    for i, c in enumerate(circles):
-        radius = c.radius if c.radius is not None else i + 1
-        arc_ids.append(f"c{radius:g}" if isinstance(radius, (int, float)) else f"c{i}")
-
-    fresh = iter(range(10_000))
-    lines = {}   # line id -> {"birth": (region, arc or None, slot), "death": ...}
-    stack = []
-    for _ in range(circles[0].inside if circles else 0):
-        lid = f"s{next(fresh)}"
-        lines[lid] = {"birth": None, "death": None}
-        stack.append(lid)
-
+    # fiber lines are numbered in creation order; each is born (arc, slot)
+    # on a circle, or at the center when it has no birth, and dies on one
+    fresh = itertools.count()
+    births, deaths = {}, {}
+    stack = [next(fresh) for _ in range(circles[0].inside if circles else 0)]
     for i, c in enumerate(circles):
         arc = arc_ids[i]
         delta = c.outside - c.inside
         pos = c.pos
         if c.kind == TRIPLE and delta == -1:
-            if not (0 <= pos < len(stack) - 0 and pos + 1 < len(stack) + 0) or pos + 1 >= len(stack):
+            if not 0 <= pos < len(stack) - 1:
                 raise PlanError("CountRule", f"circle {i}: merge position {pos}")
-            upper, lower = stack[pos], stack[pos + 1]
-            newline = f"s{next(fresh)}"
-            lines[newline] = {"birth": (arc, 2), "death": None}
-            lines[upper]["death"] = (arc, 0)
-            lines[lower]["death"] = (arc, 1)
+            newline = next(fresh)
+            births[newline] = (arc, 2)
+            deaths[stack[pos]] = (arc, 0)
+            deaths[stack[pos + 1]] = (arc, 1)
             stack[pos:pos + 2] = [newline]
         elif c.kind == TRIPLE and delta == 1:
-            if not (0 <= pos < len(stack)):
+            if not 0 <= pos < len(stack):
                 raise PlanError("CountRule", f"circle {i}: split position {pos}")
-            parent = stack[pos]
-            lines[parent]["death"] = (arc, 2)
-            first, second = f"s{next(fresh)}", f"s{next(fresh)}"
-            lines[first] = {"birth": (arc, 0), "death": None}
-            lines[second] = {"birth": (arc, 1), "death": None}
+            deaths[stack[pos]] = (arc, 2)
+            first, second = next(fresh), next(fresh)
+            births[first] = (arc, 0)
+            births[second] = (arc, 1)
             stack[pos:pos + 1] = [first, second]
         elif c.kind == BOUNDARY and delta == -1:
-            if not (0 <= pos < len(stack)):
+            if not 0 <= pos < len(stack):
                 raise PlanError("CountRule", f"circle {i}: end position {pos}")
-            lines[stack[pos]]["death"] = (arc, 0)
-            del stack[pos]
+            deaths[stack.pop(pos)] = (arc, 0)
         elif c.kind == BOUNDARY and delta == 1:
-            if not (0 <= pos <= len(stack)):
+            if not 0 <= pos <= len(stack):
                 raise PlanError("CountRule", f"circle {i}: start position {pos}")
-            newline = f"s{next(fresh)}"
-            lines[newline] = {"birth": (arc, 0), "death": None}
+            newline = next(fresh)
+            births[newline] = (arc, 0)
             stack.insert(pos, newline)
         else:
             raise PlanError("CountRule", f"circle {i}: kind {c.kind} with jump {delta}")
     assert not stack
 
     sheets = []
-    for lid in sorted(lines, key=lambda x: int(x[1:])):
-        info = lines[lid]
-        death_arc, death_slot = info["death"]
-        death = WingTraversal(death_arc, death_slot, 1)
-        if info["birth"] is None:
-            circuits = ((death,),)
+    for line in range(len(deaths)):  # every line has died
+        death = (WingTraversal(*deaths[line], 1),)
+        if line in births:
+            circuits = ((WingTraversal(*births[line], -1),), death)
         else:
-            birth_arc, birth_slot = info["birth"]
-            circuits = ((WingTraversal(birth_arc, birth_slot, -1),), (death,))
-        sheets.append(SheetSpec(lid, orientable=True, genus=0, circuits=circuits))
+            circuits = (death,)
+        sheets.append(SheetSpec(f"s{line}", orientable=True, genus=0,
+                                circuits=circuits))
 
-    arcs = tuple(BranchArc(arc_ids[i], circles[i].kind, None, TRIVIAL)
-                 for i in range(n))
+    arcs = tuple(BranchArc(arc_id, c.kind, None, TRIVIAL)
+                 for arc_id, c in zip(arc_ids, circles))
     poly = SimplePolyhedron(tuple(sheets), arcs, (), name=spec.name)
 
-    # concentric arrangement: every circle one closed edge, oriented with
-    # its inside on the left
-    edges = []
-    curves = []
-    faces = []
-    counts = {}
-    radii = [c.radius if c.radius is not None else i + 1
-             for i, c in enumerate(circles)]
-    region_count = [circles[0].inside] + [c.outside for c in circles] if circles else [0]
-    for i in range(n):
-        eid = f"e_{arc_ids[i]}"
-        cid = f"im_{arc_ids[i]}"
-        inner_face = f"r{i}"
-        outer_face = f"r{i + 1}" if i + 1 < n else "r_out"
-        edges.append(ArrEdge(eid, cid, None, inner_face, outer_face))
-        curves.append(Curve(cid, ("branch", arc_ids[i]), (eid,),
-                            draw=(0.0, 0.0, float(radii[i]))))
-    for i in range(n + 1):
-        fid = f"r{i}" if i < n else "r_out"
+    # concentric arrangement: circle i is one closed edge with face r{i}
+    # on its left (inside); its wings on the side with more fiber lines
+    # are the heavy ones, two of them on a triple circle
+    face_ids = [f"r{i}" for i in range(n)] + ["r_out"]
+    edges, curves, faces, assignments = [], [], [], {}
+    for i, fid in enumerate(face_ids):
         contours = []
         if i < n:
-            contours.append(((f"e_{arc_ids[i]}", 1),))
+            arc_id, c = arc_ids[i], circles[i]
+            eid, cid = f"e_{arc_id}", f"im_{arc_id}"
+            edges.append(ArrEdge(eid, cid, None, fid, face_ids[i + 1]))
+            curves.append(Curve(cid, ("branch", arc_id), (eid,),
+                                draw=(0.0, 0.0, float(radii[i]))))
+            contours.append(((eid, 1),))
+            heavy, light = ("L", "R") if c.outside < c.inside else ("R", "L")
+            sides = (heavy, heavy, light) if c.kind == TRIPLE else (heavy,)
+            assignments[arc_id] = StrandAssignment(
+                curve=cid, direction=1, heavy=heavy,
+                wing_sides=tuple(((arc_id, slot), side)
+                                 for slot, side in enumerate(sides)))
         if i > 0:
             contours.append(((f"e_{arc_ids[i - 1]}", -1),))
         if i == 0:
@@ -158,32 +149,13 @@ def round_reeb(spec):
             label = f"{radii[i - 1]:g}<r<{radii[i]:g}"
             anchor = ((radii[i - 1] + radii[i]) / 2.0, 0.0)
         else:
-            label = f"r>{radii[-1]:g}" if n else "plane"
-            anchor = ((radii[-1] + 1.0) if n else 0.0, 0.0)
+            label = f"r>{radii[-1]:g}"
+            anchor = (radii[-1] + 1.0, 0.0)
         faces.append(Face(fid, tuple(contours), unbounded=(i == n),
                           label=label, draw=anchor))
-        counts[fid] = region_count[i]
-    if not circles:
-        faces = [Face("r_out", (), unbounded=True, label="plane", draw=(0.0, 0.0))]
-        counts = {"r_out": 0}
-
     arrangement = CurveArrangement((), tuple(edges), tuple(curves), tuple(faces))
-
-    assignments = {}
-    for i, c in enumerate(circles):
-        heavy = "L" if c.outside < c.inside else "R"
-        sides = []
-        if c.kind == TRIPLE:
-            inner_side, outer_side = "L", "R"
-            two_inside = c.outside < c.inside
-            sides.append(((arc_ids[i], 0), inner_side if two_inside else outer_side))
-            sides.append(((arc_ids[i], 1), inner_side if two_inside else outer_side))
-            sides.append(((arc_ids[i], 2), outer_side if two_inside else inner_side))
-        else:
-            sides.append(((arc_ids[i], 0), "L" if c.outside < c.inside else "R"))
-        assignments[arc_ids[i]] = StrandAssignment(
-            curve=f"im_{arc_ids[i]}", direction=1, heavy=heavy,
-            wing_sides=tuple(sides))
+    counts = dict(zip(face_ids, [circles[0].inside if circles else 0]
+                      + [c.outside for c in circles]))
 
     return BornMap(polyhedron=poly, arrangement=arrangement,
                    assignments=assignments, fiber_counts=counts,
@@ -295,7 +267,6 @@ def relocation_plan(base=None):
     """The same two circles with side-by-side images, ready for the
     normalize-then-attach pipeline: disjoint disk regions around the images
     and a witness placing them nested inside one empty region."""
-    from .surgery import DiskRegion, RelocationWitness
     base = base or build_base_example()
     circles = (
         PlanCircle(

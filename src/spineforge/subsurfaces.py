@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .core import BOUNDARY, TRIPLE, ParityUnionFind, UnionFind, require_valid
+from .core import BOUNDARY, TRIPLE, ParityUnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
 
 
@@ -63,17 +63,12 @@ def selection_is_closed(poly, sheets):
 
 
 def _selection_connected(poly, sheets):
-    if not sheets:
-        return False
-    uf = UnionFind()
-    for sid in sheets:
-        uf.find(sid)
+    uf = ParityUnionFind(sheets)
     for arc in poly.arcs:
         chosen = [sid for _, sid, _ in _selected(poly, arc, sheets)]
         for first, second in zip(chosen, chosen[1:]):
-            uf.union(first, second)
-    roots = {uf.find(sid) for sid in sheets}
-    return len(roots) == 1
+            uf.union(first, second, 0)
+    return uf.sets == 1
 
 
 def selection_euler(poly, sheets):

@@ -773,17 +773,19 @@ def normalized_plan(plan):
         raise WitnessMismatch(f"witness nesting: {exc}") from exc
 
     # already relocated: every top-level image sits in an empty face
-    counts = plan.base.fiber_counts
-    by_id = {c.id: c for c in plan.circles}
+    face_ids = {f.id for f in plan.base.arrangement.faces}
     nesting = _image_nesting(plan.circles)
-    if all(counts[by_id[nesting[c.id][1]].image.face] == 0
-           for c in plan.circles):
+    top = [c for c in plan.circles if nesting[c.id][1] == c.id]
+    for circle in top:
+        if circle.image.face not in face_ids:
+            raise PlanError("UnknownFace", f"image of {circle.id} lies in "
+                            f"unknown face {circle.image.face}")
+    if all(plan.base.fiber_counts[c.image.face] == 0 for c in top):
         return plan
 
     regions = {d.circle: set(d.faces) for d in plan.disks}
     if sorted(regions) != sorted(c.id for c in plan.circles):
         raise ContainmentViolated("need one disk region per circle")
-    face_ids = {f.id for f in plan.base.arrangement.faces}
     for circle in plan.circles:
         faces = regions[circle.id]
         if not faces <= face_ids:
@@ -812,18 +814,15 @@ def normalize_into_disk(plan):
     polyhedron and all persisting fiber counts are unchanged."""
     moved = normalized_plan(plan)
     base = plan.base
-    existing_curves = {c.id for c in base.arrangement.curves}
+    curve_ids = {c.id for c in base.arrangement.curves}
+    if all(f"im_{c.id}" in curve_ids for c in moved.circles):
+        return base
+    # a base holding only some images fails with DuplicateImage
     builder = ArrangementBuilder(base.arrangement)
     counts = dict(base.fiber_counts)
     inner_face_of = {}
-    changed = False
     for circle in _nesting_order(moved.circles):
-        if f"im_{circle.id}" not in existing_curves:
-            _insert_image(builder, circle, inner_face_of, counts)
-            changed = True
-
-    if not changed:
-        return base
+        _insert_image(builder, circle, inner_face_of, counts)
     arr = builder.freeze()
     return BornMap(polyhedron=base.polyhedron, arrangement=arr,
                    assignments=base.assignments, fiber_counts=counts,

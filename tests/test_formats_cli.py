@@ -233,10 +233,6 @@ def test_mutated_fixtures_raise_only_parse_errors(rng, tmp_path, monkeypatch):
             assert main(argv) == 2, mutated
 
 
-def run_cli(args, cwd):
-    return main(args)
-
-
 def test_cli_pipeline(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["example", "base", "-o", "roundmap"]) == 0
@@ -404,6 +400,18 @@ def test_cli_normalize_rejects_witness_with_unknown_parent(
     assert main(["normalize", "unknown.plan", "-o", "out"]) == 1
     assert capsys.readouterr().err.startswith("WitnessMismatch: ")
     assert not os.path.exists("out.spoly")
+
+
+def test_cli_normalize_reports_an_unknown_image_face(tmp_path):
+    copy_fixtures(tmp_path)
+    (tmp_path / "zz.plan").write_text(relocation_plan_text(
+        "outer_cut:-:+ inner_cut:outer_cut:-").replace(
+        "IMAGECIRCLE outer_cut face r2", "IMAGECIRCLE outer_cut face zz"))
+    result = run_cli("normalize", "zz.plan", "-o", "out", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("UnknownFace: ")
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out.spoly").exists()
 
 
 def test_cli_obstruct_after_a_truncated_search_is_undecided(capsys):

@@ -52,6 +52,37 @@ def test_round_reeb_rejects_broken_chain():
             RoundCircle("boundary", 1, 0, pos=0, radius=2)), name="bad"))
 
 
+@pytest.mark.parametrize("circles, message", [
+    # two lines at the center: a merge needs pos + 1 < 2
+    ((RoundCircle("triple", 2, 1, pos=1), RoundCircle("boundary", 1, 0)),
+     "circle 0: merge position 1"),
+    ((RoundCircle("triple", 2, 1, pos=-1), RoundCircle("boundary", 1, 0)),
+     "circle 0: merge position -1"),
+    ((RoundCircle("boundary", 0, 1), RoundCircle("triple", 1, 2, pos=1),
+      RoundCircle("boundary", 2, 1), RoundCircle("boundary", 1, 0)),
+     "circle 1: split position 1"),
+    ((RoundCircle("boundary", 1, 0, pos=1),), "circle 0: end position 1"),
+    ((RoundCircle("boundary", 0, 1, pos=1), RoundCircle("boundary", 1, 0)),
+     "circle 0: start position 1"),
+])
+def test_round_reeb_rejects_event_positions_off_the_stack(circles, message):
+    with pytest.raises(PlanError) as info:
+        round_reeb(RoundSpec(circles=circles, name="bad"))
+    assert info.value.code == "CountRule"
+    assert str(info.value) == message
+
+
+def test_round_reeb_numbers_more_than_ten_thousand_lines():
+    # a tower of 5001 circles has 10001 fiber lines, hence sheets
+    n = 5001
+    circles = tuple(RoundCircle("boundary" if k == 0 else "triple", k + 1, k)
+                    for k in reversed(range(n)))
+    born = round_reeb(RoundSpec(circles, name="tall"))
+    assert len(born.polyhedron.sheets) == 2 * n - 1
+    assert born.polyhedron.sheets[-1].id == f"s{2 * n - 2}"
+    assert validate_born_map(born).ok
+
+
 def test_surgered_example_equals_attach_on_plan():
     direct = attach_surface(klein_plan(build_base_example()))
     built = build_surgered_example()

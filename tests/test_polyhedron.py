@@ -147,3 +147,5 @@ def test_operations_reject_invalid_input():
         euler_characteristic(poly)
     with pytest.raises(InvalidPolyhedron):
         is_normal(poly)
+    with pytest.raises(InvalidPolyhedron):
+        strand_circles(poly)

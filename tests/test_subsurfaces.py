@@ -21,7 +21,6 @@ from randgen import random_round_map, random_surgered_maps
 
 def brute_force_selections(poly):
     """Oracle: enumerate all sheet subsets and keep the connected closed ones."""
-    from spineforge.core import UnionFind
     sheets = [s.id for s in poly.sheets]
     table = {}
     for sheet in poly.sheets:
@@ -39,18 +38,26 @@ def brute_force_selections(poly):
                 if n not in limit:
                     ok = False
                     break
-            if not ok:
-                continue
-            uf = UnionFind()
-            for sid in chosen:
-                uf.find(sid)
-            for arc in poly.arcs:
-                members = [sid for sid in table.get(arc.id, []) if sid in chosen]
-                for a, b in zip(members, members[1:]):
-                    uf.union(a, b)
-            if len({uf.find(sid) for sid in chosen}) == 1:
+            if ok and flood_fill(poly, table, chosen) == chosen:
                 out.append(frozenset(chosen))
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def flood_fill(poly, table, chosen):
+    """The chosen sheets reachable from the smallest one through arcs that
+    two chosen sheets share."""
+    start = min(chosen)
+    reached, frontier = {start}, [start]
+    while frontier:
+        sid = frontier.pop()
+        for arc in poly.arcs:
+            members = [m for m in table.get(arc.id, []) if m in chosen]
+            if sid in members:
+                for other in members:
+                    if other not in reached:
+                        reached.add(other)
+                        frontier.append(other)
+    return reached
 
 
 def brute_force_orientable(poly, sheets):

@@ -165,6 +165,29 @@ def test_normalize_checks_witness():
         normalize_into_disk(broken)
 
 
+def test_normalize_reports_an_unknown_top_level_face():
+    plan = relocation_plan()
+    outer = plan.circles[0]
+    outer = replace(outer, image=replace(outer.image, face="zz"))
+    broken = replace(plan, circles=(outer,) + plan.circles[1:])
+    with pytest.raises(PlanError) as info:
+        normalized_plan(broken)
+    assert info.value.code == "UnknownFace"
+
+
+def test_normalize_rejects_a_base_holding_only_some_images():
+    plan = relocation_plan()
+    one = replace(plan, circles=plan.circles[:1], disks=plan.disks[:1],
+                  patch=replace(plan.patch, boundaries=1),
+                  witness=replace(plan.witness, surface_boundaries=1,
+                                  nesting=(("outer_cut", None, 1),)))
+    partial = normalize_into_disk(one)
+    assert "im_outer_cut" in {c.id for c in partial.arrangement.curves}
+    with pytest.raises(PlanError) as info:
+        normalize_into_disk(relocation_plan(partial))
+    assert info.value.code == "DuplicateImage"
+
+
 def nested_in(plan, circle_id, parent):
     """The plan with one circle image nested in `parent`."""
     return replace(plan, circles=tuple(
@@ -306,3 +329,52 @@ def test_chi_additivity_on_random_plans(rng):
         events = sum(len(c.events) for c in plan.circles)
         assert len(out.polyhedron.vertices) == \
             len(born.polyhedron.vertices) + events
+
+
+def test_second_crossing_splits_an_edge_between_two_crossings():
+    """Cross a map that already has crossings along one of its branch edges
+    that runs from one crossing to another."""
+    base = round_reeb(RoundSpec(circles=(
+        RoundCircle("triple", 2, 1, pos=0, radius=1),
+        RoundCircle("boundary", 1, 0, pos=0, radius=2)), name="two"))
+    first = PlanCircle(
+        id="xa",
+        segments=(PlanSegment(sheet="s0"),
+                  PlanSegment(sheet="s2", side_genus=0, side_circuits=())),
+        events=(PlanEvent("c1", Fraction(1, 3), slot_in=0, slot_out=2),
+                PlanEvent("c1", Fraction(2, 3), slot_in=2, slot_out=0)),
+        image=ImageRoute(crossings=(("e_c1", Fraction(1, 3)),
+                                    ("e_c1", Fraction(2, 3))),
+                         runs=(("r1", "right"), ("r0", None))))
+    once = attach_surface(SurgeryPlan(base=base, circles=(first,),
+                                      patch=SurfacePatch(True, 0, 1, id="p")))
+    # c1 is now the sub-arcs c1.0 and c1.1 between the two new vertices;
+    # e_3 is the image of c1.0, from crossing x_5 to crossing x_6
+    edge = once.arrangement.edge("e_3")
+    assert edge.ends == (("x_5", 2), ("x_6", 0))
+    second = PlanCircle(
+        id="xb",
+        segments=(PlanSegment(sheet="s1"),
+                  PlanSegment(sheet="s2.p1", side_genus=0, side_circuits=())),
+        events=(PlanEvent("c1.0", Fraction(1, 3), slot_in=1, slot_out=2),
+                PlanEvent("c1.0", Fraction(2, 3), slot_in=2, slot_out=1)),
+        image=ImageRoute(crossings=(("e_3", Fraction(1, 3)),
+                                    ("e_3", Fraction(2, 3))),
+                         runs=((edge.right, None), (edge.left, None))))
+    plan = SurgeryPlan(base=once, circles=(second,),
+                       patch=SurfacePatch(True, 0, 1, id="q"))
+    assert check_attachment_hypotheses(plan).ok
+    twice = attach_surface(plan)
+    assert validate_born_map(twice).ok
+    assert euler_characteristic(twice.polyhedron) == \
+        euler_characteristic(once.polyhedron) + plan.patch.euler
+    assert len(twice.polyhedron.vertices) == 4
+    assert len(strand_circles(twice.polyhedron)) == \
+        len(strand_circles(once.polyhedron)) + 1
+    # the crossed edge is now three edges of the same curve, crossing to
+    # crossing: x_5 -> first new crossing -> second new crossing -> x_6
+    curve = twice.arrangement.curve(edge.curve)
+    pieces = [twice.arrangement.edge(e) for e in curve.edges[:3]]
+    assert pieces[0].ends[0] == ("x_5", 2) and pieces[2].ends[1] == ("x_6", 0)
+    assert pieces[0].ends[1][0] == pieces[1].ends[0][0]
+    assert pieces[1].ends[1][0] == pieces[2].ends[0][0]
