@@ -9,6 +9,7 @@ from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 build_closed_sheet, build_sphere_fixture,
                                 build_surgered_example, build_theta,
                                 round_reeb)
+from spineforge.homology import gf2_rank, z2_homology
 from spineforge.subsurfaces import (_annotated, _closed_search,
                                     _selection_arc_slots,
                                     find_closed_surfaces, make_selection,
@@ -291,6 +292,28 @@ def test_search_annotation_checks_closedness_of_every_subset():
                 assert selection.euler == selection_euler(poly, sheets)
                 assert selection.arc_slots == _selection_arc_slots(poly, sheets)
         assert kinds == {True, False}
+
+
+def test_selections_span_the_mod_2_cycles(rng):
+    # the components of a mod-2 2-cycle are connected closed selections and
+    # there are no 3-cells, so an untruncated search's sheet vectors have
+    # rank b2; z2_homology reaches b2 through the cellulation instead
+    cases = [tower(n) for n in range(4, 17)]
+    cases += [build_theta(), build_base_example().polyhedron,
+              build_surgered_example().polyhedron]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    cases += [random_round_map(rng, name=f"h{i}").polyhedron
+              for i in range(100)]
+    ranks = set()
+    for poly in cases:
+        bit = {sheet.id: 1 << i for i, sheet in enumerate(poly.sheets)}
+        search = find_closed_surfaces(poly, 10 ** 6)
+        assert not search.truncated
+        rank = gf2_rank([sum(map(bit.__getitem__, s.sheets))
+                         for s in search.selections])
+        assert rank == z2_homology(poly)[2]
+        ranks.add(rank)
+    assert 0 in ranks and max(ranks) > 3
 
 
 def test_large_tower_truncates_instead_of_crashing():
