@@ -536,14 +536,16 @@ class ArrangementBuilder:
 
         # trace all contour cycles incident to touched faces
         def walk(eid, direction):
-            cycle = []
-            cur = (eid, direction)
-            while True:
-                cycle.append(cur)
+            cycle = [(eid, direction)]
+            # a contour passes each side of an edge at most once
+            for _ in range(2 * len(self.edges)):
+                cur = cycle[-1]
                 nxt = _next_side(*cur, self.edges[cur[0]]["ends"], self.crossings)
-                if nxt == (eid, direction):
+                if nxt == cycle[0]:
                     return cycle
-                cur = nxt
+                cycle.append(nxt)
+            raise RuntimeError(f"contour from side {cycle[0]} does not close: "
+                               "the crossing rays disagree with the edge ends")
 
         # directed sides belonging to touched faces (old assignment) or routes
         pending = set()

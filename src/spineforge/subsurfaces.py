@@ -138,16 +138,18 @@ def surface_orientability(poly, selection):
 def find_closed_surfaces(poly, bound):
     """All connected closed selections, capped by `bound` examined states.
 
-    A state is one include or exclude decision on a sheet.  From each seed,
-    taken in sorted order with the earlier seeds excluded, the search grows
-    connected selections by deciding the smallest undecided sheet adjacent
-    to the included ones, first including and then excluding it.  The
-    included and undecided sheets are bitmasks, and an arc's wing counts
-    are popcounts of its sheet masks, so a decision checks only the decided
-    sheet's arcs.  Each include pushes a frame holding the masks as they
-    were before it, and backtracking reads a frame back instead of undoing
-    anything.  The selections come in order of size, then of sorted sheet
-    ids.
+    A state is one attempt to include a sheet.  From each seed, taken in
+    sorted order, the search grows a selection through its open arcs, the
+    arcs with exactly one included wing.  It picks the open arc with the
+    fewest sheets that could complete it (one wing on the arc, not yet
+    included, not an earlier seed) and tries each such sheet in turn; a
+    selection with no open arc is closed.  Each sheet after the seed joins
+    through a completed wing pair, so every selection is connected, and no
+    selection is reached twice.  The included sheets are bitmasks, an
+    arc's wing counts are popcounts of its sheet masks, and each state to
+    try is a frame on the search's own stack, so nothing is undone on
+    backtracking.  The selections come in order of size, then of sorted
+    sheet ids.
     """
     search = _closed_search(poly, bound)
     return SelectionSearch(selections=tuple(_annotated(poly, search, search.results)),
@@ -171,30 +173,33 @@ def _closed_search(poly, bound):
     """The walk behind find_closed_surfaces, with each selection's
     orientability decided as it grows and nothing annotated.
 
-    The state is a few ints, bit i standing for the sheet `order[i]`:
-    `inc` masks the included sheets and `free` the undecided ones (neither
-    included nor excluded), `near` is the union of the included sheets'
-    neighbour masks and `neg` masks the included sheets signed -1.  The
-    frontier is `near & free`, and its lowest bit is its smallest id.  An
-    arc's included wings are the popcounts against `inc` of its sheet mask
-    and of its mask of sheets with two wings on it, and it keeps an
-    undecided wing while its sheet mask meets `free`.  A decision checks
-    only the decided sheet's arcs.
+    The state is a few ints: bit i of `inc` stands for the included sheet
+    `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
+    for the open arc `poly.arcs[a]`.  An arc's included wings are the
+    popcounts against `inc` of its sheet mask and of its mask of sheets
+    with two wings on it, and including a sheet with one wing on an arc
+    flips whether the arc is open.  An include checks only the included
+    sheet's arcs.
 
-    Every included sheet but the seed takes the sign its first completed
-    wing pair with an earlier sheet forces, so that the two sheets induce
+    Every state is one include.  After it, the walk takes the first open
+    arc in `poly.arcs` order with at most one completer, else the first
+    with the fewest, and gives each completer a state of its own, in
+    ascending position.  A completer has one wing on the arc and is
+    neither included nor an earlier seed.  The branches are disjoint, since
+    each includes a different sheet of that arc, so a closed connected
+    selection is reached from its smallest sheet along one path only.
+
+    Every included sheet but the seed joins through a completed wing pair,
+    so a selection is connected by construction, and the sheet takes the
+    sign its first completed pair forces, so that the two sheets induce
     opposite directions on the shared arc; every further pair it completes
-    only checks that relation, and `flat` is cleared when one fails (or the
-    sheet is non-orientable).  Signs spread from the seed along completed
-    wing pairs only, so a count of included sheets without a sign (`loose`)
-    tells at each leaf, in O(1), that the selection is connected.
+    only checks that relation, and `flat` is cleared when one fails (or
+    the sheet is non-orientable).
 
-    Each include pushes a frame holding the state as it was before it, so
-    the frames' sheets are the included ones in include order.
-    Backtracking pops the deepest frame and takes its exclude branch from
-    the state the frame holds; nothing is undone by hand.  A seed's exclude
-    branch is not a state: the finished seed leaves `unseeded`, the free
-    mask every later seed starts from.
+    A frame is a state to try: the parent's `inc`, `neg`, `flat`,
+    `opened` and include order (`path`), and the sheet to include.  A
+    parent pushes one frame per completer, and backtracking pops the next
+    one, so nothing is undone by hand.
     """
     require_valid(poly)
     if bound < 1:
@@ -210,14 +215,16 @@ def _closed_search(poly, bound):
 
     sheet_numbers = [[] for _ in order]  # wing numbers
     pairs = {}
-    near_of = [0] * len(order)  # neighbour masks
-    # per sheet, one (sheet mask, two-wing mask, own wings, rel) per arc it
-    # lies on; with one own wing, rel is the mask that, XORed with `neg`,
-    # has the partner's bit set when the pair forces sign -1, and with two
-    # it is whether they break orientability
+    single = []  # per arc, the mask of sheets with one wing on it
+    # per sheet, its mask of arcs with one wing, and one (sheet mask,
+    # two-wing mask, own wings, rel) per arc it lies on; with one own wing,
+    # rel is the mask that, XORed with `neg`, has the partner's bit set
+    # when the pair forces sign -1, and with two it is whether they break
+    # orientability
+    odd = [0] * len(order)
     arcs_of = [[] for _ in order]
     first = 0  # the number of the arc's first wing
-    for arc in poly.arcs:
+    for a, arc in enumerate(poly.arcs):
         wings = sorted((slot, index[sid], d)
                        for slot, (sid, _, _, d) in wings_of[arc.id].items()
                        if sid in index)
@@ -229,86 +236,76 @@ def _closed_search(poly, bound):
             flip |= (d < 0) << i
             for v in range(w + 1, len(wings)):
                 pairs[first + w, first + v] = (arc.id, (slot, wings[v][0]))
+        single.append(mask & ~twice)
         for i in dict.fromkeys(i for _, i, _ in wings):
-            near_of[i] |= mask & ~(1 << i)
             own = [d for _, j, d in wings if j == i]
             rel = (own[0] == own[1] if len(own) > 1
                    else flip if own[0] < 0 else ~flip)
             arcs_of[i].append((mask, twice, len(own), rel))
+            odd[i] |= (len(own) == 1) << a
         first += len(wings)
     nonorientable = [not poly.sheet(sid).orientable for sid in order]
 
     results = []
     examined = 0
     truncated = False
-    unseeded = (1 << len(order)) - 1  # finished seeds stay excluded
     for seed in range(len(order)):
-        stack = []  # (sheet, inc, free, near, neg, loose, flat) before it
-        inc, free, near, neg, loose, flat = 0, unseeded, 0, 0, 0, True
-        i, include = seed, True
-        while True:
-            bit = 1 << i
-            ok = True
-            if include:
-                stack.append((i, inc, free, near, neg, loose, flat))
-                free ^= bit
-                signed, minus, bad = i == seed, False, nonorientable[i]
-                for mask, twice, w, rel in arcs_of[i]:
-                    # i is not in inc; an arc where it has three wings has
-                    # no other sheet, and fails at once
-                    pair = mask & inc
-                    k = pair.bit_count() + w
-                    if twice:
-                        k += (twice & inc).bit_count()
-                    if k == 2:
-                        if w == 2:  # i's own two wings pair up
-                            bad = bad or rel
-                        elif not signed:  # with an included sheet's wing
-                            signed, minus = True, bool(pair & (neg ^ rel))
-                        elif minus != bool(pair & (neg ^ rel)):
-                            bad = True
-                    elif k > 2 or not mask & free:
-                        ok = False
-                        break
-                if ok:
-                    inc |= bit
-                    near |= near_of[i]
-                    if minus:
-                        neg |= bit
-                    loose += not signed
-                    flat = flat and not bad
-            else:
-                free ^= bit
-                # the frame's state passed its checks, so no count exceeds
-                # 2, and a count of 1 needs an undecided wing
-                for mask, twice, _, _ in arcs_of[i]:
-                    if not mask & free and ((mask & inc).bit_count()
-                                            + (twice & inc).bit_count() == 1):
-                        ok = False
-                        break
+        taken = (1 << seed) - 1  # the earlier seeds
+        # (inc, neg, flat, opened, path, sheet)
+        stack = [(0, 0, True, 0, (), seed)]
+        while stack:
+            inc, neg, flat, opened, path, i = stack.pop()
             examined += 1
             if examined > bound:
                 truncated = True
                 break
-            if ok:
-                frontier = near & free
-                if frontier:
-                    i, include = (frontier & -frontier).bit_length() - 1, True
+            bit = 1 << i
+            minus, bad = None, nonorientable[i]
+            for mask, twice, w, rel in arcs_of[i]:
+                # i is not in inc; an arc where it has three wings has no
+                # other sheet, and fails at once
+                pair = mask & inc
+                k = pair.bit_count() + w
+                if twice:
+                    k += (twice & inc).bit_count()
+                if k > 2:  # the include fails
+                    break
+                if k == 2:
+                    if w == 2:  # i's own two wings pair up
+                        bad = bad or rel
+                    elif minus is None:  # with an included sheet's wing
+                        minus = bool(pair & (neg ^ rel))
+                    elif minus != bool(pair & (neg ^ rel)):
+                        bad = True
+            else:
+                inc |= bit
+                path += (i,)
+                if minus:
+                    neg |= bit
+                flat = flat and not bad
+                opened ^= odd[i]
+                if not opened:
+                    # every arc the selection touches carries 0 or 2 wings
+                    results.append((path, flat))
                     continue
-                # every wing of every arc the selection touches is decided,
-                # so the counts make it closed
-                if loose:
-                    raise SelectionNotConnected(
-                        f"selection {sorted(order[f[0]] for f in stack)} "
-                        "is not connected")
-                results.append((tuple([f[0] for f in stack]), flat))
-            i, inc, free, near, neg, loose, flat = stack.pop()
-            if not stack:
-                break
-            include = False
+                # the open arc with the fewest completers, taking the first
+                # with at most one at once
+                rest, avoid, fewest = opened, taken | inc, None
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    can = single[low.bit_length() - 1] & ~avoid
+                    if fewest is None or can.bit_count() < fewest.bit_count():
+                        fewest = can
+                        if can.bit_count() <= 1:
+                            break
+                # pushed from the top, so the smallest completer pops first
+                while fewest:
+                    top = fewest.bit_length() - 1
+                    stack.append((inc, neg, flat, opened, path, top))
+                    fewest ^= 1 << top
         if truncated:
             break
-        unseeded ^= 1 << seed
 
     return _RawSearch(results, examined, truncated, order, sheet_numbers,
                       pairs)

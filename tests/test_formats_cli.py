@@ -422,6 +422,21 @@ def test_cli_obstruct_after_a_truncated_search_is_undecided(capsys):
         "undecided: no closed non-orientable subsurface within bound 3\n")
 
 
+def test_cli_obstruct_decides_a_128_circle_tower_at_the_default_bound(
+        tmp_path, monkeypatch, capsys):
+    # 255 sheets and 8128 closed selections, all orientable: the search
+    # must run to the end within 100000 states to say so
+    from spineforge.gallery import RoundCircle, RoundSpec, round_reeb
+    circles = tuple(RoundCircle("boundary" if k == 0 else "triple", k + 1, k)
+                    for k in reversed(range(128)))
+    tower = round_reeb(RoundSpec(circles, name="tower128"))
+    monkeypatch.chdir(tmp_path)
+    Path("tower.spoly").write_text(formats.emit_spoly(tower.polyhedron))
+    assert main(["obstruct", "tower.spoly"]) == 0
+    assert capsys.readouterr().out == (
+        "not obstructed by a closed non-orientable subsurface\n")
+
+
 def test_render_counts_circles_and_labels():
     base = build_base_example()
     svg = render_svg(base)

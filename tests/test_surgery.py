@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spineforge.arrangement import ArrangementBuilder
 from spineforge.core import euler_characteristic, is_normal, strand_circles, validate_polyhedron
 from spineforge.bornmap import validate_born_map
 from spineforge.errors import (NoEmptyRegion, PatchNotOrientable, PlanError,
@@ -331,9 +332,8 @@ def test_chi_additivity_on_random_plans(rng):
             len(born.polyhedron.vertices) + events
 
 
-def test_second_crossing_splits_an_edge_between_two_crossings():
-    """Cross a map that already has crossings along one of its branch edges
-    that runs from one crossing to another."""
+def crossing_plan_on_two_circles():
+    """A circle crossing the triple circle of a two-circle round map twice."""
     base = round_reeb(RoundSpec(circles=(
         RoundCircle("triple", 2, 1, pos=0, radius=1),
         RoundCircle("boundary", 1, 0, pos=0, radius=2)), name="two"))
@@ -346,8 +346,30 @@ def test_second_crossing_splits_an_edge_between_two_crossings():
         image=ImageRoute(crossings=(("e_c1", Fraction(1, 3)),
                                     ("e_c1", Fraction(2, 3))),
                          runs=(("r1", "right"), ("r0", None))))
-    once = attach_surface(SurgeryPlan(base=base, circles=(first,),
-                                      patch=SurfacePatch(True, 0, 1, id="p")))
+    return SurgeryPlan(base=base, circles=(first,),
+                       patch=SurfacePatch(True, 0, 1, id="p"))
+
+
+def test_contour_walk_stops_on_inconsistent_crossing_rays(monkeypatch):
+    # a route ray of the first new crossing overwritten by the ray before
+    # it: the contour walk meets a side twice without returning to its
+    # start, and must fail past its bound instead of running forever
+    resplit = ArrangementBuilder._resplit_faces
+
+    def corrupted(self, route_edge_ids, face_runs):
+        xid, _ = self.edges[route_edge_ids[0]]["ends"][0]
+        self.crossings[xid][1] = self.crossings[xid][0]
+        return resplit(self, route_edge_ids, face_runs)
+
+    monkeypatch.setattr(ArrangementBuilder, "_resplit_faces", corrupted)
+    with pytest.raises(RuntimeError, match="does not close"):
+        attach_surface(crossing_plan_on_two_circles())
+
+
+def test_second_crossing_splits_an_edge_between_two_crossings():
+    """Cross a map that already has crossings along one of its branch edges
+    that runs from one crossing to another."""
+    once = attach_surface(crossing_plan_on_two_circles())
     # c1 is now the sub-arcs c1.0 and c1.1 between the two new vertices;
     # e_3 is the image of c1.0, from crossing x_5 to crossing x_6
     edge = once.arrangement.edge("e_3")
