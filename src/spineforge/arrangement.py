@@ -223,7 +223,8 @@ def _check_arrangement(arr):
                     v.append(Violation("SideFaceMismatch", face.id, f"{eid}:{direction}"))
             for i, (eid, direction) in enumerate(contour):
                 nxt = contour[(i + 1) % len(contour)]
-                if _next_side(eid, direction, arr.edge(eid).ends, rays) != nxt:
+                if (eid in arr._edge_by_id and _next_side(
+                        eid, direction, arr.edge(eid).ends, rays) != nxt):
                     v.append(Violation("ContourWalk", face.id, f"after {eid}:{direction}"))
 
     for edge in arr.edges:

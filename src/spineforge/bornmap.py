@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .arrangement import face_depths, validate_arrangement
 from .core import (TRIPLE, ValidationReport, Violation, is_normal,
-                   strand_circles, validate_polyhedron)
+                   validate_polyhedron)
 from .errors import DimensionTooLow, InvalidBornMap
 
 
@@ -90,7 +90,7 @@ def validate_born_map(born):
     poly = born.polyhedron
     arr = born.arrangement
 
-    strands = {circle[0]: circle for circle in strand_circles(poly)}
+    strands = {circle[0]: circle for circle in poly._strands}
     if set(born.assignments) != set(strands):
         v.append(Violation("AssignmentTotality", born.name or "born map",
                            f"strands {sorted(strands)} vs "
@@ -234,6 +234,6 @@ def realizability_certificate(born, dimension):
     require_valid_born_map(born)
     return RealizabilityCertificate(
         dimension=dimension,
-        singular_components=len(strand_circles(born.polyhedron)),
+        singular_components=len(born.polyhedron._strands),
         subject=born.name,
     )

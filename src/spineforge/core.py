@@ -171,9 +171,9 @@ class SimplePolyhedron:
     def vertex(self, vid):
         return self._vertex_by_id[vid]
 
-    # Derived data, built on first use and kept on this object.  None of it
-    # is a field, so ==, hash and repr ignore it, and dataclasses.replace
-    # starts the copy without it.
+    # Derived data, built on first use and kept on this object, as is the
+    # closed-surface index of subsurfaces.  None of it is a field, so ==,
+    # hash and repr ignore it, and dataclasses.replace starts without it.
 
     @cached_property
     def _report(self):
@@ -191,10 +191,22 @@ class SimplePolyhedron:
         return table
 
     @cached_property
+    def _strands(self):
+        """strand_circles(self), kept as a tuple."""
+        require_valid(self)
+        uf = ParityUnionFind(arc.id for arc in self.arcs)
+        for vertex in self.vertices:
+            for first, second in vertex.strands:
+                uf.union(first[0], second[0], 0)
+        groups = {}
+        for arc in self.arcs:
+            groups.setdefault(uf.find(arc.id)[0], []).append(arc.id)
+        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+    @cached_property
     def _strand_of(self):
         """arc id -> key of its strand circle, the circle's smallest arc id."""
-        return {aid: circle[0] for circle in strand_circles(self)
-                for aid in circle}
+        return {aid: circle[0] for circle in self._strands for aid in circle}
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +304,8 @@ def _check_polyhedron(poly):
                 vertex = poly.vertex(vid)
                 if not (0 <= port < 4):
                     v.append(Violation("PortRange", arc.id, str(port)))
-                elif vertex.ends[port] != (arc.id, end_index):
+                # a vertex without four ends is reported as VertexShape
+                elif len(vertex.ends) == 4 and vertex.ends[port] != (arc.id, end_index):
                     v.append(Violation("StrandMismatch", arc.id,
                                        f"end {end_index} vs {vid}:{port}"))
 
@@ -438,17 +451,10 @@ def strand_circles(poly):
     """The immersed branch circles: arcs joined straight-through at vertices.
 
     Returns a sorted list of sorted arc-id tuples.  Each circle is the image
-    of one component of the singular set of any realizing map.
+    of one component of the singular set of any realizing map.  Each call
+    returns a fresh list of the partition the polyhedron keeps.
     """
-    require_valid(poly)
-    uf = ParityUnionFind(arc.id for arc in poly.arcs)
-    for vertex in poly.vertices:
-        for first, second in vertex.strands:
-            uf.union(first[0], second[0], 0)
-    groups = {}
-    for arc in poly.arcs:
-        groups.setdefault(uf.find(arc.id)[0], []).append(arc.id)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+    return list(poly._strands)
 
 
 def euler_characteristic(poly):

@@ -19,7 +19,7 @@ from .bornmap import require_valid_born_map
 from .core import Violation
 from .errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
                      NonOrientableSheetMeetsDisk, PlanError, SeedNotInGraph)
-from .subsurfaces import _annotated, _closed_search
+from .subsurfaces import nonorientable_selections
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,10 @@ def s3_obstruction(poly, bound):
     exists within the bound, else ("not-obstructed", None); a third element
     flags truncation.  The witness is the first non-orientable selection
     find_closed_surfaces(poly, bound) would list, and the only one
-    annotated."""
-    search = _closed_search(poly, bound)
-    bad = [r for r in search.results if not r[1]]
-    witness = next(_annotated(poly, search, bad), None)
-    if witness is None:
-        return ("not-obstructed", None, search.truncated)
-    return ("obstructed", witness, search.truncated)
+    annotated; the search reuses the polyhedron object's index."""
+    bad, truncated = nonorientable_selections(poly, bound)
+    witness = next(bad, None)
+    return ("obstructed" if witness else "not-obstructed", witness, truncated)
 
 
 def disk_obstruction_report(born, disks, surgered, bound=100000, closed_submanifold=False):
@@ -245,20 +242,15 @@ def disk_obstruction_report(born, disks, surgered, bound=100000, closed_submanif
     orientation = outcome[1] if outcome[0] == "oriented" else None
     contradiction = outcome[1] if outcome[0] == "contradiction" else None
 
-    poly = surgered.polyhedron
-    search = _closed_search(poly, bound)
-    bad = tuple(_annotated(poly, search,
-                           [r for r in search.results if not r[1]]))
-    if bad and closed_submanifold:
-        verdict = "obstructed"
-    else:
-        verdict = "not-obstructed-by-this-criterion"
+    bad, truncated = nonorientable_selections(surgered.polyhedron, bound)
+    bad = tuple(bad)
+    verdict = ("obstructed" if bad and closed_submanifold
+               else "not-obstructed-by-this-criterion")
     return ObstructionReport(graphs=graphs, maximal_index=index,
                              orientation=orientation,
                              contradiction=contradiction,
                              nonorientable_selections=bad,
-                             verdict=verdict,
-                             truncated=search.truncated)
+                             verdict=verdict, truncated=truncated)
 
 
 def graph_to_dot(graph):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .core import BOUNDARY, TRIPLE, ParityUnionFind, require_valid
+from .core import BOUNDARY, ParityUnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
 
 
@@ -52,14 +52,9 @@ def _selection_arc_slots(poly, sheets):
 
 
 def selection_is_closed(poly, sheets):
-    """Degree check: 2 selected wings on used triple arcs, none on boundary."""
-    for arc in poly.arcs:
-        n = len(_selected(poly, arc, sheets))
-        if arc.kind == BOUNDARY and n != 0:
-            return False
-        if arc.kind == TRIPLE and n not in (0, 2):
-            return False
-    return True
+    """Degree check: 0 or 2 selected wings on every arc, which leaves none
+    on a boundary arc, since it has one."""
+    return all(len(_selected(poly, arc, sheets)) in (0, 2) for arc in poly.arcs)
 
 
 def _selection_connected(poly, sheets):
@@ -90,25 +85,19 @@ def selection_orientable(poly, sheets):
         chosen = [(sid, d) for _, sid, d in _selected(poly, arc, sheets)]
         if len(chosen) == 2:
             (s1, d1), (s2, d2) = chosen
-            if not _wing_pair_orientable(uf, s1, d1, s2, d2):
+            # equal signs fit exactly when the written directions disagree
+            if not uf.union(s1, s2, int(d1 == d2)):
                 return False
     return True
-
-
-def _wing_pair_orientable(uf, s1, d1, s2, d2):
-    """Record the sign relation two selected wings of one arc impose; False
-    when it cannot hold."""
-    if s1 == s2:
-        return d1 != d2
-    # compatible with equal signs exactly when the written directions
-    # already disagree
-    return uf.union(s1, s2, 0 if d1 != d2 else 1)
 
 
 def make_selection(poly, sheets):
     """Build an annotated SurfaceSelection; raises when not closed/connected."""
     require_valid(poly)
     sheets = frozenset(sheets)
+    unknown = sheets - poly._sheet_by_id.keys()
+    if unknown:
+        raise SelectionNotClosed(f"selection names unknown sheets {sorted(unknown)}")
     if not selection_is_closed(poly, sheets):
         raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
     if not _selection_connected(poly, sheets):
@@ -145,89 +134,61 @@ def find_closed_surfaces(poly, bound):
     included, not an earlier seed) and tries each such sheet in turn; a
     selection with no open arc is closed.  Each sheet after the seed joins
     through a completed wing pair, so every selection is connected, and no
-    selection is reached twice.  The included sheets are bitmasks, an
-    arc's wing counts are popcounts of its sheet masks, and each state to
-    try is a frame on the search's own stack, so nothing is undone on
-    backtracking.  The selections come in order of size, then of sorted
-    sheet ids.
+    selection is reached twice.  The selections come in order of size,
+    then of sorted sheet ids.  The tables the search reads are built on
+    the first search of a polyhedron object and kept on it.
     """
-    search = _closed_search(poly, bound)
-    return SelectionSearch(selections=tuple(_annotated(poly, search, search.results)),
-                           examined=search.examined, truncated=search.truncated)
+    results, examined, truncated = _closed_search(poly, bound)
+    return SelectionSearch(selections=tuple(_annotated(poly, results)),
+                           examined=examined, truncated=truncated)
 
 
-class _RawSearch(NamedTuple):
-    # (positions in `order` of the selected sheets, orientable), in the
-    # order they were found
-    results: list
-    examined: int
-    truncated: bool
-    order: list        # candidate sheet ids, sorted
-    # candidate wings are numbered in (arc position, slot) order
+def nonorientable_selections(poly, bound):
+    """The non-orientable selections find_closed_surfaces(poly, bound)
+    lists, in its order, as an iterator that annotates each only when it
+    is drawn, and whether the search was truncated."""
+    results, _, truncated = _closed_search(poly, bound)
+    return _annotated(poly, [r for r in results if not r[1]]), truncated
+
+
+class _Index(NamedTuple):
+    """What the search and its annotation read of one polyhedron.  The
+    candidates are the sheets on no boundary arc, by sorted id; their wings
+    all lie on triple arcs and are numbered in (arc position, slot) order."""
+    order: list          # candidate sheet ids
+    nonorientable: list  # per candidate
+    euler: list          # per candidate, its sheet's characteristic
     sheet_numbers: list  # per candidate, the numbers of its wings
-    # (w1, w2) with w1 < w2 on one triple arc -> (arc id, (slot1, slot2))
-    pairs: dict
+    pairs: dict   # (w1, w2), w1 < w2 on one arc -> (arc id, (slot1, slot2))
+    single: list  # per arc, the mask of candidates with one wing on it
+    odd: list     # per candidate, the mask of arcs where it has one wing
+    # per candidate, one (sheet mask, two-wing mask, own wings, rel) per
+    # arc it lies on; with one own wing, rel is the mask that, XORed with
+    # the walk's `neg`, has the partner's bit set when the pair forces
+    # sign -1, and with two it is whether they break orientability
+    arcs_of: list
+    open_ends: dict  # open arc id -> frozenset of its end vertices
 
 
-def _closed_search(poly, bound):
-    """The walk behind find_closed_surfaces, with each selection's
-    orientability decided as it grows and nothing annotated.
-
-    The state is a few ints: bit i of `inc` stands for the included sheet
-    `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
-    for the open arc `poly.arcs[a]`.  An arc's included wings are the
-    popcounts against `inc` of its sheet mask and of its mask of sheets
-    with two wings on it, and including a sheet with one wing on an arc
-    flips whether the arc is open.  An include checks only the included
-    sheet's arcs.
-
-    Every state is one include.  After it, the walk takes the first open
-    arc in `poly.arcs` order with at most one completer, else the first
-    with the fewest, and gives each completer a state of its own, in
-    ascending position.  A completer has one wing on the arc and is
-    neither included nor an earlier seed.  The branches are disjoint, since
-    each includes a different sheet of that arc, so a closed connected
-    selection is reached from its smallest sheet along one path only.
-
-    Every included sheet but the seed joins through a completed wing pair,
-    so a selection is connected by construction, and the sheet takes the
-    sign its first completed pair forces, so that the two sheets induce
-    opposite directions on the shared arc; every further pair it completes
-    only checks that relation, and `flat` is cleared when one fails (or
-    the sheet is non-orientable).
-
-    A frame is a state to try: the parent's `inc`, `neg`, `flat`,
-    `opened` and include order (`path`), and the sheet to include.  A
-    parent pushes one frame per completer, and backtracking pops the next
-    one, so nothing is undone by hand.
-    """
-    require_valid(poly)
-    if bound < 1:
-        raise ValueError("bound must be positive")
+def _index(poly):
+    """The _Index of a valid polyhedron, kept in its __dict__ once built."""
+    if "_closed_index" in poly.__dict__:
+        return poly.__dict__["_closed_index"]
     wings_of = poly._wings
-
-    # sheets touching boundary arcs can never be selected; every wing a
-    # candidate has lies on a triple arc
     banned = {wing[0] for arc in poly.arcs if arc.kind == BOUNDARY
               for wing in wings_of[arc.id].values()}
     order = sorted(s.id for s in poly.sheets if s.id not in banned)
-    index = {sid: i for i, sid in enumerate(order)}
-
-    sheet_numbers = [[] for _ in order]  # wing numbers
+    position = {sid: i for i, sid in enumerate(order)}
+    sheet_numbers = [[] for _ in order]
     pairs = {}
-    single = []  # per arc, the mask of sheets with one wing on it
-    # per sheet, its mask of arcs with one wing, and one (sheet mask,
-    # two-wing mask, own wings, rel) per arc it lies on; with one own wing,
-    # rel is the mask that, XORed with `neg`, has the partner's bit set
-    # when the pair forces sign -1, and with two it is whether they break
-    # orientability
+    single = []
     odd = [0] * len(order)
     arcs_of = [[] for _ in order]
     first = 0  # the number of the arc's first wing
     for a, arc in enumerate(poly.arcs):
-        wings = sorted((slot, index[sid], d)
+        wings = sorted((slot, position[sid], d)
                        for slot, (sid, _, _, d) in wings_of[arc.id].items()
-                       if sid in index)
+                       if sid in position)
         mask = twice = flip = 0
         for w, (slot, i, d) in enumerate(wings):
             sheet_numbers[i].append(first + w)
@@ -244,14 +205,54 @@ def _closed_search(poly, bound):
             arcs_of[i].append((mask, twice, len(own), rel))
             odd[i] |= (len(own) == 1) << a
         first += len(wings)
-    nonorientable = [not poly.sheet(sid).orientable for sid in order]
+    sheets = [poly.sheet(sid) for sid in order]
+    index = poly.__dict__["_closed_index"] = _Index(
+        order, [not s.orientable for s in sheets], [s.euler for s in sheets],
+        sheet_numbers, pairs, single, odd, arcs_of,
+        {arc.id: frozenset(vid for vid, _ in arc.endpoints)
+         for arc in poly.arcs if not arc.closed})
+    return index
+
+
+def _closed_search(poly, bound):
+    """The walk behind find_closed_surfaces over the polyhedron's _Index,
+    deciding orientability as a selection grows and annotating nothing.
+    Returns (results, examined, truncated), a result being the candidate
+    positions of a selection in include order and whether it is orientable.
+
+    The state is a few ints: bit i of `inc` stands for the included sheet
+    `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
+    for the open arc `poly.arcs[a]`.  An arc's included wings are the
+    popcounts against `inc` of its sheet mask and of its mask of sheets
+    with two wings on it, and including a sheet with one wing on an arc
+    flips whether the arc is open.  An include checks only the included
+    sheet's arcs.
+
+    Every state is one include.  Of the open arcs, the walk branches on
+    the first in `poly.arcs` order with at most one completer, else the
+    first with the fewest, and tries the completers in ascending position.
+
+    A sheet joining through a completed wing pair takes the sign that
+    pair forces, so that the two sheets induce opposite directions on the
+    shared arc; every further pair it completes only checks that relation,
+    and `flat` is cleared when one fails (or the sheet is non-orientable).
+
+    A frame is a state to try: the parent's `inc`, `neg`, `flat`,
+    `opened` and include order (`path`), and the sheet to include.
+    Backtracking pops the next frame, so nothing is undone by hand.
+    """
+    require_valid(poly)
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    index = _index(poly)
+    single, odd, arcs_of = index.single, index.odd, index.arcs_of
+    nonorientable = index.nonorientable
 
     results = []
     examined = 0
     truncated = False
-    for seed in range(len(order)):
+    for seed in range(len(index.order)):
         taken = (1 << seed) - 1  # the earlier seeds
-        # (inc, neg, flat, opened, path, sheet)
         stack = [(0, 0, True, 0, (), seed)]
         while stack:
             inc, neg, flat, opened, path, i = stack.pop()
@@ -307,22 +308,21 @@ def _closed_search(poly, bound):
         if truncated:
             break
 
-    return _RawSearch(results, examined, truncated, order, sheet_numbers,
-                      pairs)
+    return results, examined, truncated
 
 
-def _annotated(poly, search, results):
-    """SurfaceSelections for raw results of `search`, in order of size,
-    then of sorted sheet ids; each is annotated only when it is drawn.
+def _annotated(poly, results):
+    """SurfaceSelections for raw results of _closed_search(poly, ...), in
+    order of size, then of sorted sheet ids; each is annotated only when
+    it is drawn.
 
     This is make_selection for a polyhedron already validated, read from
-    the search's own wing index.  The search decided each selection's
+    the search's own index.  The search decided each selection's
     orientability and connectedness.
     """
-    order, sheet_numbers, pairs = search.order, search.sheet_numbers, search.pairs
-    euler = [poly.sheet(sid).euler for sid in order]
-    open_ends = {arc.id: frozenset(vid for vid, _ in arc.endpoints)
-                 for arc in poly.arcs if not arc.closed}
+    index = _index(poly)
+    order, sheet_numbers, pairs = index.order, index.sheet_numbers, index.pairs
+    euler, open_ends = index.euler, index.open_ends
     # positions follow sorted ids, so sorting positions sorts the ids
     for chosen, orientable in sorted(results,
                                      key=lambda r: (len(r[0]), sorted(r[0]))):

@@ -25,7 +25,7 @@ from .arrangement import (ArrangementBuilder, RouteCross, RouteFaceRun,
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
-                   WingTraversal, strand_circles)
+                   WingTraversal)
 from .errors import (ContainmentViolated, NoEmptyRegion, PatchNotOrientable,
                      PlanError, UnsupportedItinerary, WitnessMismatch)
 
@@ -683,7 +683,7 @@ def attach_surface(plan):
                   for sub, _, _ in subs}
 
     new_assignments = {}
-    for strand in strand_circles(new_poly):
+    for strand in new_poly._strands:
         key = strand[0]
         if key in t_arcs:
             circle = t_arcs[key][0]

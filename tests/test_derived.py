@@ -1,25 +1,31 @@
-"""The per-object derived data: wing table, strand map and cached reports.
+"""The per-object derived data: wing table, strand partition and map,
+closed-surface index and cached reports.
 
 Polyhedra and arrangements are frozen, so each keeps its validation report
 and incidence tables once they are built.  Born maps carry plain dicts and
 are checked again on every call.
 """
 
+from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from spineforge import formats
+from spineforge import formats, subsurfaces
 from spineforge.arrangement import validate_arrangement
-from spineforge.bornmap import validate_born_map
-from spineforge.core import (arc_wings, slot_count, strand_circles,
-                             validate_polyhedron)
+from spineforge.bornmap import realizability_certificate, validate_born_map
+from spineforge.core import (BOUNDARY, SimplePolyhedron, arc_wings,
+                             slot_count, strand_circles, validate_polyhedron)
 from spineforge.errors import InvalidBornMap
 from spineforge.gallery import (build_base_example, build_closed_sheet,
                                 build_sphere_fixture, build_surgered_example,
                                 build_theta)
+from spineforge.obstruction import (DiskInP, disk_obstruction_report,
+                                    s3_obstruction)
 from spineforge.render import render_svg
+from spineforge.subsurfaces import find_closed_surfaces
 
 from conftest import repo_path
 from randgen import random_round_map, random_surgered_maps
@@ -67,6 +73,74 @@ def test_wing_table_and_strand_map_match_direct_scans(rng):
     assert open_arcs  # surgery outputs with vertices were covered
 
 
+def scanned_strands(poly):
+    """The strand circles found by a graph search over the arcs joined
+    straight through at vertices."""
+    joined = {arc.id: [] for arc in poly.arcs}
+    for vertex in poly.vertices:
+        for (a, _), (b, _) in vertex.strands:
+            joined[a].append(b)
+            joined[b].append(a)
+    circles, seen = [], set()
+    for arc in poly.arcs:
+        stack, circle = [arc.id], set()
+        while stack:
+            aid = stack.pop()
+            if aid not in circle and aid not in seen:
+                circle.add(aid)
+                stack.extend(joined[aid])
+        seen |= circle
+        if circle:
+            circles.append(tuple(sorted(circle)))
+    return sorted(circles)
+
+
+def scanned_index(poly):
+    """The closed-surface index, from the sheets' circuits; each arc a
+    candidate lies on is given without its sign relation."""
+    wings = sorted((a, trav.slot, sheet.id)
+                   for a, arc in enumerate(poly.arcs)
+                   for sheet in poly.sheets for circuit in sheet.circuits
+                   for trav in circuit if trav.arc == arc.id)
+    banned = {sid for a, _, sid in wings if poly.arcs[a].kind == BOUNDARY}
+    order = sorted(s.id for s in poly.sheets if s.id not in banned)
+    wings = [w for w in wings if w[2] not in banned]
+    arcs = range(len(poly.arcs))
+    # on[i][a]: the number of wings candidate i has on arc a
+    on = [[sum(w[:1] + w[2:] == (a, sid) for w in wings) for a in arcs]
+          for sid in order]
+
+    def mask(a, test):
+        return sum(1 << i for i, counts in enumerate(on) if test(counts[a]))
+
+    return dict(
+        order=order,
+        nonorientable=[not poly.sheet(sid).orientable for sid in order],
+        euler=[poly.sheet(sid).euler for sid in order],
+        sheet_numbers=[[k for k, w in enumerate(wings) if w[2] == sid]
+                       for sid in order],
+        pairs={(k, m): (poly.arcs[wings[k][0]].id, (wings[k][1], wings[m][1]))
+               for k in range(len(wings)) for m in range(k + 1, len(wings))
+               if wings[k][0] == wings[m][0]},
+        single=[mask(a, lambda n: n == 1) for a in arcs],
+        odd=[sum(1 << a for a in arcs if counts[a] == 1) for counts in on],
+        arcs_of=[[(mask(a, bool), mask(a, lambda n: n >= 2), counts[a])
+                  for a in arcs if counts[a]] for counts in on],
+        open_ends={arc.id: frozenset(vid for vid, _ in arc.endpoints)
+                   for arc in poly.arcs if not arc.closed})
+
+
+def test_closed_surface_index_and_strand_partition_match_direct_scans(rng):
+    for poly in derived_cases(rng):
+        assert strand_circles(poly) == scanned_strands(poly)
+        index = subsurfaces._index(poly)
+        for field, value in scanned_index(poly).items():
+            got = getattr(index, field)
+            if field == "arcs_of":
+                got = [[arc[:3] for arc in arcs] for arcs in got]
+            assert got == value, field
+
+
 def test_polyhedron_report_is_cached_per_object():
     poly = build_base_example().polyhedron
     report = validate_polyhedron(poly)
@@ -105,3 +179,52 @@ def test_born_map_is_checked_again_after_an_in_place_change():
     assert any(v.code == "CrossingRule" for v in report.violations)
     with pytest.raises(InvalidBornMap):
         render_svg(born)
+
+
+def test_index_and_strand_partition_are_built_once_per_object(monkeypatch):
+    builds, built = [], []  # `built` keeps each object, so ids stay unique
+    index_type = subsurfaces._Index
+
+    def counted_index(*fields):
+        builds.append(("index", tuple(fields[0])))
+        return index_type(*fields)
+
+    strands = SimplePolyhedron.__dict__["_strands"]
+
+    def counted_strands(poly):
+        builds.append(("strands", id(poly)))
+        built.append(poly)
+        return strands.func(poly)
+
+    counted = cached_property(counted_strands)
+    counted.__set_name__(SimplePolyhedron, "_strands")
+    monkeypatch.setattr(subsurfaces, "_Index", counted_index)
+    monkeypatch.setattr(SimplePolyhedron, "_strands", counted)
+
+    base, surgered = build_base_example(), build_surgered_example()
+    poly = surgered.polyhedron
+    disks = (DiskInP(id="d1", boundary_circle="inner_cut",
+                     sheets=("i_band",)),
+             DiskInP(id="d2", boundary_circle="outer_cut",
+                     sheets=("i_band", "i_floor"),
+                     arcs=(("c8", 0, 1, False),)))
+    for _ in range(2):
+        search = find_closed_surfaces(poly, 10 ** 6)
+        verdict = s3_obstruction(poly, 10 ** 6)
+        report = disk_obstruction_report(base, disks, surgered,
+                                         closed_submanifold=True)
+        assert validate_born_map(surgered).ok
+        circles = strand_circles(poly)
+        certificate = realizability_certificate(surgered, 4)
+        assert verdict[0] == report.verdict == "obstructed"
+        assert verdict[1] == report.nonorientable_selections[0] \
+            == next(s for s in search.selections if not s.orientable)
+        assert certificate.singular_components == len(circles) == 8
+        circles.append("changed")  # a fresh list: the partition is kept
+    # the surgery inside build_surgered_example read the strands of its own
+    # base and of its output, which the later calls reuse
+    counts = Counter(builds)
+    assert set(counts.values()) == {1}
+    assert counts[("index", tuple(subsurfaces._index(poly).order))] == 1
+    assert counts[("strands", id(poly))] == 1
+    assert counts[("strands", id(base.polyhedron))] == 1

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spineforge import formats
+from spineforge.bornmap import validate_born_map
 from spineforge.cli import build_parser, main
 from spineforge.errors import SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
@@ -467,3 +468,26 @@ def test_console_script_installed(tmp_path):
                              "example", "base", "-o", str(tmp_path / "_sf_test")],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_cli_normalize_writes_the_relocated_map(tmp_path, monkeypatch, capsys):
+    # relocation moves the image circles only: the polyhedron stays the base's
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path("relocation.plan").write_text(formats.emit_plan(
+        relocation_plan(), "roundmap.spoly", "roundmap.arr"))
+    assert main(["normalize", "relocation.plan", "-o", "relocated"]) == 0
+    assert "wrote relocated.spoly relocated.arr" in capsys.readouterr().out
+    text = Path("relocated.spoly").read_text()
+    assert text == Path("roundmap.spoly").read_text()
+    poly = formats.parse_spoly(text)
+    arr, data = formats.parse_arr(Path("relocated.arr").read_text())
+    assert validate_born_map(formats.assemble_born_map(poly, arr, data)).ok
+
+
+def test_cli_example_surgered_writes_the_fixtures(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "surgered", "-o", "ex"]) == 0
+    for suffix in ("spoly", "arr"):
+        assert (Path(f"ex.{suffix}").read_bytes()
+                == Path(repo_path("fixtures", f"surgered.{suffix}")).read_bytes())

@@ -11,7 +11,7 @@ from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 round_reeb)
 from spineforge.homology import gf2_rank, z2_homology
 from spineforge.obstruction import s3_obstruction
-from spineforge.subsurfaces import (_annotated, _closed_search,
+from spineforge.subsurfaces import (_annotated, _index,
                                     _selection_arc_slots,
                                     find_closed_surfaces, make_selection,
                                     selection_euler, selection_is_closed,
@@ -140,6 +140,13 @@ def test_open_selection_rejected():
     theta = build_theta()
     with pytest.raises(SelectionNotClosed):
         make_selection(theta, {"w0"})
+
+
+@pytest.mark.parametrize("check", [make_selection, surface_orientability])
+@pytest.mark.parametrize("sheets", [{"nope"}, {"w0", "nope"}])
+def test_selection_naming_an_unknown_sheet_is_rejected(check, sheets):
+    with pytest.raises(SelectionNotClosed, match=r"\['nope'\]"):
+        check(build_theta(), sheets)
 
 
 def test_truncation_reported():
@@ -276,15 +283,14 @@ def test_search_annotation_checks_closedness_of_every_subset():
     # the walk only yields closed selections; its annotation still checks,
     # here against the slow oracles on every subset of the candidates
     for poly in (build_theta(), tower(4), build_base_example().polyhedron):
-        search = _closed_search(poly, 1000)
+        order = _index(poly).order
         kinds = set()
-        for size in range(1, len(search.order) + 1):
-            for chosen in itertools.combinations(range(len(search.order)),
-                                                 size):
-                sheets = {search.order[i] for i in chosen}
+        for size in range(1, len(order) + 1):
+            for chosen in itertools.combinations(range(len(order)), size):
+                sheets = {order[i] for i in chosen}
                 closed = selection_is_closed(poly, sheets)
                 kinds.add(closed)
-                annotation = _annotated(poly, search, [(chosen, True)])
+                annotation = _annotated(poly, [(chosen, True)])
                 if not closed:
                     with pytest.raises(SelectionNotClosed):
                         next(annotation)
