@@ -154,7 +154,7 @@ def _check_arrangement(arr):
                 v.append(Violation("DanglingEdge", crossing.id, eid))
                 continue
             edge = arr.edge(eid)
-            if edge.closed or edge.ends[end] != (crossing.id, pos):
+            if edge.closed or end not in (0, 1) or edge.ends[end] != (crossing.id, pos):
                 v.append(Violation("DanglingEdge", crossing.id,
                                    f"{eid}:{end} backref"))
 

@@ -325,7 +325,7 @@ def _check_polyhedron(poly):
             if arc.closed:
                 v.append(Violation("StrandMismatch", vertex.id,
                                    f"{aid} is closed but listed at a vertex"))
-            elif arc.endpoints[end_index] != (vertex.id, port):
+            elif end_index not in (0, 1) or arc.endpoints[end_index] != (vertex.id, port):
                 v.append(Violation("StrandMismatch", vertex.id,
                                    f"port {port} vs {aid} end {end_index}"))
             key = (aid, end_index)

@@ -93,6 +93,7 @@ POLYHEDRON_CASES = {
         "arcs", "c1.0", endpoints=(("v_xa_0", 0), ("v_xa_1", 0))),
     "StrandMismatch:c2 is closed": lambda: vertex_ends(0, ("c2", 0)),
     "StrandMismatch:port 0 vs c1.0 end 0": lambda: vertex_ends(0, ("c1.0", 0)),
+    "StrandMismatch:port 0 vs c1.1 end 5": lambda: vertex_ends(0, ("c1.1", 5)),
     "VertexShape": lambda: poly_with(
         "vertices", "v_xa_0",
         ends=crossed().polyhedron.vertex("v_xa_0").ends[:3]),
@@ -119,6 +120,9 @@ ARRANGEMENT_CASES = {
     "DanglingEdge:e_1:0 backref": lambda: arr_with(
         "crossings", "x_5",
         order=(("e_1", 0), ("e_3", 0), ("e_2", 1), ("e_4", 1))),
+    "DanglingEdge:e_4:5 backref": lambda: arr_with(
+        "crossings", "x_5",
+        order=(("e_4", 5), ("e_1", 0), ("e_3", 0), ("e_2", 1))),
     "DanglingEdge:x_99": lambda: arr_with(
         "edges", "e_1", ends=(("x_99", 1), ("x_6", 1))),
     "UnknownCurve": lambda: arr_with("edges", "e_c2", curve="zz"),
