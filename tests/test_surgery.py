@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spineforge import formats
 from spineforge.arrangement import ArrangementBuilder
 from spineforge.core import euler_characteristic, is_normal, strand_circles, validate_polyhedron
 from spineforge.bornmap import validate_born_map
@@ -18,6 +19,7 @@ from spineforge.surgery import (ImageCircle, ImageRoute, PlanCircle,
                                 check_attachment_hypotheses, normalize_into_disk,
                                 normalized_plan)
 
+from conftest import repo_path
 from randgen import random_crossing_plan, random_interior_plan, random_round_map
 
 
@@ -366,14 +368,12 @@ def test_contour_walk_stops_on_inconsistent_crossing_rays(monkeypatch):
         attach_surface(crossing_plan_on_two_circles())
 
 
-def test_second_crossing_splits_an_edge_between_two_crossings():
-    """Cross a map that already has crossings along one of its branch edges
-    that runs from one crossing to another."""
-    once = attach_surface(crossing_plan_on_two_circles())
-    # c1 is now the sub-arcs c1.0 and c1.1 between the two new vertices;
-    # e_3 is the image of c1.0, from crossing x_5 to crossing x_6
+def second_crossing_plan(once):
+    """A circle crossing e_3 of `once`, the output of
+    crossing_plan_on_two_circles, twice: an edge from crossing to crossing.
+    c1 is now the sub-arcs c1.0 and c1.1 between the two new vertices, and
+    e_3 is the image of c1.0."""
     edge = once.arrangement.edge("e_3")
-    assert edge.ends == (("x_5", 2), ("x_6", 0))
     second = PlanCircle(
         id="xb",
         segments=(PlanSegment(sheet="s1"),
@@ -383,8 +383,18 @@ def test_second_crossing_splits_an_edge_between_two_crossings():
         image=ImageRoute(crossings=(("e_3", Fraction(1, 3)),
                                     ("e_3", Fraction(2, 3))),
                          runs=((edge.right, None), (edge.left, None))))
-    plan = SurgeryPlan(base=once, circles=(second,),
+    return SurgeryPlan(base=once, circles=(second,),
                        patch=SurfacePatch(True, 0, 1, id="q"))
+
+
+def test_second_crossing_splits_an_edge_between_two_crossings():
+    """Cross a map that already has crossings along one of its branch edges
+    that runs from one crossing to another."""
+    once = attach_surface(crossing_plan_on_two_circles())
+    # e_3 runs from crossing x_5 to crossing x_6
+    edge = once.arrangement.edge("e_3")
+    assert edge.ends == (("x_5", 2), ("x_6", 0))
+    plan = second_crossing_plan(once)
     assert check_attachment_hypotheses(plan).ok
     twice = attach_surface(plan)
     assert validate_born_map(twice).ok
@@ -400,3 +410,15 @@ def test_second_crossing_splits_an_edge_between_two_crossings():
     assert pieces[0].ends[0] == ("x_5", 2) and pieces[2].ends[1] == ("x_6", 0)
     assert pieces[0].ends[1][0] == pieces[1].ends[0][0]
     assert pieces[1].ends[1][0] == pieces[2].ends[0][0]
+
+
+def test_crossing_fixtures_regenerate_bit_identically():
+    # route insertion pinned byte for byte: one route crossing a closed
+    # edge, then one crossing an edge between two crossings
+    once = attach_surface(crossing_plan_on_two_circles())
+    twice = attach_surface(second_crossing_plan(once))
+    for name, born in (("crossed", once), ("crossed_twice", twice)):
+        for suffix, text in (("spoly", formats.emit_spoly(born.polyhedron)),
+                             ("arr", formats.emit_arr(born))):
+            with open(repo_path("fixtures", f"{name}.{suffix}")) as handle:
+                assert handle.read() == text, f"{name}.{suffix}"
