@@ -12,7 +12,7 @@ drawing hints to curves and faces; they carry no semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -113,17 +113,17 @@ def _side_face(edge, direction):
     return edge.left if direction > 0 else edge.right
 
 
-def _next_side(eid, direction, ends, rays):
+def _next_side(eid, direction, ends, crossings):
     """Continue a face-on-left contour walk past the end of (eid, direction).
 
-    `ends` are the edge's ends (None for a closed edge) and `rays` maps each
-    crossing id to its four rays.  Rays are stored in counterclockwise
+    `ends` are the edge's ends (None for a closed edge) and `crossings` maps
+    each crossing id to its Crossing.  Rays are stored in counterclockwise
     order, so walking with the face on the left turns from the arrival ray
     to its clockwise neighbor."""
     if ends is None:
         return eid, direction
     xid, pos = ends[1 if direction > 0 else 0]
-    out_edge, out_end = rays[xid][(pos - 1) % 4]
+    out_edge, out_end = crossings[xid].order[(pos - 1) % 4]
     return out_edge, (1 if out_end == 0 else -1)
 
 
@@ -205,7 +205,6 @@ def _check_arrangement(arr):
     # checked above via CurveChain for every consecutive pair.
 
     side_claims = {}
-    rays = {c.id: c.order for c in arr.crossings}
     for face in arr.faces:
         for contour in face.contours:
             if not contour:
@@ -224,7 +223,7 @@ def _check_arrangement(arr):
             for i, (eid, direction) in enumerate(contour):
                 nxt = contour[(i + 1) % len(contour)]
                 if (eid in arr._edge_by_id and _next_side(
-                        eid, direction, arr.edge(eid).ends, rays) != nxt):
+                        eid, direction, arr.edge(eid).ends, arr._crossing_by_id) != nxt):
                     v.append(Violation("ContourWalk", face.id, f"after {eid}:{direction}"))
 
     for edge in arr.edges:
@@ -334,17 +333,18 @@ class RouteFaceRun:
 
 
 class ArrangementBuilder:
-    """Mutable companion of CurveArrangement for curve insertion."""
+    """Curve insertion into a CurveArrangement.
+
+    The builder keeps the arrangement's frozen records in four id-keyed
+    dicts (`crossings`, `edges`, `curves`, `faces`) and changes a record by
+    storing a `dataclasses.replace` copy of it; `freeze` sorts each table by
+    id into a new CurveArrangement."""
 
     def __init__(self, arr):
-        self.crossings = {c.id: list(c.order) for c in arr.crossings}
-        self.edges = {e.id: {"curve": e.curve, "ends": e.ends,
-                             "left": e.left, "right": e.right} for e in arr.edges}
-        self.curves = {c.id: {"source": c.source, "edges": list(c.edges),
-                              "draw": c.draw} for c in arr.curves}
-        self.faces = {f.id: {"contours": [list(c) for c in f.contours],
-                             "unbounded": f.unbounded, "label": f.label,
-                             "draw": f.draw} for f in arr.faces}
+        self.crossings = {c.id: c for c in arr.crossings}
+        self.edges = {e.id: e for e in arr.edges}
+        self.curves = {c.id: c for c in arr.curves}
+        self.faces = {f.id: f for f in arr.faces}
         self._origins = {}  # face split off by a route -> the face it came from
         self._counter = 0
 
@@ -374,67 +374,55 @@ class ArrangementBuilder:
         else:
             left, right = host_face, inner_id
             inner_side, host_side = -1, 1
-        self.edges[edge_id] = {"curve": curve_id, "ends": None,
-                               "left": left, "right": right}
-        self.curves[curve_id] = {"source": source, "edges": [edge_id], "draw": draw}
-        self.faces[inner_id] = {"contours": [[(edge_id, inner_side)]],
-                                "unbounded": False, "label": label, "draw": None}
-        self.faces[host_face]["contours"].append([(edge_id, host_side)])
+        self.edges[edge_id] = ArrEdge(edge_id, curve_id, None, left, right)
+        self.curves[curve_id] = Curve(curve_id, source, (edge_id,), draw)
+        self.faces[inner_id] = Face(inner_id, (((edge_id, inner_side),),),
+                                    label=label)
+        host = self.faces[host_face]
+        self.faces[host_face] = replace(
+            host, contours=host.contours + (((edge_id, host_side),),))
         return inner_id
 
     # -- routes with crossings ------------------------------------------
 
     def _split_edge(self, eid, positions):
-        """Split directed edge `eid` at sorted positions; returns the fresh
-        crossing ids in order along the edge.
+        """Split edge `eid` at sorted positions into segments of its curve;
+        returns (crossing id, segment in, segment out) for each new crossing,
+        in order along the edge.  The crossings themselves are left to the
+        caller, and face contours still name `eid` until they are retraced.
 
         An edge with endpoints splits into n+1 segments, segment i running
         into crossing i; a closed edge splits into n segments cyclically,
         segment i-1 running into crossing i."""
-        info = self.edges.pop(eid)
-        closed = info["ends"] is None
-        n_segs = len(positions) if closed else len(positions) + 1
+        edge = self.edges.pop(eid)
+        n_segs = len(positions) if edge.closed else len(positions) + 1
         segs = [self.fresh("e_") for _ in range(n_segs)]
-        for seg in segs:
-            self.edges[seg] = {"curve": info["curve"], "ends": [None, None],
-                               "left": info["left"], "right": info["right"]}
         xids = [self.fresh("x_") for _ in positions]
-        shift = -1 if closed else 0
-        for i, xid in enumerate(xids):
-            seg_in = segs[(i + shift) % n_segs]
-            seg_out = segs[(i + shift + 1) % n_segs]
-            # the route rays 1 and 3 are filled by the caller
-            self.crossings[xid] = [(seg_in, 1), None, (seg_out, 0), None]
-            self.edges[seg_in]["ends"][1] = (xid, 0)
-            self.edges[seg_out]["ends"][0] = (xid, 2)
-        if not closed:
-            first, last = info["ends"]
-            self.edges[segs[0]]["ends"][0] = first
-            self.edges[segs[-1]]["ends"][1] = last
-            self.crossings[first[0]][first[1]] = (segs[0], 0)
-            self.crossings[last[0]][last[1]] = (segs[-1], 1)
-        for seg in segs:
-            self.edges[seg]["ends"] = tuple(self.edges[seg]["ends"])
-        # replace in curve edge list
-        curve_edges = self.curves[info["curve"]]["edges"]
-        at = curve_edges.index(eid)
-        curve_edges[at:at + 1] = segs
-        # update contours containing the old edge
-        for face in self.faces.values():
-            for contour in face["contours"]:
-                out = []
-                for ceid, direction in contour:
-                    if ceid != eid:
-                        out.append((ceid, direction))
-                    elif direction > 0:
-                        out.extend((s, 1) for s in segs)
-                    else:
-                        out.extend((s, -1) for s in reversed(segs))
-                contour[:] = out
-        return xids
+        starts = [(xid, 2) for xid in xids]
+        stops = [(xid, 0) for xid in xids]
+        if edge.closed:
+            stops = stops[1:] + stops[:1]
+        else:
+            starts.insert(0, edge.ends[0])
+            stops.append(edge.ends[1])
+            self._set_ray(*edge.ends[0], (segs[0], 0))
+            self._set_ray(*edge.ends[1], (segs[-1], 1))
+        for seg, start, stop in zip(segs, starts, stops):
+            self.edges[seg] = replace(edge, id=seg, ends=(start, stop))
+        curve = self.curves[edge.curve]
+        at = curve.edges.index(eid)
+        self.curves[edge.curve] = replace(
+            curve, edges=curve.edges[:at] + tuple(segs) + curve.edges[at + 1:])
+        shift = -1 if edge.closed else 0
+        return [(xid, segs[(i + shift) % n_segs], segs[(i + shift + 1) % n_segs])
+                for i, xid in enumerate(xids)]
 
-    def insert_route(self, curve_id, crossing_points, face_runs, source,
-                     draw=None):
+    def _set_ray(self, xid, pos, ray):
+        crossing = self.crossings[xid]
+        order = crossing.order[:pos] + (ray,) + crossing.order[pos + 1:]
+        self.crossings[xid] = replace(crossing, order=order)
+
+    def insert_route(self, curve_id, crossing_points, face_runs, source):
         """Insert a closed oriented route crossing existing edges.
 
         crossing_points: list of RouteCross; face_runs: list of RouteFaceRun,
@@ -458,49 +446,40 @@ class ArrangementBuilder:
             positions_seen[eid] = sorted(items)
 
         route_edge_ids = [self.fresh("e_") for _ in range(k)]
-        new_crossing_of = [None] * k
-
+        splits = [None] * k  # (crossing id, segment in, segment out)
         for eid, items in positions_seen.items():
-            xids = self._split_edge(eid, [p for p, _ in items])
-            for (_, idx), xid in zip(items, xids):
-                new_crossing_of[idx] = xid
+            for (_, idx), split in zip(items, self._split_edge(eid, [p for p, _ in items])):
+                splits[idx] = split
 
-        # fill route rays: crossing i joins route edge i-1 (incoming) and i
-        # (outgoing); ray side depends on which face the route comes from
-        for i in range(k):
-            xid = new_crossing_of[i]
-            seg_in, _ = self.crossings[xid][0]
-            left, right = self.edges[seg_in]["left"], self.edges[seg_in]["right"]
-            prev_face = face_runs[(i - 1) % k].face
-            next_face = face_runs[i].face
-            from_face = self._resolve_side(prev_face, (left, right))
-            to_face = self._resolve_side(next_face, (left, right))
+        # crossing i joins route edge i-1 (incoming) and i (outgoing); the
+        # route leaves on ray 1 when it comes from the crossed edge's left
+        out_rays = []
+        for i, (xid, seg_in, seg_out) in enumerate(splits):
+            sides = (self.edges[seg_in].left, self.edges[seg_in].right)
+            from_face = self._resolve_side(face_runs[i - 1].face, sides)
+            to_face = self._resolve_side(face_runs[i].face, sides)
             if from_face == to_face:
                 raise PlanError("NonTransverse",
                                 f"route {curve_id} does not cross {seg_in}")
-            r_in = (route_edge_ids[(i - 1) % k], 1)
+            r_in = (route_edge_ids[i - 1], 1)
             r_out = (route_edge_ids[i], 0)
-            if from_face == left:
+            if from_face == sides[0]:
                 # crossing left -> right: ccw rays (e_in, r_out, e_out, r_in)
-                self.crossings[xid][1] = r_out
-                self.crossings[xid][3] = r_in
+                out_rays.append(1)
+                order = ((seg_in, 1), r_out, (seg_out, 0), r_in)
             else:
-                self.crossings[xid][1] = r_in
-                self.crossings[xid][3] = r_out
+                out_rays.append(3)
+                order = ((seg_in, 1), r_in, (seg_out, 0), r_out)
+            self.crossings[xid] = Crossing(xid, order)
 
         for i, reid in enumerate(route_edge_ids):
-            xa = new_crossing_of[i]
-            xb = new_crossing_of[(i + 1) % k]
-            pos_a = self.crossings[xa].index((reid, 0))
-            pos_b = self.crossings[xb].index((reid, 1))
-            self.edges[reid] = {"curve": curve_id,
-                                "ends": ((xa, pos_a), (xb, pos_b)),
-                                "left": None, "right": None}
-        self.curves[curve_id] = {"source": source, "edges": list(route_edge_ids),
-                                 "draw": draw}
+            j = (i + 1) % k
+            ends = ((splits[i][0], out_rays[i]), (splits[j][0], 4 - out_rays[j]))
+            self.edges[reid] = ArrEdge(reid, curve_id, ends, None, None)
+        self.curves[curve_id] = Curve(curve_id, source, tuple(route_edge_ids))
 
         self._resplit_faces(route_edge_ids, face_runs)
-        return new_crossing_of
+        return [xid for xid, _, _ in splits]
 
     def _resolve_side(self, declared_face, sides):
         """Map a declared (possibly already split) face onto an edge side."""
@@ -519,16 +498,17 @@ class ArrangementBuilder:
         return fid
 
     def _resplit_faces(self, route_edge_ids, face_runs):
-        """Retrace contours around the new route and reassemble faces."""
+        """Retrace every contour of the faces the route runs through, and
+        reassemble those faces from the traced cycles."""
         route_set = set(route_edge_ids)
         touched_faces = set()
         for reid in route_edge_ids:
             # the faces the route runs through, via its crossings' seg edges
-            xa, _ = self.edges[reid]["ends"][0]
-            for eid, _ in self.crossings[xa]:
+            xa, _ = self.edges[reid].ends[0]
+            for eid, _ in self.crossings[xa].order:
                 if eid not in route_set:
-                    touched_faces.add(self.edges[eid]["left"])
-                    touched_faces.add(self.edges[eid]["right"])
+                    touched_faces.add(self.edges[eid].left)
+                    touched_faces.add(self.edges[eid].right)
         holes_decl = {}
         for run in face_runs:
             origin = self._face_origin(run.face)
@@ -541,42 +521,36 @@ class ArrangementBuilder:
             # a contour passes each side of an edge at most once
             for _ in range(2 * len(self.edges)):
                 cur = cycle[-1]
-                nxt = _next_side(*cur, self.edges[cur[0]]["ends"], self.crossings)
+                nxt = _next_side(*cur, self.edges[cur[0]].ends, self.crossings)
                 if nxt == cycle[0]:
-                    return cycle
+                    return tuple(cycle)
                 cycle.append(nxt)
             raise RuntimeError(f"contour from side {cycle[0]} does not close: "
                                "the crossing rays disagree with the edge ends")
 
         # directed sides belonging to touched faces (old assignment) or routes
         pending = set()
-        for eid, info in self.edges.items():
+        for eid, edge in self.edges.items():
             if eid in route_set:
                 pending.add((eid, 1))
                 pending.add((eid, -1))
             else:
-                if info["left"] in touched_faces:
+                if edge.left in touched_faces:
                     pending.add((eid, 1))
-                if info["right"] in touched_faces:
+                if edge.right in touched_faces:
                     pending.add((eid, -1))
 
         cycles = []
         while pending:
-            eid, direction = min(pending)
-            cycle = walk(eid, direction)
-            for item in cycle:
-                pending.discard(item)
+            cycle = walk(*min(pending))
+            pending.difference_update(cycle)
             cycles.append(cycle)
 
         # group cycles by the original face they bound
         groups = {}
         for cycle in cycles:
-            votes = set()
-            for eid, direction in cycle:
-                if eid in route_set:
-                    continue
-                info = self.edges[eid]
-                votes.add(info["left"] if direction > 0 else info["right"])
+            votes = {_side_face(self.edges[eid], direction)
+                     for eid, direction in cycle if eid not in route_set}
             if len(votes) != 1:
                 raise PlanError("RouteShape", f"ambiguous face for cycle: {sorted(votes)}")
             groups.setdefault(votes.pop(), []).append(cycle)
@@ -591,20 +565,19 @@ class ArrangementBuilder:
             if len(route_cycles) <= 1:
                 # nothing split off (route merged contours, or face only
                 # touched through shared crossings); face keeps its identity
-                contours = [[tuple(x) for x in c] for c in route_cycles + hole_cycles]
-                self.faces[fid] = {"contours": contours,
-                                   "unbounded": face["unbounded"],
-                                   "label": face["label"], "draw": face["draw"]}
+                self.faces[fid] = replace(
+                    face, contours=tuple(route_cycles + hole_cycles))
                 for cycle in route_cycles:
                     self._set_route_sides(cycle, fid)
                 continue
 
-            if face["unbounded"]:
+            if face.unbounded:
                 raise PlanError("UnsupportedRoute", "chord through the unbounded face")
             if hole_cycles and len(route_cycles) != 2:
                 raise PlanError("UnsupportedRoute",
                                 "multiple chords through a face with holes")
-            if hole_cycles and holes_decl.get(self._face_origin(fid)) is None:
+            side = holes_decl.get(self._face_origin(fid))
+            if hole_cycles and side is None:
                 raise PlanError("UnsupportedRoute",
                                 f"face {fid} split with undeclared hole side")
 
@@ -612,21 +585,20 @@ class ArrangementBuilder:
             for cycle in sorted(route_cycles, key=min):
                 new_id = self.fresh("f_")
                 self._origins[new_id] = self._face_origin(fid)
-                self.faces[new_id] = {"contours": [[tuple(x) for x in cycle]],
-                                      "unbounded": False,
-                                      "label": face["label"], "draw": face["draw"]}
+                self.faces[new_id] = replace(face, id=new_id, contours=(cycle,))
                 new_ids.append(new_id)
                 self._set_route_sides(cycle, new_id)
             if hole_cycles:
-                side = holes_decl.get(self._face_origin(fid))
                 target = self._piece_on_side(new_ids, route_set, side)
+                piece = self.faces[target]
+                self.faces[target] = replace(
+                    piece, contours=piece.contours + tuple(hole_cycles))
                 for cycle in hole_cycles:
-                    self.faces[target]["contours"].append([tuple(x) for x in cycle])
                     self._set_route_sides(cycle, target)
 
     def _piece_on_side(self, new_ids, route_set, side):
         for fid in new_ids:
-            for contour in self.faces[fid]["contours"]:
+            for contour in self.faces[fid].contours:
                 for eid, direction in contour:
                     if eid in route_set:
                         if side == "left" and direction > 0:
@@ -637,27 +609,16 @@ class ArrangementBuilder:
 
     def _set_route_sides(self, cycle, face_id):
         for eid, direction in cycle:
-            info = self.edges[eid]
-            if direction > 0:
-                info["left"] = face_id
-            else:
-                info["right"] = face_id
+            edge = self.edges[eid]
+            self.edges[eid] = (replace(edge, left=face_id) if direction > 0
+                               else replace(edge, right=face_id))
 
     # -- retagging and freezing -----------------------------------------
 
     def retag_curve(self, curve_id, source):
-        self.curves[curve_id]["source"] = source
+        self.curves[curve_id] = replace(self.curves[curve_id], source=source)
 
     def freeze(self):
-        crossings = tuple(Crossing(xid, tuple(order))
-                          for xid, order in sorted(self.crossings.items()))
-        edges = tuple(ArrEdge(eid, info["curve"],
-                              info["ends"] if info["ends"] is None else tuple(info["ends"]),
-                              info["left"], info["right"])
-                      for eid, info in sorted(self.edges.items()))
-        curves = tuple(Curve(cid, info["source"], tuple(info["edges"]), info.get("draw"))
-                       for cid, info in sorted(self.curves.items()))
-        faces = tuple(Face(fid, tuple(tuple(c) for c in info["contours"]),
-                           info["unbounded"], info["label"], info.get("draw"))
-                      for fid, info in sorted(self.faces.items()))
-        return CurveArrangement(crossings, edges, curves, faces)
+        return CurveArrangement(*(tuple(table[key] for key in sorted(table))
+                                  for table in (self.crossings, self.edges,
+                                                self.curves, self.faces)))

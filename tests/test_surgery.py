@@ -359,8 +359,10 @@ def test_contour_walk_stops_on_inconsistent_crossing_rays(monkeypatch):
     resplit = ArrangementBuilder._resplit_faces
 
     def corrupted(self, route_edge_ids, face_runs):
-        xid, _ = self.edges[route_edge_ids[0]]["ends"][0]
-        self.crossings[xid][1] = self.crossings[xid][0]
+        xid, _ = self.edges[route_edge_ids[0]].ends[0]
+        order = self.crossings[xid].order
+        self.crossings[xid] = replace(self.crossings[xid],
+                                      order=(order[0], order[0]) + order[2:])
         return resplit(self, route_edge_ids, face_runs)
 
     monkeypatch.setattr(ArrangementBuilder, "_resplit_faces", corrupted)
