@@ -32,6 +32,10 @@ class _FileAccessError(Exception):
     """A file named on the command line could not be read or written."""
 
 
+class _InvalidInput(Exception):
+    """An input failed validation; its report is printed and the status is 1."""
+
+
 def _reason(exc):
     if isinstance(exc, UnicodeDecodeError):
         return (f"not UTF-8 text (byte {exc.object[exc.start]:#04x} "
@@ -73,6 +77,20 @@ def _with_arr(poly, arr_path):
     return formats.assemble_born_map(poly, arr, data)
 
 
+def _valid_polyhedron(path):
+    poly = _load_polyhedron(path)
+    report = validate_polyhedron(poly)
+    if not report.ok:
+        raise _InvalidInput(report)
+    return poly
+
+
+def _write_pair(prefix, born):
+    """Write `born` to prefix.spoly and prefix.arr; returns the two paths."""
+    return (_write_atomic(prefix + ".spoly", formats.emit_spoly(born.polyhedron)),
+            _write_atomic(prefix + ".arr", formats.emit_arr(born)))
+
+
 def _load_born(spoly_path, arr_path):
     return _with_arr(_load_polyhedron(spoly_path), arr_path)
 
@@ -103,22 +121,12 @@ def cmd_validate(args):
 
 
 def cmd_euler(args):
-    poly = _load_polyhedron(args.spoly)
-    report = validate_polyhedron(poly)
-    if not report.ok:
-        print(report)
-        return 1
-    print(euler_characteristic(poly))
+    print(euler_characteristic(_valid_polyhedron(args.spoly)))
     return 0
 
 
 def cmd_homology(args):
-    poly = _load_polyhedron(args.spoly)
-    report = validate_polyhedron(poly)
-    if not report.ok:
-        print(report)
-        return 1
-    b0, b1, b2 = z2_homology(poly)
+    b0, b1, b2 = z2_homology(_valid_polyhedron(args.spoly))
     print(f"b0={b0} b1={b1} b2={b2}")
     return 0
 
@@ -126,9 +134,7 @@ def cmd_homology(args):
 def cmd_surgery(args):
     plan = _load_plan(args.plan)
     result = attach_surface(plan)
-    spoly_path = _write_atomic(args.output + ".spoly",
-                               formats.emit_spoly(result.polyhedron))
-    arr_path = _write_atomic(args.output + ".arr", formats.emit_arr(result))
+    spoly_path, arr_path = _write_pair(args.output, result)
     print(f"attached {plan.patch.id} along {len(plan.circles)} circles")
     print(f"characteristic: {euler_characteristic(result.polyhedron)}")
     print(f"wrote {spoly_path} {arr_path}")
@@ -137,21 +143,14 @@ def cmd_surgery(args):
 
 def cmd_normalize(args):
     plan = _load_plan(args.plan)
-    result = normalize_into_disk(plan)
-    spoly_path = _write_atomic(args.output + ".spoly",
-                               formats.emit_spoly(result.polyhedron))
-    arr_path = _write_atomic(args.output + ".arr", formats.emit_arr(result))
+    spoly_path, arr_path = _write_pair(args.output, normalize_into_disk(plan))
     print(f"relocated {len(plan.circles)} circle images")
     print(f"wrote {spoly_path} {arr_path}")
     return 0
 
 
 def cmd_obstruct(args):
-    poly = _load_polyhedron(args.spoly)
-    report = validate_polyhedron(poly)
-    if not report.ok:
-        print(report)
-        return 1
+    poly = _valid_polyhedron(args.spoly)
     verdict, witness, truncated = s3_obstruction(poly, args.bound)
     if truncated:
         print(f"search truncated at bound {args.bound}")
@@ -197,10 +196,7 @@ def cmd_example(args):
     else:
         born = build_surgered_example()
         prefix = args.output or "surgered"
-    spoly_path = _write_atomic(prefix + ".spoly",
-                               formats.emit_spoly(born.polyhedron))
-    arr_path = _write_atomic(prefix + ".arr", formats.emit_arr(born))
-    written = [spoly_path, arr_path]
+    written = list(_write_pair(prefix, born))
     if args.which == "base":
         plan_path = _write_atomic(
             prefix + "_klein.plan",
@@ -303,6 +299,9 @@ def main(argv=None):
     except _FileAccessError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except _InvalidInput as exc:
+        print(exc)
+        return 1
     except SpineForgeError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1

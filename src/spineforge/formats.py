@@ -251,6 +251,14 @@ def emit_arr(born_or_arr):
     return "\n".join(out) + "\n"
 
 
+def _put(table, tokens, lineno, value):
+    """Store the value of record `tokens` under its key, tokens[1]; a
+    second record for the same key is a ParseError, not an overwrite."""
+    if tokens[1] in table:
+        raise ParseError(f"line {lineno}: repeated {tokens[0]} {tokens[1]}")
+    table[tokens[1]] = value
+
+
 def parse_arr(text):
     """Returns (CurveArrangement, born_data).
 
@@ -315,24 +323,26 @@ def parse_arr(text):
             contours[fid].append(tuple(sides))
         elif tag == "COUNT":
             _shape(tokens, lineno, "COUNT _ _")
-            counts[tokens[1]] = _int(tokens[2], lineno)
+            _put(counts, tokens, lineno, _int(tokens[2], lineno))
         elif tag == "ASSIGN":
             _shape(tokens, lineno, "ASSIGN _ curve _ dir _ heavy _")
-            assignments[tokens[1]] = {
+            _put(assignments, tokens, lineno, {
                 "curve": tokens[3],
                 "direction": _sign(tokens[5], lineno),
                 "heavy": tokens[7],
-            }
+            })
         elif tag == "WINGSIDE":
             _shape(tokens, lineno, "WINGSIDE _", more=True)
+            if tokens[1] not in assignments:
+                raise ParseError(f"line {lineno}: WINGSIDE before ASSIGN {tokens[1]}")
             sides = []
             for token in tokens[2:]:
                 aid, slot, side = _fields(token, 3, lineno)
                 sides.append(((aid, _int(slot, lineno)), side))
-            wing_sides[tokens[1]] = tuple(sides)
+            _put(wing_sides, tokens, lineno, tuple(sides))
         elif tag == "VERTEXMAP":
             _shape(tokens, lineno, "VERTEXMAP _ _")
-            vertexmap[tokens[1]] = tokens[2]
+            _put(vertexmap, tokens, lineno, tokens[2])
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
     face_specs = tuple(Face(fid, tuple(contours[fid]), unbounded, label, draw)

@@ -51,9 +51,16 @@ def _selection_arc_slots(poly, sheets):
     return out
 
 
+def _require_known(poly, sheets):
+    unknown = set(sheets) - poly._sheet_by_id.keys()
+    if unknown:
+        raise SelectionNotClosed(f"selection names unknown sheets {sorted(unknown)}")
+
+
 def selection_is_closed(poly, sheets):
     """Degree check: 0 or 2 selected wings on every arc, which leaves none
     on a boundary arc, since it has one."""
+    _require_known(poly, sheets)
     return all(len(_selected(poly, arc, sheets)) in (0, 2) for arc in poly.arcs)
 
 
@@ -68,6 +75,7 @@ def _selection_connected(poly, sheets):
 
 def selection_euler(poly, sheets):
     """Characteristic of the subsurface carried by the selected sheets."""
+    _require_known(poly, sheets)
     used_arcs = [a for a in poly.arcs if len(_selected(poly, a, sheets)) == 2]
     used_open = [a for a in used_arcs if not a.closed]
     used_vertices = {vid for a in used_open for vid, _ in a.endpoints}
@@ -78,6 +86,7 @@ def selection_euler(poly, sheets):
 def selection_orientable(poly, sheets):
     """Parity union-find over selected sheets; opposite induced directions
     along each shared arc are the compatible case."""
+    _require_known(poly, sheets)
     if any(not poly.sheet(sid).orientable for sid in sheets):
         return False
     uf = ParityUnionFind(sheets)
@@ -95,9 +104,6 @@ def make_selection(poly, sheets):
     """Build an annotated SurfaceSelection; raises when not closed/connected."""
     require_valid(poly)
     sheets = frozenset(sheets)
-    unknown = sheets - poly._sheet_by_id.keys()
-    if unknown:
-        raise SelectionNotClosed(f"selection names unknown sheets {sorted(unknown)}")
     if not selection_is_closed(poly, sheets):
         raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
     if not _selection_connected(poly, sheets):

@@ -182,6 +182,12 @@ def check_attachment_hypotheses(plan):
     chord_sheets = {}
     interior_sheets = {}
     for circle in plan.circles:
+        if circle.patch_dir not in (1, -1):
+            v.append(Violation("SignRange", circle.id,
+                               f"patch_dir {circle.patch_dir}"))
+        if isinstance(circle.image, ImageCircle) and circle.image.orient not in (1, -1):
+            v.append(Violation("SignRange", circle.id,
+                               f"orient {circle.image.orient}"))
         k = len(circle.events)
         if k == 0:
             if len(circle.segments) != 1 or not isinstance(circle.image, ImageCircle):

@@ -140,6 +140,28 @@ def test_malformed_plan_record_is_a_parse_error(record):
         formats.parse_plan(text)
 
 
+@pytest.mark.parametrize("records, message", [
+    (["WINGSIDE zz c1:0:L"], "WINGSIDE before ASSIGN zz"),
+    (["COUNT r0 7"], "repeated COUNT r0"),
+    (["ASSIGN c1 curve im_c1 dir + heavy R"], "repeated ASSIGN c1"),
+    (["WINGSIDE c1 c1:0:R c1:1:R c1:2:L"], "repeated WINGSIDE c1"),
+    (["VERTEXMAP v0 x0", "VERTEXMAP v0 x1"], "repeated VERTEXMAP v0"),
+])
+def test_arr_record_that_would_be_dropped_is_a_parse_error(
+        records, message, tmp_path, monkeypatch, capsys):
+    # an unassigned strand's wing sides, or a second value for a key,
+    # would otherwise be dropped or overwrite the first without a trace
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    lines = Path("roundmap.arr").read_text().splitlines() + records
+    Path("bad.arr").write_text("\n".join(lines) + "\n")
+    with pytest.raises(formats.ParseError, match=f"^line {len(lines)}: {message}$"):
+        formats.parse_arr(Path("bad.arr").read_text())
+    capsys.readouterr()
+    assert main(["validate", "roundmap.spoly", "bad.arr"]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: line {len(lines)}: ")
+
+
 def test_cli_obstruct_on_malformed_record_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("bad.spoly").write_text("POLY p\nSHEET a orientable q\n")

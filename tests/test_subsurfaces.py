@@ -142,7 +142,9 @@ def test_open_selection_rejected():
         make_selection(theta, {"w0"})
 
 
-@pytest.mark.parametrize("check", [make_selection, surface_orientability])
+@pytest.mark.parametrize("check", [make_selection, surface_orientability,
+                                   selection_is_closed, selection_euler,
+                                   selection_orientable])
 @pytest.mark.parametrize("sheets", [{"nope"}, {"w0", "nope"}])
 def test_selection_naming_an_unknown_sheet_is_rejected(check, sheets):
     with pytest.raises(SelectionNotClosed, match=r"\['nope'\]"):

@@ -36,6 +36,24 @@ def test_boundary_mismatch_detected():
     assert any(v.code == "BoundaryMismatch" for v in report.violations)
 
 
+@pytest.mark.parametrize("value", [0, 2])
+@pytest.mark.parametrize("field", ["patch_dir", "orient"])
+def test_sign_outside_plus_minus_one_is_rejected(field, value):
+    plan = klein_plan()
+    circle = plan.circles[0]
+    if field == "patch_dir":
+        circle = replace(circle, patch_dir=value)
+    else:
+        circle = replace(circle, image=replace(circle.image, orient=value))
+    plan = replace(plan, circles=(circle,) + plan.circles[1:])
+    report = check_attachment_hypotheses(plan)
+    assert [(v.code, v.detail) for v in report.violations] == \
+        [("SignRange", f"{field} {value}")]
+    with pytest.raises(PlanError) as caught:
+        attach_surface(plan)
+    assert caught.value.code == "SignRange"
+
+
 def test_touching_event_is_not_transverse():
     base = round_reeb(RoundSpec(circles=(
         RoundCircle("triple", 2, 1, pos=0, radius=1),
