@@ -448,7 +448,8 @@ class ArrangementBuilder:
         route_edge_ids = [self.fresh("e_") for _ in range(k)]
         splits = [None] * k  # (crossing id, segment in, segment out)
         for eid, items in positions_seen.items():
-            for (_, idx), split in zip(items, self._split_edge(eid, [p for p, _ in items])):
+            made = self._split_edge(eid, [p for p, _ in items])
+            for (_, idx), split in zip(items, made):
                 splits[idx] = split
 
         # crossing i joins route edge i-1 (incoming) and i (outgoing); the
