@@ -452,8 +452,9 @@ class ArrangementBuilder:
             for (_, idx), split in zip(items, made):
                 splits[idx] = split
 
-        # crossing i joins route edge i-1 (incoming) and i (outgoing); the
-        # route leaves on ray 1 when it comes from the crossed edge's left
+        # crossing i joins route edge i-1 (incoming) and i (outgoing); coming
+        # from the crossed edge's left, the route leaves on ray 1 and arrives
+        # on ray 3, and from its right the other way round
         out_rays = []
         for i, (xid, seg_in, seg_out) in enumerate(splits):
             sides = (self.edges[seg_in].left, self.edges[seg_in].right)
