@@ -119,6 +119,14 @@ def _sign_str(value):
     return "+" if value > 0 else "-"
 
 
+def _once(seen, tokens, lineno):
+    """Marks a record that a file holds at most once, such as ``POLY``; a
+    second one is a ParseError, not an overwrite."""
+    if tokens[0] in seen:
+        raise ParseError(f"line {lineno}: repeated {tokens[0]} record")
+    seen.add(tokens[0])
+
+
 # ---------------------------------------------------------------------------
 # .spoly
 # ---------------------------------------------------------------------------
@@ -152,9 +160,11 @@ def parse_spoly(text):
     circuits = {}        # sheet id -> list of circuits
     arcs = []
     vertices = []
+    seen = set()
     for lineno, tokens in _records(text):
         tag = tokens[0]
         if tag == "POLY":
+            _once(seen, tokens, lineno)
             name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "SHEET":
             _shape(tokens, lineno, "SHEET _ _ _")
@@ -275,9 +285,11 @@ def parse_arr(text):
     wing_sides = {}
     vertexmap = {}
     name = ""
+    seen = set()
     for lineno, tokens in _records(text):
         tag = tokens[0]
         if tag == "NAME":
+            _once(seen, tokens, lineno)
             name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "CROSSING":
             _shape(tokens, lineno, "CROSSING _ _ _ _ _")
@@ -437,6 +449,7 @@ def _in_order(table):
 
 
 _CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN")
+_SINGLE_RECORDS = ("PLAN", "BASE", "PATCH", "WITNESS")
 
 
 def parse_plan(text):
@@ -449,16 +462,21 @@ def parse_plan(text):
     patch_dirs = {}
     segments = {}
     events = {}
-    images = {}
-    route_crossings = {}
+    images = {}          # circle id -> ImageCircle, or route crossings
     route_runs = {}
     disks = []
     witness = None
+    seen = set()
     for lineno, tokens in _records(text):
         tag = tokens[0]
         cid = tokens[1] if len(tokens) > 1 else None
         if tag in _CIRCLE_PARTS and cid not in patch_dirs:
             raise ParseError(f"line {lineno}: {tag} names no earlier CIRCLE")
+        if tag in _SINGLE_RECORDS:
+            _once(seen, tokens, lineno)
+        if tag in ("IMAGECIRCLE", "IMAGEROUTE") and cid in images:
+            raise ParseError(f"line {lineno}: second image record for "
+                             f"circle {cid}")
         if tag == "PLAN":
             name = tokens[1] if len(tokens) > 1 else ""
         elif tag == "BASE":
@@ -516,7 +534,7 @@ def parse_plan(text):
                     raise ParseError(f"line {lineno}: expected edge@position, "
                                      f"got {token!r}")
                 crossings.append((eid, _fraction(pos, lineno)))
-            route_crossings[cid] = tuple(crossings)
+            images[cid] = tuple(crossings)
         elif tag == "IMAGERUN":
             _shape(tokens, lineno, "IMAGERUN _ _ face _", more=True)
             holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
@@ -546,11 +564,9 @@ def parse_plan(text):
         raise ParseError("plan has no PATCH record")
     circles = []
     for cid in order:
-        if cid in images:
-            image = images[cid]
-        else:
-            image = ImageRoute(route_crossings.get(cid, ()),
-                               _in_order(route_runs[cid]))
+        image = images.get(cid, ())
+        if not isinstance(image, ImageCircle):
+            image = ImageRoute(image, _in_order(route_runs[cid]))
         circles.append(PlanCircle(cid, _in_order(segments[cid]),
                                   _in_order(events[cid]), image, patch_dirs[cid]))
     plan = SurgeryPlan(base=None, circles=tuple(circles), patch=patch,

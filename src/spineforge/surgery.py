@@ -11,8 +11,9 @@ image curves, which is the covering multiplicity of the immersed patch.
 
 Supported itineraries: circles without crossings bound disks inside a
 single sheet; circles with crossings run through disk sheets (any number
-of chords) or through orientable non-disk sheets (a single chord with a
-declared genus/circuit split).  Anything else is rejected.
+of chords) or through orientable non-disk sheets (a single chord, with a
+declared genus/circuit split when it separates the sheet).  Anything else
+is rejected.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import (ContainmentViolated, NoEmptyRegion, PatchNotOrientable,
 @dataclass(frozen=True)
 class PlanSegment:
     sheet: str
-    # declared split for a single chord through a non-disk sheet: genus and
-    # whole-circuit indices carried by the piece crossing the chord backward
+    # declared split for a single chord separating a non-disk sheet: genus
+    # and whole-circuit indices carried by the piece crossing it backward
     side_genus: int | None = None
     side_circuits: tuple | None = None
 
@@ -366,21 +367,15 @@ class _ArcSplits:
 # sheet cutting
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Chord:
-    circle: str
-    index: int             # segment index within the circle
-    sheet: str
-    t_arc: str
-    # endpoints: (arc, position, slot, original-direction flag of that wing)
-    p: tuple
-    q: tuple
+    t_arc: str             # the new triple arc along the chord
+    p: tuple               # (arc, slot) of the wing the chord leaves
+    q: tuple               # (arc, slot) of the wing the chord reaches
     p_vertex: str
     q_vertex: str
     side_genus: int | None
     side_circuits: tuple | None
-    minus_piece: str | None = None
-    plus_piece: str | None = None
 
 
 def _expand_circuit(splits, circuit, marks_by_wing):
@@ -406,14 +401,17 @@ def _expand_circuit(splits, circuit, marks_by_wing):
 
 def _cut_sheet(splits, sheet, chords):
     """Cut one sheet along its chords; returns its pieces, a list of
-    (piece_id, circuits, genus) -- all orientable -- and records on each
-    chord the pieces on its two sides.
-    """
+    (piece_id, circuits, genus) -- all orientable.
+
+    The piece crossing a chord backward (its minus side) runs the chord's
+    new arc backward on slot 1, and the piece on its plus side runs it
+    forward on slot 2; one piece may hold both when the chord does not
+    separate the sheet."""
     marks_by_wing = {}
     for chord in chords:
-        for end, (arc, _, slot, _), vid in (("p", chord.p, chord.p_vertex),
-                                             ("q", chord.q, chord.q_vertex)):
-            marks_by_wing.setdefault((arc, slot), {})[vid] = (chord, end)
+        for end, wing, vid in (("p", chord.p, chord.p_vertex),
+                               ("q", chord.q, chord.q_vertex)):
+            marks_by_wing.setdefault(wing, {})[vid] = (chord, end)
 
     circuits_atoms = [_expand_circuit(splits, c, marks_by_wing)
                       for c in sheet.circuits]
@@ -423,23 +421,25 @@ def _cut_sheet(splits, sheet, chords):
     for ci, atoms in enumerate(circuits_atoms):
         for ai, atom in enumerate(atoms):
             if atom[0] == "mark":
-                mark_pos[(atom[1].circle, atom[1].index, atom[2])] = (ci, ai)
+                mark_pos[(atom[1].t_arc, atom[2])] = (ci, ai)
 
+    untouched = [ci for ci, atoms in enumerate(circuits_atoms)
+                 if not any(a[0] == "mark" for a in atoms)]
     used = set()
-    cycles = []          # (items, circuit_indices_touched)
-    cycle_of_chordside = {}
+    cycles = []          # the circuits through chords, in walk order
+    minus_cycle = {}     # new arc id -> index of the cycle on its minus side
 
     for ci, atoms in enumerate(circuits_atoms):
+        if ci in untouched:
+            continue
         for ai, atom in enumerate(atoms):
             if atom[0] != "trav" or (ci, ai) in used:
                 continue
             items = []
-            touched = set()
             cur = (ci, ai)
             while cur not in used:
                 used.add(cur)
                 cci, cai = cur
-                touched.add(cci)
                 current = circuits_atoms[cci][cai]
                 if current[0] == "trav":
                     items.append(current[1])
@@ -448,58 +448,34 @@ def _cut_sheet(splits, sheet, chords):
                 chord, end = current[1], current[2]
                 if end == "q":
                     items.append(WingTraversal(chord.t_arc, 1, -1))
-                    cycle_of_chordside[(chord.circle, chord.index, "minus")] = len(cycles)
-                    mate = mark_pos[(chord.circle, chord.index, "p")]
+                    minus_cycle[chord.t_arc] = len(cycles)
+                    mci, mai = mark_pos[(chord.t_arc, "p")]
                 else:
                     items.append(WingTraversal(chord.t_arc, 2, 1))
-                    cycle_of_chordside[(chord.circle, chord.index, "plus")] = len(cycles)
-                    mate = mark_pos[(chord.circle, chord.index, "q")]
-                mci, mai = mate
-                touched.add(mci)
+                    mci, mai = mark_pos[(chord.t_arc, "q")]
                 cur = (mci, (mai + 1) % len(circuits_atoms[mci]))
-            cycles.append((tuple(items), touched))
-
-    untouched = [ci for ci, atoms in enumerate(circuits_atoms)
-                 if not any(a[0] == "mark" for a in atoms)]
+            cycles.append(tuple(items))
 
     if _is_disk(sheet):
-        pieces = []
-        for k, (items, _touched) in enumerate(cycles):
-            pieces.append((f"{sheet.id}.p{k}", (items,), 0))
-        piece_ids = [p[0] for p in pieces]
-        cycle_piece = {i: piece_ids[i] for i in range(len(cycles))}
-    else:
-        # exactly one chord (validated); one or two cycles
-        chord = chords[0]
-        if len(cycles) == 1:
-            piece_id = f"{sheet.id}.p0"
-            circuits = (cycles[0][0],) + tuple(
-                _plain_circuit(circuits_atoms[ci]) for ci in untouched)
-            pieces = [(piece_id, circuits, sheet.genus)]
-            cycle_piece = {0: piece_id}
-        else:
-            side_genus = chord.side_genus or 0
-            side_set = set(chord.side_circuits or ())
-            minus_cycle = cycle_of_chordside[(chord.circle, chord.index, "minus")]
-            plus_cycle = cycle_of_chordside[(chord.circle, chord.index, "plus")]
-            minus_id = f"{sheet.id}.p0"
-            plus_id = f"{sheet.id}.p1"
-            minus_circuits = (cycles[minus_cycle][0],) + tuple(
-                _plain_circuit(circuits_atoms[ci]) for ci in untouched
-                if ci in side_set)
-            plus_circuits = (cycles[plus_cycle][0],) + tuple(
-                _plain_circuit(circuits_atoms[ci]) for ci in untouched
-                if ci not in side_set)
-            pieces = [(minus_id, minus_circuits, side_genus),
-                      (plus_id, plus_circuits, sheet.genus - side_genus)]
-            cycle_piece = {minus_cycle: minus_id, plus_cycle: plus_id}
-
-    for chord in chords:
-        chord.minus_piece = cycle_piece[
-            cycle_of_chordside[(chord.circle, chord.index, "minus")]]
-        chord.plus_piece = cycle_piece[
-            cycle_of_chordside[(chord.circle, chord.index, "plus")]]
-    return pieces
+        return [(f"{sheet.id}.p{k}", (items,), 0)
+                for k, items in enumerate(cycles)]
+    # exactly one chord (validated); one or two cycles
+    chord, = chords
+    if len(cycles) == 1:
+        circuits = (cycles[0],) + tuple(
+            _plain_circuit(circuits_atoms[ci]) for ci in untouched)
+        return [(f"{sheet.id}.p0", circuits, sheet.genus)]
+    side_genus = chord.side_genus or 0
+    side_set = set(chord.side_circuits or ())
+    minus = minus_cycle[chord.t_arc]
+    minus_circuits = (cycles[minus],) + tuple(
+        _plain_circuit(circuits_atoms[ci]) for ci in untouched
+        if ci in side_set)
+    plus_circuits = (cycles[1 - minus],) + tuple(
+        _plain_circuit(circuits_atoms[ci]) for ci in untouched
+        if ci not in side_set)
+    return [(f"{sheet.id}.p0", minus_circuits, side_genus),
+            (f"{sheet.id}.p1", plus_circuits, sheet.genus - side_genus)]
 
 
 def _plain_circuit(atoms):
@@ -553,13 +529,10 @@ def attach_surface(plan):
             prev_event = circle.events[(i - 1) % k]
             event = circle.events[i]
             seg = circle.segments[i]
-            d_p = poly._wings[prev_event.arc][prev_event.slot_out][3]
-            d_q = poly._wings[event.arc][event.slot_in][3]
             chord = _Chord(
-                circle=circle.id, index=i, sheet=seg.sheet,
                 t_arc=f"t_{circle.id}.{i}",
-                p=(prev_event.arc, prev_event.position, prev_event.slot_out, d_p),
-                q=(event.arc, event.position, event.slot_in, d_q),
+                p=(prev_event.arc, prev_event.slot_out),
+                q=(event.arc, event.slot_in),
                 p_vertex=f"v_{circle.id}_{(i - 1) % k}",
                 q_vertex=f"v_{circle.id}_{i}",
                 side_genus=seg.side_genus, side_circuits=seg.side_circuits)
@@ -629,9 +602,6 @@ def attach_surface(plan):
                              else (subs[-1][0], 1))
         new_vertices.append(replace(vertex, ends=tuple(fixed)))
 
-    def slot_on_t(chord, piece_id):
-        return 1 if piece_id == chord.minus_piece else 2
-
     for circle in plan.circles:
         k = len(circle.events)
         for i in range(k):
@@ -643,23 +613,17 @@ def attach_surface(plan):
             ends = ((a_left, 1), (t_prev, 1), (a_right, 0), (t_next, 0))
             free_a = next(s for s in (0, 1, 2)
                           if s not in (event.slot_in, event.slot_out))
-            chord_in = t_arcs[t_prev][1]
-            chord_out = t_arcs[t_next][1]
-            d_in = chord_in.q[3]
-            d_out = chord_out.p[3]
-            # pieces flanking the incoming chord near its q end
-            q_left = chord_in.minus_piece if d_in > 0 else chord_in.plus_piece
-            q_right = chord_in.plus_piece if d_in > 0 else chord_in.minus_piece
-            # pieces flanking the outgoing chord near its p end
-            p_left = chord_out.plus_piece if d_out > 0 else chord_out.minus_piece
-            p_right = chord_out.minus_piece if d_out > 0 else chord_out.plus_piece
+            # a chord's minus side holds slot 1 of its new arc (_cut_sheet);
+            # it lies counterclockwise of the new arc's end when the sheet
+            # runs the crossed wing backward, on either side of the vertex
+            wings = poly._wings[event.arc]
+            lq_in = 2 if wings[event.slot_in][3] > 0 else 1
+            lq_out = 2 if wings[event.slot_out][3] > 0 else 1
             roles = (
                 EndRoles(free=free_a, lq=event.slot_in, rq=event.slot_out),
-                EndRoles(free=0, lq=slot_on_t(chord_in, q_right),
-                         rq=slot_on_t(chord_in, q_left)),
+                EndRoles(free=0, lq=lq_in, rq=3 - lq_in),
                 EndRoles(free=free_a, lq=event.slot_out, rq=event.slot_in),
-                EndRoles(free=0, lq=slot_on_t(chord_out, p_left),
-                         rq=slot_on_t(chord_out, p_right)),
+                EndRoles(free=0, lq=lq_out, rq=3 - lq_out),
             )
             new_vertices.append(VertexSpec(vid, ends, roles))
 
@@ -772,6 +736,10 @@ def normalized_plan(plan):
             plan.witness.surface_orientable != plan.patch.orientable or \
             plan.witness.surface_genus != plan.patch.genus:
         raise WitnessMismatch("witness surface does not match the patch")
+    for cid, _, orient in plan.witness.nesting:
+        if orient not in (1, -1):
+            raise PlanError("SignRange", str(Violation(
+                "SignRange", cid, f"witness orient {orient}")))
     parent_of = {cid: parent for cid, parent, _ in plan.witness.nesting}
     try:
         _nesting(parent_of)

@@ -162,6 +162,49 @@ def test_arr_record_that_would_be_dropped_is_a_parse_error(
     assert capsys.readouterr().err.startswith(f"parse error: line {len(lines)}: ")
 
 
+@pytest.mark.parametrize("parse, text, tag", [
+    (formats.parse_spoly, formats.emit_spoly(build_base_example().polyhedron),
+     "POLY"),
+    (formats.parse_arr, formats.emit_arr(build_base_example()), "NAME"),
+    (formats.parse_plan, formats.emit_plan(relocation_plan()), "PLAN"),
+    (formats.parse_plan, formats.emit_plan(relocation_plan()), "BASE"),
+    (formats.parse_plan, formats.emit_plan(relocation_plan()), "PATCH"),
+    (formats.parse_plan, formats.emit_plan(relocation_plan()), "WITNESS"),
+])
+def test_repeated_single_record_is_a_parse_error(parse, text, tag):
+    # the second record would otherwise replace the first without a trace
+    lines = text.splitlines()
+    lines.append(next(line for line in lines if line.startswith(tag + " ")))
+    with pytest.raises(formats.ParseError,
+                       match=f"^line {len(lines)}: repeated {tag} record$"):
+        parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("IMAGECIRCLE xa face r0 orient +", "IMAGECIRCLE xa face r0 orient -"),
+    ("IMAGEROUTE xa cross e_c1@1/3", "IMAGEROUTE xa cross e_c1@2/3"),
+    ("IMAGEROUTE xa cross e_c1@1/3", "IMAGECIRCLE xa face r0"),
+])
+def test_second_image_of_a_circle_is_a_parse_error(first, second):
+    text = ("PLAN p\nPATCH orientable genus 0 boundaries 1 id p\n"
+            f"CIRCLE xa patchdir +\n{first}\n{second}\n")
+    with pytest.raises(formats.ParseError,
+                       match="^line 5: second image record for circle xa$"):
+        formats.parse_plan(text)
+
+
+def test_cli_surgery_on_a_repeated_patch_is_status_two(tmp_path, monkeypatch,
+                                                      capsys):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    lines = Path("klein.plan").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("PATCH "))
+    lines.insert(at, lines[at])
+    Path("bad.plan").write_text("\n".join(lines) + "\n")
+    assert main(["surgery", "bad.plan", "-o", "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: line {at + 2}: ")
+
+
 def test_cli_obstruct_on_malformed_record_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("bad.spoly").write_text("POLY p\nSHEET a orientable q\n")

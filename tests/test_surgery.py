@@ -1,11 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from spineforge import formats
 from spineforge.arrangement import ArrangementBuilder
-from spineforge.core import euler_characteristic, is_normal, strand_circles, validate_polyhedron
+from spineforge.core import (SheetSpec, WingTraversal, euler_characteristic,
+                             is_normal, strand_circles, validate_polyhedron)
+from spineforge.homology import z2_homology
 from spineforge.bornmap import validate_born_map
 from spineforge.errors import (NoEmptyRegion, PatchNotOrientable, PlanError,
                                WitnessMismatch)
@@ -17,7 +20,7 @@ from spineforge.surgery import (ImageCircle, ImageRoute, PlanCircle,
                                 PlanEvent, PlanSegment, SurfacePatch,
                                 SurgeryPlan, relocate_and_attach, attach_surface,
                                 check_attachment_hypotheses, normalize_into_disk,
-                                normalized_plan)
+                                normalized_plan, _Chord, _cut_sheet)
 
 from conftest import repo_path
 from randgen import random_crossing_plan, random_interior_plan, random_round_map
@@ -134,6 +137,82 @@ def test_crossing_circle_makes_two_vertices():
         euler_characteristic(base.polyhedron) + 1
 
 
+
+def non_separating_chord_plan(holes):
+    """A disk glued along a circle whose chords through the annuli s1 and
+    s2 each run from the circuit on c1 to the circuit on c2, so cutting
+    leaves each of them connected; the chords through the disk s0 and the
+    annulus s3 separate.  `holes` is the side of the route's run through
+    r2 that takes the curve of c3."""
+    base = round_reeb(RoundSpec(circles=(
+        RoundCircle("triple", 1, 2), RoundCircle("triple", 2, 1),
+        RoundCircle("boundary", 1, 0)), name="three"))
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    circle = PlanCircle(
+        id="w",
+        segments=(PlanSegment("s1", side_genus=0, side_circuits=()),
+                  PlanSegment("s0"),
+                  PlanSegment("s2", side_genus=0, side_circuits=()),
+                  PlanSegment("s3")),
+        events=(PlanEvent("c1", quarter, slot_in=0, slot_out=2),
+                PlanEvent("c1", three_quarters, slot_in=2, slot_out=1),
+                PlanEvent("c2", quarter, slot_in=1, slot_out=2),
+                PlanEvent("c2", three_quarters, slot_in=2, slot_out=0)),
+        image=ImageRoute(crossings=(("e_c1", quarter),
+                                    ("e_c1", three_quarters),
+                                    ("e_c2", quarter),
+                                    ("e_c2", three_quarters)),
+                         runs=(("r0", None), ("r1", None), ("r2", holes),
+                               ("r1", None))))
+    return SurgeryPlan(base=base, circles=(circle,),
+                       patch=SurfacePatch(True, 0, 1, id="cap"))
+
+
+def test_non_separating_chords_attach():
+    plan = non_separating_chord_plan("right")
+    assert check_attachment_hypotheses(plan).ok
+    out = attach_surface(plan)
+    assert validate_born_map(out).ok
+    chi = euler_characteristic(out.polyhedron)
+    assert chi == euler_characteristic(plan.base.polyhedron) + plan.patch.euler
+    b0, b1, b2 = z2_homology(out.polyhedron)
+    assert b0 - b1 + b2 == chi
+    # each annulus stays one piece, now a disk holding both slots of its
+    # chord's new arc
+    for sheet_id, t_arc in (("s1.p0", "t_w.0"), ("s2.p0", "t_w.2")):
+        sheet = out.polyhedron.sheet(sheet_id)
+        assert (sheet.genus, len(sheet.circuits)) == (0, 1)
+        assert {(t.slot, t.direction) for t in sheet.circuits[0]
+                if t.arc == t_arc} == {(1, -1), (2, 1)}
+    poly = formats.parse_spoly(formats.emit_spoly(out.polyhedron))
+    arr, data = formats.parse_arr(formats.emit_arr(out))
+    assert formats.assemble_born_map(poly, arr, data) == out
+
+
+def test_non_separating_chords_with_holes_on_the_left_cover_negatively():
+    plan = non_separating_chord_plan("left")
+    assert check_attachment_hypotheses(plan).ok
+    with pytest.raises(PlanError) as caught:
+        attach_surface(plan)
+    assert caught.value.code == "PatchCoverageNegative"
+
+
+def test_non_separating_chord_keeps_the_other_circuits_on_its_one_piece():
+    # a pair of pants cut from its circuit on a to its circuit on b: one
+    # annulus, bounded by the merged circuit and the untouched one on c
+    sheet = SheetSpec("s", True, 0, ((WingTraversal("a", 0, 1),),
+                                     (WingTraversal("b", 0, 1),),
+                                     (WingTraversal("c", 0, 1),)))
+    splits = SimpleNamespace(sub_arcs={"a": [("a.0", "va", "va")],
+                                       "b": [("b.0", "vb", "vb")]})
+    chord = _Chord("t", p=("a", 0), q=("b", 0), p_vertex="va",
+                   q_vertex="vb", side_genus=None, side_circuits=None)
+    merged = (WingTraversal("a.0", 0, 1), WingTraversal("t", 2, 1),
+              WingTraversal("b.0", 0, 1), WingTraversal("t", 1, -1))
+    assert _cut_sheet(splits, sheet, [chord]) == \
+        [("s.p0", (merged, (WingTraversal("c", 0, 1),)), 0)]
+
+
 def test_surgery_output_validates_on_random_plans(rng):
     for trial in range(60):
         born = random_round_map(rng, name=f"sv{trial}")
@@ -239,6 +318,19 @@ def test_bad_witness_nesting_is_a_witness_mismatch(nesting):
     broken = replace(plan, witness=replace(plan.witness, nesting=nesting))
     with pytest.raises(WitnessMismatch):
         normalized_plan(broken)
+
+
+def test_witness_orient_outside_plus_minus_one_is_rejected():
+    # normalizing alone must fail as the whole pipeline does
+    plan = relocation_plan()
+    (cid, parent, _), *rest = plan.witness.nesting
+    plan = replace(plan, witness=replace(
+        plan.witness, nesting=((cid, parent, 0), *rest)))
+    for entry in (normalized_plan, normalize_into_disk, relocate_and_attach):
+        with pytest.raises(PlanError) as caught:
+            entry(plan)
+        assert caught.value.code == "SignRange"
+        assert str(caught.value) == "SignRange(outer_cut): witness orient 0"
 
 
 def test_normalize_rejects_a_route_image():
