@@ -13,7 +13,6 @@ drawing hints to curves and faces; they carry no semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 from .core import ParityUnionFind, ValidationReport, Violation
@@ -320,32 +319,21 @@ def winding_numbers(arr, oriented_curves):
 # insertion (used by surgeries)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RouteCross:
-    edge: str
-    position: Fraction
-
-
-@dataclass
-class RouteFaceRun:
-    face: str
-    holes: str | None = None  # "left" | "right": side taking untouched contours
-
-
 class ArrangementBuilder:
     """Curve insertion into a CurveArrangement.
 
     The builder keeps the arrangement's frozen records in four id-keyed
     dicts (`crossings`, `edges`, `curves`, `faces`) and changes a record by
     storing a `dataclasses.replace` copy of it; `freeze` sorts each table by
-    id into a new CurveArrangement."""
+    id into a new CurveArrangement.  `origin` names the face of the input
+    arrangement that each new face lies in."""
 
     def __init__(self, arr):
         self.crossings = {c.id: c for c in arr.crossings}
         self.edges = {e.id: e for e in arr.edges}
         self.curves = {c.id: c for c in arr.curves}
         self.faces = {f.id: f for f in arr.faces}
-        self._origins = {}  # face split off by a route -> the face it came from
+        self._origins = {}  # new face -> the face it was made in
         self._counter = 0
 
     def fresh(self, prefix):
@@ -379,6 +367,7 @@ class ArrangementBuilder:
         self.faces[inner_id] = Face(inner_id, (((edge_id, inner_side),),),
                                     label=label)
         host = self.faces[host_face]
+        self._origins[inner_id] = host_face
         self.faces[host_face] = replace(
             host, contours=host.contours + (((edge_id, host_side),),))
         return inner_id
@@ -422,32 +411,31 @@ class ArrangementBuilder:
         order = crossing.order[:pos] + (ray,) + crossing.order[pos + 1:]
         self.crossings[xid] = replace(crossing, order=order)
 
-    def insert_route(self, curve_id, crossing_points, face_runs, source):
+    def insert_route(self, curve_id, crossings, runs, source):
         """Insert a closed oriented route crossing existing edges.
 
-        crossing_points: list of RouteCross; face_runs: list of RouteFaceRun,
-        face_runs[i] is the run after crossing_points[i].  Returns the list
-        of new crossing ids, parallel to crossing_points.
-        """
+        `crossings` and `runs` are an ImageRoute's: (edge id, position)
+        pairs, and (face id, hole side or None) pairs with runs[i] after
+        crossings[i].  Returns the new crossing ids, parallel to
+        `crossings`."""
         if curve_id in self.curves:
             raise PlanError("DuplicateImage", curve_id)
-        k = len(crossing_points)
-        if k == 0 or len(face_runs) != k:
+        k = len(crossings)
+        if k == 0 or len(runs) != k:
             raise PlanError("RouteShape", curve_id)
 
         by_edge = {}
-        for i, cp in enumerate(crossing_points):
-            by_edge.setdefault(cp.edge, []).append((cp.position, i))
-        positions_seen = {}
+        for i, (eid, position) in enumerate(crossings):
+            by_edge.setdefault(eid, []).append((position, i))
         for eid, items in by_edge.items():
             ps = [p for p, _ in items]
             if len(set(ps)) != len(ps):
                 raise PlanError("RouteShape", f"repeated position on {eid}")
-            positions_seen[eid] = sorted(items)
+            items.sort()
 
         route_edge_ids = [self.fresh("e_") for _ in range(k)]
         splits = [None] * k  # (crossing id, segment in, segment out)
-        for eid, items in positions_seen.items():
+        for eid, items in by_edge.items():
             made = self._split_edge(eid, [p for p, _ in items])
             for (_, idx), split in zip(items, made):
                 splits[idx] = split
@@ -458,8 +446,8 @@ class ArrangementBuilder:
         out_rays = []
         for i, (xid, seg_in, seg_out) in enumerate(splits):
             sides = (self.edges[seg_in].left, self.edges[seg_in].right)
-            from_face = self._resolve_side(face_runs[i - 1].face, sides)
-            to_face = self._resolve_side(face_runs[i].face, sides)
+            from_face = self._resolve_side(runs[i - 1][0], sides)
+            to_face = self._resolve_side(runs[i][0], sides)
             if from_face == to_face:
                 raise PlanError("NonTransverse",
                                 f"route {curve_id} does not cross {seg_in}")
@@ -480,7 +468,7 @@ class ArrangementBuilder:
             self.edges[reid] = ArrEdge(reid, curve_id, ends, None, None)
         self.curves[curve_id] = Curve(curve_id, source, tuple(route_edge_ids))
 
-        self._resplit_faces(route_edge_ids, face_runs)
+        self._resplit_faces(route_edge_ids, runs)
         return [xid for xid, _, _ in splits]
 
     def _resolve_side(self, declared_face, sides):
@@ -489,17 +477,20 @@ class ArrangementBuilder:
             return declared_face
         # after splits the declared id may be stale; match via split records
         for fid in sides:
-            if self._face_origin(fid) == declared_face:
+            if self.origin(fid) == declared_face:
                 return fid
         raise PlanError("RouteFaceMismatch",
                         f"face {declared_face} not adjacent to crossed edge")
 
-    def _face_origin(self, fid):
+    def origin(self, fid):
+        """The face of the builder's input arrangement that face `fid` lies
+        in: a face split off by a route, or a circle's inner face, lies in
+        the face it came from."""
         while fid in self._origins:
             fid = self._origins[fid]
         return fid
 
-    def _resplit_faces(self, route_edge_ids, face_runs):
+    def _resplit_faces(self, route_edge_ids, runs):
         """Retrace every contour of the faces the route runs through, and
         reassemble those faces from the traced cycles."""
         route_set = set(route_edge_ids)
@@ -512,10 +503,9 @@ class ArrangementBuilder:
                     touched_faces.add(self.edges[eid].left)
                     touched_faces.add(self.edges[eid].right)
         holes_decl = {}
-        for run in face_runs:
-            origin = self._face_origin(run.face)
-            if run.holes is not None:
-                holes_decl.setdefault(origin, run.holes)
+        for face, holes in runs:
+            if holes is not None:
+                holes_decl.setdefault(self.origin(face), holes)
 
         # trace all contour cycles incident to touched faces
         def walk(eid, direction):
@@ -578,7 +568,7 @@ class ArrangementBuilder:
             if hole_cycles and len(route_cycles) != 2:
                 raise PlanError("UnsupportedRoute",
                                 "multiple chords through a face with holes")
-            side = holes_decl.get(self._face_origin(fid))
+            side = holes_decl.get(self.origin(fid))
             if hole_cycles and side is None:
                 raise PlanError("UnsupportedRoute",
                                 f"face {fid} split with undeclared hole side")
@@ -586,7 +576,7 @@ class ArrangementBuilder:
             new_ids = []
             for cycle in sorted(route_cycles, key=min):
                 new_id = self.fresh("f_")
-                self._origins[new_id] = self._face_origin(fid)
+                self._origins[new_id] = fid
                 self.faces[new_id] = replace(face, id=new_id, contours=(cycle,))
                 new_ids.append(new_id)
                 self._set_route_sides(cycle, new_id)

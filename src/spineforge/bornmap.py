@@ -116,6 +116,8 @@ def validate_born_map(born):
         v.append(Violation("CountMissing", ",".join(missing)))
         return ValidationReport.failed(v)
     for fid, count in born.fiber_counts.items():
+        if fid not in arr._face_by_id:
+            v.append(Violation("CountUnknownFace", fid))
         if count < 0:
             v.append(Violation("NegativeCount", fid))
     if born.fiber_counts[arr.unbounded_face.id] != 0:

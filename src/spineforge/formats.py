@@ -8,6 +8,7 @@ exact on the in-memory values.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 
 from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
@@ -207,16 +208,9 @@ def parse_spoly(text):
 # .arr (arrangement plus born-map data)
 # ---------------------------------------------------------------------------
 
-def emit_arr(born_or_arr):
-    if isinstance(born_or_arr, BornMap):
-        born = born_or_arr
-        arr = born.arrangement
-    else:
-        born = None
-        arr = born_or_arr
-    out = []
-    if born is not None and born.name:
-        out.append(f"NAME {born.name}")
+def emit_arr(born):
+    arr = born.arrangement
+    out = [f"NAME {born.name}"] if born.name else []
     for crossing in arr.crossings:
         rays = " ".join(f"{eid}:{end}" for eid, end in crossing.order)
         out.append(f"CROSSING {crossing.id} {rays}")
@@ -246,18 +240,17 @@ def emit_arr(born_or_arr):
         for contour in face.contours:
             sides = " ".join(f"{eid}:{_sign_str(d)}" for eid, d in contour)
             out.append(f"CONTOUR {face.id} {sides}")
-    if born is not None:
-        for fid in sorted(born.fiber_counts):
-            out.append(f"COUNT {fid} {born.fiber_counts[fid]}")
-        for key in sorted(born.assignments):
-            a = born.assignments[key]
-            out.append(f"ASSIGN {key} curve {a.curve} dir {_sign_str(a.direction)} "
-                       f"heavy {a.heavy}")
-            sides = " ".join(f"{aid}:{slot}:{side}"
-                             for (aid, slot), side in a.wing_sides)
-            out.append(f"WINGSIDE {key} {sides}")
-        for vid in sorted(born.vertex_crossings):
-            out.append(f"VERTEXMAP {vid} {born.vertex_crossings[vid]}")
+    for fid in sorted(born.fiber_counts):
+        out.append(f"COUNT {fid} {born.fiber_counts[fid]}")
+    for key in sorted(born.assignments):
+        a = born.assignments[key]
+        out.append(f"ASSIGN {key} curve {a.curve} dir {_sign_str(a.direction)} "
+                   f"heavy {a.heavy}")
+        sides = " ".join(f"{aid}:{slot}:{side}"
+                         for (aid, slot), side in a.wing_sides)
+        out.append(f"WINGSIDE {key} {sides}")
+    for vid in sorted(born.vertex_crossings):
+        out.append(f"VERTEXMAP {vid} {born.vertex_crossings[vid]}")
     return "\n".join(out) + "\n"
 
 
@@ -272,8 +265,8 @@ def _put(table, tokens, lineno, value):
 def parse_arr(text):
     """Returns (CurveArrangement, born_data).
 
-    born_data holds 'counts', 'assignments', 'vertexmap', 'name'; empty
-    when the file carries a bare arrangement.
+    born_data holds 'counts', 'assignments' (StrandAssignment records),
+    'vertexmap' and 'name'; empty when the file carries a bare arrangement.
     """
     crossings = []
     edges = []
@@ -282,7 +275,6 @@ def parse_arr(text):
     contours = {}
     counts = {}
     assignments = {}
-    wing_sides = {}
     vertexmap = {}
     name = ""
     seen = set()
@@ -338,20 +330,22 @@ def parse_arr(text):
             _put(counts, tokens, lineno, _int(tokens[2], lineno))
         elif tag == "ASSIGN":
             _shape(tokens, lineno, "ASSIGN _ curve _ dir _ heavy _")
-            _put(assignments, tokens, lineno, {
-                "curve": tokens[3],
-                "direction": _sign(tokens[5], lineno),
-                "heavy": tokens[7],
-            })
+            _put(assignments, tokens, lineno, StrandAssignment(
+                curve=tokens[3], direction=_sign(tokens[5], lineno),
+                heavy=tokens[7], wing_sides=()))
         elif tag == "WINGSIDE":
             _shape(tokens, lineno, "WINGSIDE _", more=True)
-            if tokens[1] not in assignments:
-                raise ParseError(f"line {lineno}: WINGSIDE before ASSIGN {tokens[1]}")
+            key = tokens[1]
+            if key not in assignments:
+                raise ParseError(f"line {lineno}: WINGSIDE before ASSIGN {key}")
+            if (tag, key) in seen:
+                raise ParseError(f"line {lineno}: repeated WINGSIDE {key}")
+            seen.add((tag, key))
             sides = []
             for token in tokens[2:]:
                 aid, slot, side = _fields(token, 3, lineno)
                 sides.append(((aid, _int(slot, lineno)), side))
-            _put(wing_sides, tokens, lineno, tuple(sides))
+            assignments[key] = replace(assignments[key], wing_sides=tuple(sides))
         elif tag == "VERTEXMAP":
             _shape(tokens, lineno, "VERTEXMAP _ _")
             _put(vertexmap, tokens, lineno, tokens[2])
@@ -362,19 +356,13 @@ def parse_arr(text):
     arr = CurveArrangement(tuple(crossings), tuple(edges), tuple(curves),
                            face_specs)
     born_data = {"counts": counts, "assignments": assignments,
-                 "wing_sides": wing_sides, "vertexmap": vertexmap, "name": name}
+                 "vertexmap": vertexmap, "name": name}
     return arr, born_data
 
 
 def assemble_born_map(poly, arr, born_data):
-    assignments = {}
-    for key, fields in born_data["assignments"].items():
-        assignments[key] = StrandAssignment(
-            curve=fields["curve"], direction=fields["direction"],
-            heavy=fields["heavy"],
-            wing_sides=born_data["wing_sides"].get(key, ()))
     return BornMap(polyhedron=poly, arrangement=arr,
-                   assignments=assignments,
+                   assignments=dict(born_data["assignments"]),
                    fiber_counts=dict(born_data["counts"]),
                    vertex_crossings=dict(born_data["vertexmap"]),
                    name=born_data["name"])
@@ -448,7 +436,8 @@ def _in_order(table):
     return tuple(table[index] for index in sorted(table))
 
 
-_CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN")
+_CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN",
+                 "DISK")
 _SINGLE_RECORDS = ("PLAN", "BASE", "PATCH", "WITNESS")
 
 
@@ -463,8 +452,8 @@ def parse_plan(text):
     segments = {}
     events = {}
     images = {}          # circle id -> ImageCircle, or route crossings
-    route_runs = {}
-    disks = []
+    route_runs = {}      # circle id -> its IMAGERUN records, by index
+    disks = {}
     witness = None
     seen = set()
     for lineno, tokens in _records(text):
@@ -496,7 +485,6 @@ def parse_plan(text):
             patch_dirs[cid] = _sign(tokens[3], lineno)
             segments[cid] = {}
             events[cid] = {}
-            route_runs[cid] = {}
         elif tag == "SEG":
             _shape(tokens, lineno, "SEG _ _ sheet _", more=True)
             options = _options(tokens[5:], lineno, tag,
@@ -535,13 +523,16 @@ def parse_plan(text):
                                      f"got {token!r}")
                 crossings.append((eid, _fraction(pos, lineno)))
             images[cid] = tuple(crossings)
+            route_runs[cid] = {}
         elif tag == "IMAGERUN":
             _shape(tokens, lineno, "IMAGERUN _ _ face _", more=True)
+            if cid not in route_runs:
+                raise ParseError(f"line {lineno}: IMAGERUN before IMAGEROUTE {cid}")
             holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
             _put_indexed(route_runs[cid], tokens[2], lineno, (tokens[4], holes))
         elif tag == "DISK":
             _shape(tokens, lineno, "DISK _ faces", more=True)
-            disks.append(DiskRegion(tokens[1], tuple(tokens[3:])))
+            _put(disks, tokens, lineno, DiskRegion(cid, tuple(tokens[3:])))
         elif tag == "WITNESS":
             at = len(tokens) - 6
             if at < 2:
@@ -566,9 +557,9 @@ def parse_plan(text):
     for cid in order:
         image = images.get(cid, ())
         if not isinstance(image, ImageCircle):
-            image = ImageRoute(image, _in_order(route_runs[cid]))
+            image = ImageRoute(image, _in_order(route_runs.get(cid, {})))
         circles.append(PlanCircle(cid, _in_order(segments[cid]),
                                   _in_order(events[cid]), image, patch_dirs[cid]))
     plan = SurgeryPlan(base=None, circles=tuple(circles), patch=patch,
-                       disks=tuple(disks), witness=witness, name=name)
+                       disks=tuple(disks.values()), witness=witness, name=name)
     return plan, base_files

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arrangement import (ArrangementBuilder, RouteCross, RouteFaceRun,
-                          winding_numbers)
+from .arrangement import ArrangementBuilder, winding_numbers
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
@@ -147,13 +146,6 @@ def _image_nesting(circles):
                      if isinstance(c.image, ImageCircle)})
 
 
-def _nesting_order(circles):
-    """The circles, those whose images nest in fewer other images first,
-    then by id; a route image nests in none."""
-    nesting = _image_nesting(circles)
-    return sorted(circles, key=lambda c: (nesting.get(c.id, (0,))[0], c.id))
-
-
 # ---------------------------------------------------------------------------
 # hypothesis checking
 # ---------------------------------------------------------------------------
@@ -172,7 +164,8 @@ def check_attachment_hypotheses(plan):
         v.append(Violation("BoundaryMismatch", plan.patch.id,
                            f"{plan.patch.boundaries} boundaries for "
                            f"{len(plan.circles)} circles"))
-    if plan.patch.genus < 0 or plan.patch.boundaries < 1:
+    if (plan.patch.genus < (0 if plan.patch.orientable else 1)
+            or plan.patch.boundaries < 1):
         v.append(Violation("PatchShape", plan.patch.id))
 
     ids = [c.id for c in plan.circles]
@@ -486,17 +479,26 @@ def _plain_circuit(atoms):
 # the main operation
 # ---------------------------------------------------------------------------
 
-def _insert_image(builder, circle, inner_face_of, counts):
-    """Insert the image of a crossing-free circle, inside the inner face of
-    the circle it nests in or else in its face; the new inner face takes
-    the count of its host."""
-    image = circle.image
-    host = inner_face_of[image.inside] if image.inside else image.face
-    inner = builder.insert_circle(f"im_{circle.id}", host, image.orient,
-                                  source=("aux", f"image:{circle.id}"),
-                                  label=image.label, draw=image.draw)
-    inner_face_of[circle.id] = inner
-    counts[inner] = counts[host]
+def _insert_images(builder, circles):
+    """Insert the image curve `im_<id>` of every circle, those whose images
+    nest in fewer other images first, then by id.  A crossing-free image
+    goes inside the inner face of the image it nests in, or else in its
+    face.  Returns circle id -> the new crossings of its route image."""
+    nesting = _image_nesting(circles)
+    inner_face_of = {}
+    route_crossings = {}
+    for circle in sorted(circles, key=lambda c: (nesting.get(c.id, (0,))[0], c.id)):
+        image = circle.image
+        curve_id, source = f"im_{circle.id}", ("aux", f"image:{circle.id}")
+        if isinstance(image, ImageCircle):
+            host = inner_face_of[image.inside] if image.inside else image.face
+            inner_face_of[circle.id] = builder.insert_circle(
+                curve_id, host, image.orient, source,
+                label=image.label, draw=image.draw)
+        else:
+            route_crossings[circle.id] = builder.insert_route(
+                curve_id, image.crossings, image.runs, source)
+    return route_crossings
 
 
 def attach_surface(plan):
@@ -627,26 +629,25 @@ def attach_surface(plan):
             )
             new_vertices.append(VertexSpec(vid, ends, roles))
 
+    # a new sheet piece, sub-arc or vertex may take the name of a part the
+    # output keeps
+    ids = set()
+    for part in (*new_sheets, *new_arcs, *new_vertices):
+        if part.id in ids:
+            raise PlanError("IdCollision",
+                            f"two parts of the output are named {part.id}")
+        ids.add(part.id)
+
     new_poly = SimplePolyhedron(tuple(new_sheets), tuple(new_arcs),
                                 tuple(new_vertices),
                                 name=f"{poly.name}+{plan.name or 'patch'}")
 
     # --- arrangement, counts, assignments -----------------------------------
     builder = ArrangementBuilder(base.arrangement)
-    count_of = dict(base.fiber_counts)
     new_vertex_crossings = dict(base.vertex_crossings)
-
-    inner_face_of = {}
-    for circle in _nesting_order(plan.circles):
-        if isinstance(circle.image, ImageCircle):
-            _insert_image(builder, circle, inner_face_of, count_of)
-            continue
-        crossings = [RouteCross(eid, pos) for eid, pos in circle.image.crossings]
-        runs = [RouteFaceRun(fid, holes) for fid, holes in circle.image.runs]
-        xids = builder.insert_route(f"im_{circle.id}", crossings, runs,
-                                    source=("aux", f"image:{circle.id}"))
+    for cid, xids in _insert_images(builder, plan.circles).items():
         for i, xid in enumerate(xids):
-            new_vertex_crossings[f"v_{circle.id}_{i}"] = xid
+            new_vertex_crossings[f"v_{cid}_{i}"] = xid
 
     # rebuild assignments; each image curve becomes the branch of its circle
     sub_parent = {sub: arc_id for arc_id, subs in splits.sub_arcs.items()
@@ -684,16 +685,14 @@ def attach_surface(plan):
         builder.retag_curve(assignment.curve, ("branch", key))
 
     new_arr = builder.freeze()
-    # counts for faces created by route splitting: inherit the origin face
-    for face in new_arr.faces:
-        if face.id not in count_of:
-            count_of[face.id] = count_of[builder._face_origin(face.id)]
-
+    # a face's count grows from that of the base face it lies in by the
+    # winding of the image curves around it
     coverage = winding_numbers(new_arr, {f"im_{c.id}": 1 for c in plan.circles})
     if any(w < 0 for w in coverage.values()):
         raise PlanError("PatchCoverageNegative",
                         "image orientations cover a region negatively")
-    new_counts = {f.id: count_of[f.id] + coverage[f.id] for f in new_arr.faces}
+    new_counts = {f.id: base.fiber_counts[builder.origin(f.id)] + coverage[f.id]
+                  for f in new_arr.faces}
 
     result = BornMap(polyhedron=new_poly, arrangement=new_arr,
                      assignments=new_assignments, fiber_counts=new_counts,
@@ -757,9 +756,9 @@ def normalized_plan(plan):
     if all(plan.base.fiber_counts[c.image.face] == 0 for c in top):
         return plan
 
-    regions = {d.circle: set(d.faces) for d in plan.disks}
-    if sorted(regions) != sorted(c.id for c in plan.circles):
+    if sorted(d.circle for d in plan.disks) != sorted(c.id for c in plan.circles):
         raise ContainmentViolated("need one disk region per circle")
+    regions = {d.circle: set(d.faces) for d in plan.disks}
     for circle in plan.circles:
         faces = regions[circle.id]
         if not faces <= face_ids:
@@ -793,11 +792,9 @@ def normalize_into_disk(plan):
         return base
     # a base holding only some images fails with DuplicateImage
     builder = ArrangementBuilder(base.arrangement)
-    counts = dict(base.fiber_counts)
-    inner_face_of = {}
-    for circle in _nesting_order(moved.circles):
-        _insert_image(builder, circle, inner_face_of, counts)
+    _insert_images(builder, moved.circles)
     arr = builder.freeze()
+    counts = {f.id: base.fiber_counts[builder.origin(f.id)] for f in arr.faces}
     return BornMap(polyhedron=base.polyhedron, arrangement=arr,
                    assignments=base.assignments, fiber_counts=counts,
                    vertex_crossings=base.vertex_crossings,

@@ -193,6 +193,20 @@ def test_second_image_of_a_circle_is_a_parse_error(first, second):
         formats.parse_plan(text)
 
 
+@pytest.mark.parametrize("record, message", [
+    ("IMAGERUN outer_cut 0 face r2", "IMAGERUN before IMAGEROUTE outer_cut"),
+    ("DISK nowhere faces r1", "DISK names no earlier CIRCLE"),
+    ("DISK outer_cut faces r5", "repeated DISK outer_cut"),
+])
+def test_plan_record_that_would_be_dropped_is_a_parse_error(record, message):
+    # a run of a circle with no route image, or a disk for an unknown or
+    # already bounded circle, would otherwise be dropped or kept unread
+    lines = formats.emit_plan(relocation_plan()).splitlines() + [record]
+    with pytest.raises(formats.ParseError,
+                       match=f"^line {len(lines)}: {message}$"):
+        formats.parse_plan("\n".join(lines) + "\n")
+
+
 def test_cli_surgery_on_a_repeated_patch_is_status_two(tmp_path, monkeypatch,
                                                       capsys):
     copy_fixtures(tmp_path)

@@ -39,6 +39,42 @@ def test_boundary_mismatch_detected():
     assert any(v.code == "BoundaryMismatch" for v in report.violations)
 
 
+def test_non_orientable_patch_without_crosscaps_is_a_patch_shape():
+    plan = klein_plan()
+    broken = replace(plan, patch=replace(plan.patch, orientable=False, genus=0))
+    report = check_attachment_hypotheses(broken)
+    assert [v.code for v in report.violations] == ["PatchShape"]
+    with pytest.raises(PlanError) as caught:
+        attach_surface(broken)
+    assert caught.value.code == "PatchShape"
+
+
+def test_minted_id_meeting_a_kept_id_is_an_id_collision(rng):
+    # an untouched sheet named like the first piece of a cut sheet: the
+    # base is valid, and the output would name two sheets alike
+    for trial in range(100):
+        born = random_round_map(rng, name=f"ic{trial}")
+        plan = random_crossing_plan(rng, born)
+        if plan is None:
+            continue
+        cut = plan.circles[0].segments[0].sheet
+        untouched = [s.id for s in born.polyhedron.sheets
+                     if s.id not in {seg.sheet for seg in plan.circles[0].segments}]
+        if untouched:
+            break
+    else:
+        pytest.fail("no crossing plan leaves a sheet untouched")
+    poly = born.polyhedron
+    sheets = tuple(replace(s, id=f"{cut}.p0") if s.id == untouched[0] else s
+                   for s in poly.sheets)
+    base = replace(born, polyhedron=replace(poly, sheets=sheets))
+    assert validate_born_map(base).ok
+    with pytest.raises(PlanError) as caught:
+        attach_surface(replace(plan, base=base))
+    assert caught.value.code == "IdCollision"
+    assert str(caught.value) == f"two parts of the output are named {cut}.p0"
+
+
 @pytest.mark.parametrize("value", [0, 2])
 @pytest.mark.parametrize("field", ["patch_dir", "orient"])
 def test_sign_outside_plus_minus_one_is_rejected(field, value):
@@ -331,6 +367,16 @@ def test_witness_orient_outside_plus_minus_one_is_rejected():
             entry(plan)
         assert caught.value.code == "SignRange"
         assert str(caught.value) == "SignRange(outer_cut): witness orient 0"
+
+
+def test_normalize_needs_one_disk_region_per_circle():
+    # a second region for a circle, even the same one, is not dropped
+    plan = relocation_plan()
+    twice = replace(plan, disks=plan.disks + plan.disks[:1])
+    with pytest.raises(PlanError) as caught:
+        normalized_plan(twice)
+    assert caught.value.code == "ContainmentViolated"
+    assert str(caught.value) == "need one disk region per circle"
 
 
 def test_normalize_rejects_a_route_image():

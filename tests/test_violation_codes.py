@@ -169,6 +169,8 @@ BORN_MAP_CASES = {
         "curves", "im_c2", source=("branch", "zz"))),
     "CountMissing": lambda: born_with(fiber_counts={
         f: n for f, n in crossed().fiber_counts.items() if f != "f_10"}),
+    "CountUnknownFace": lambda: born_with(
+        fiber_counts={**crossed().fiber_counts, "zz": 3}),
     "NegativeCount": lambda: born_with(
         fiber_counts={**crossed().fiber_counts, "f_10": -1}),
     "AuxJump": lambda: born_with(arrangement=arr_with(
