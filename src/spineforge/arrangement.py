@@ -98,12 +98,6 @@ class CurveArrangement:
             [Violation("NoUnboundedFace", "arrangement")]))
 
 
-def empty_arrangement():
-    return CurveArrangement(
-        crossings=(), edges=(), curves=(),
-        faces=(Face("f_out", contours=(), unbounded=True, label="outside"),))
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

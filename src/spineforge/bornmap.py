@@ -16,6 +16,7 @@ face always has count 0: the polyhedron is compact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arrangement import face_depths, validate_arrangement
 from .core import (TRIPLE, ValidationReport, Violation, is_normal,
@@ -31,11 +32,19 @@ class StrandAssignment:
     # (arc_id, slot) -> "L"/"R": the side of the curve each wing maps to
     wing_sides: tuple  # tuple of ((arc_id, slot), side) pairs
 
+    @cached_property
+    def _sides(self):
+        """arc id -> {slot: side}, the table every wing-side lookup reads;
+        a wing listed twice has the side None."""
+        table = {}
+        for (arc_id, slot), side in self.wing_sides:
+            slots = table.setdefault(arc_id, {})
+            slots[slot] = None if slot in slots else side
+        return table
+
     def wing_side(self, arc_id, slot):
-        for (aid, s), side in self.wing_sides:
-            if aid == arc_id and s == slot:
-                return side
-        return None
+        """The side of one wing; None when it is not listed once."""
+        return self._sides.get(arc_id, {}).get(slot)
 
 
 @dataclass(frozen=True)
@@ -154,18 +163,20 @@ def validate_born_map(born):
     # wing side bookkeeping: triple arcs put two wings on the heavy side,
     # boundary arcs put their single wing there
     for key, assignment in born.assignments.items():
-        sides = dict((tuple(k), s) for k, s in assignment.wing_sides)
         for arc_id in strands[key]:
             arc = poly.arc(arc_id)
             expected = {0, 1, 2} if arc.kind == TRIPLE else {0}
-            got = {slot for (aid, slot) in sides if aid == arc_id}
-            if got != expected:
+            sides = assignment._sides.get(arc_id, {})
+            if sides.keys() != expected:
                 v.append(Violation("WingSides", arc_id,
-                                   f"slots {sorted(got)} vs {sorted(expected)}"))
+                                   f"slots {sorted(sides)} vs {sorted(expected)}"))
                 continue
-            heavy = assignment.heavy
-            n_heavy = sum(1 for (aid, slot), side in sides.items()
-                          if aid == arc_id and side == heavy)
+            repeated = [slot for slot, side in sides.items() if side is None]
+            if repeated:
+                v.append(Violation("WingSides", arc_id,
+                                   f"slot {repeated[0]} listed twice"))
+                continue
+            n_heavy = sum(side == assignment.heavy for side in sides.values())
             want = 2 if arc.kind == TRIPLE else 1
             if n_heavy != want:
                 v.append(Violation("WingSides", arc_id,

@@ -176,19 +176,21 @@ class SimplePolyhedron:
     # hash and repr ignore it, and dataclasses.replace starts without it.
 
     @cached_property
-    def _report(self):
+    def _checked(self):
+        """(validation report, wing table), from one pass of the validator."""
         return _check_polyhedron(self)
 
     @cached_property
+    def _report(self):
+        return self._checked[0]
+
+    @cached_property
     def _wings(self):
-        """arc id -> {slot: (sheet id, circuit index, position, direction)}."""
-        table = {arc.id: {} for arc in self.arcs}
-        for sheet in self.sheets:
-            for ci, circuit in enumerate(sheet.circuits):
-                for pos, trav in enumerate(circuit):
-                    table.setdefault(trav.arc, {})[trav.slot] = (
-                        sheet.id, ci, pos, trav.direction)
-        return table
+        """arc id -> {slot: (sheet id, circuit index, position, direction)},
+        the table validation builds as it checks that each slot is filled
+        once; an invalid polyhedron raises InvalidPolyhedron."""
+        require_valid(self)
+        return self._checked[1]
 
     @cached_property
     def _strands(self):
@@ -267,6 +269,7 @@ def validate_polyhedron(poly):
 
 
 def _check_polyhedron(poly):
+    """(report, wing table); the table is complete when the report is ok."""
     v = []
 
     ids = [s.id for s in poly.sheets] + [a.id for a in poly.arcs] + [w.id for w in poly.vertices]
@@ -336,11 +339,11 @@ def _check_polyhedron(poly):
             if sorted(roles.as_tuple()) != [0, 1, 2]:
                 v.append(Violation("VertexRoles", vertex.id, f"port {port}"))
 
+    wings = {arc.id: {} for arc in poly.arcs}
     if v:
-        return ValidationReport.failed(v)
+        return ValidationReport.failed(v), wings
 
     # flag bookkeeping: every wing slot claimed by exactly one traversal
-    claims = {}
     for sheet in poly.sheets:
         for ci, circuit in enumerate(sheet.circuits):
             if not circuit:
@@ -358,13 +361,13 @@ def _check_polyhedron(poly):
                 if trav.direction not in (1, -1):
                     v.append(Violation("CircuitRef", sheet.id, "direction"))
                     continue
-                key = (trav.arc, trav.slot)
-                if key in claims:
+                slots = wings[trav.arc]
+                if trav.slot in slots:
                     v.append(Violation("SlotDoubleFilled", trav.arc, f"slot {trav.slot}"))
-                claims[key] = (sheet.id, ci, pos)
+                slots[trav.slot] = (sheet.id, ci, pos, trav.direction)
 
     for arc in poly.arcs:
-        missing = [s for s in range(slot_count(arc.kind)) if (arc.id, s) not in claims]
+        missing = [s for s in range(slot_count(arc.kind)) if s not in wings[arc.id]]
         if missing:
             code = "TripleArcDegree" if arc.kind == TRIPLE else "BoundaryArcDegree"
             v.append(Violation(code, arc.id,
@@ -372,7 +375,7 @@ def _check_polyhedron(poly):
                                f"{slot_count(arc.kind)} slots filled"))
 
     if v:
-        return ValidationReport.failed(v)
+        return ValidationReport.failed(v), wings
 
     # circuit continuity under the continuation table
     for sheet in poly.sheets:
@@ -385,8 +388,8 @@ def _check_polyhedron(poly):
                                        f"circuit {ci} after {trav.arc}:{trav.slot}"))
 
     if v:
-        return ValidationReport.failed(v)
-    return ValidationReport.passed()
+        return ValidationReport.failed(v), wings
+    return ValidationReport.passed(), wings
 
 
 def require_valid(poly):
@@ -467,8 +470,3 @@ def euler_characteristic(poly):
     total = sum(sheet.euler for sheet in poly.sheets)
     open_arcs = sum(1 for arc in poly.arcs if not arc.closed)
     return total + len(poly.vertices) - open_arcs
-
-
-def arc_wings(poly, arc_id):
-    """The traversals occupying the slots of one arc, keyed by slot."""
-    return dict(poly._wings.get(arc_id, {}))  # a copy: the table is shared

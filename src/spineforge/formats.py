@@ -120,6 +120,14 @@ def _sign_str(value):
     return "+" if value > 0 else "-"
 
 
+def _name(tokens, lineno):
+    """The name a ``POLY``, ``NAME`` or ``PLAN`` record gives: one token,
+    or "" for the bare keyword."""
+    if len(tokens) > 2:
+        raise ParseError(f"line {lineno}: bad {tokens[0]} record")
+    return tokens[1] if len(tokens) > 1 else ""
+
+
 def _once(seen, tokens, lineno):
     """Marks a record that a file holds at most once, such as ``POLY``; a
     second one is a ParseError, not an overwrite."""
@@ -133,7 +141,7 @@ def _once(seen, tokens, lineno):
 # ---------------------------------------------------------------------------
 
 def emit_spoly(poly):
-    out = [f"POLY {poly.name or 'unnamed'}"]
+    out = [f"POLY {poly.name}" if poly.name else "POLY"]
     for sheet in poly.sheets:
         kind = "orientable" if sheet.orientable else "nonorientable"
         out.append(f"SHEET {sheet.id} {kind} {sheet.genus}")
@@ -166,7 +174,7 @@ def parse_spoly(text):
         tag = tokens[0]
         if tag == "POLY":
             _once(seen, tokens, lineno)
-            name = tokens[1] if len(tokens) > 1 else ""
+            name = _name(tokens, lineno)
         elif tag == "SHEET":
             _shape(tokens, lineno, "SHEET _ _ _")
             sheets.append((tokens[1], _orientable(tokens[2], lineno),
@@ -282,7 +290,7 @@ def parse_arr(text):
         tag = tokens[0]
         if tag == "NAME":
             _once(seen, tokens, lineno)
-            name = tokens[1] if len(tokens) > 1 else ""
+            name = _name(tokens, lineno)
         elif tag == "CROSSING":
             _shape(tokens, lineno, "CROSSING _ _ _ _ _")
             rays = tuple(_end(token, lineno) for token in tokens[2:])
@@ -373,7 +381,7 @@ def assemble_born_map(poly, arr, born_data):
 # ---------------------------------------------------------------------------
 
 def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
-    out = [f"PLAN {plan.name or 'unnamed'}",
+    out = [f"PLAN {plan.name}" if plan.name else "PLAN",
            f"BASE {base_spoly} {base_arr}"]
     patch = plan.patch
     kind = "orientable" if patch.orientable else "nonorientable"
@@ -467,7 +475,7 @@ def parse_plan(text):
             raise ParseError(f"line {lineno}: second image record for "
                              f"circle {cid}")
         if tag == "PLAN":
-            name = tokens[1] if len(tokens) > 1 else ""
+            name = _name(tokens, lineno)
         elif tag == "BASE":
             _shape(tokens, lineno, "BASE _ _")
             base_files = (tokens[1], tokens[2])

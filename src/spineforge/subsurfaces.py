@@ -36,83 +36,82 @@ class SelectionSearch:
     truncated: bool
 
 
-def _selected(poly, arc, sheets):
-    """(slot, sheet id, direction) of each wing of `arc` in a selected sheet."""
-    return [(slot, sid, d) for slot, (sid, _, _, d) in poly._wings[arc.id].items()
-            if sid in sheets]
-
-
-def _selection_arc_slots(poly, sheets):
-    out = {}
-    for arc in poly.arcs:
-        chosen = tuple(sorted(slot for slot, _, _ in _selected(poly, arc, sheets)))
-        if chosen:
-            out[arc.id] = chosen
-    return out
-
-
-def _require_known(poly, sheets):
+def _selected(poly, sheets):
+    """arc id -> the (slot, sheet id, direction) of each of its wings in a
+    selected sheet, by slot, for the arcs that have any: one scan of the
+    wing table, which every selection helper reads."""
     unknown = set(sheets) - poly._sheet_by_id.keys()
     if unknown:
         raise SelectionNotClosed(f"selection names unknown sheets {sorted(unknown)}")
+    out = {}
+    for arc_id, wings in poly._wings.items():
+        chosen = [(slot, sid, d) for slot, (sid, _, _, d) in sorted(wings.items())
+                  if sid in sheets]
+        if chosen:
+            out[arc_id] = chosen
+    return out
 
 
-def selection_is_closed(poly, sheets):
-    """Degree check: 0 or 2 selected wings on every arc, which leaves none
-    on a boundary arc, since it has one."""
-    _require_known(poly, sheets)
-    return all(len(_selected(poly, arc, sheets)) in (0, 2) for arc in poly.arcs)
-
-
-def _selection_connected(poly, sheets):
+def _connected(sheets, selected):
     uf = ParityUnionFind(sheets)
-    for arc in poly.arcs:
-        chosen = [sid for _, sid, _ in _selected(poly, arc, sheets)]
-        for first, second in zip(chosen, chosen[1:]):
+    for wings in selected.values():
+        for (_, first, _), (_, second, _) in zip(wings, wings[1:]):
             uf.union(first, second, 0)
     return uf.sets == 1
 
 
-def selection_euler(poly, sheets):
-    """Characteristic of the subsurface carried by the selected sheets."""
-    _require_known(poly, sheets)
-    used_arcs = [a for a in poly.arcs if len(_selected(poly, a, sheets)) == 2]
-    used_open = [a for a in used_arcs if not a.closed]
+def _euler(poly, sheets, selected):
+    used = [poly.arc(aid) for aid, wings in selected.items() if len(wings) == 2]
+    used_open = [a for a in used if not a.closed]
     used_vertices = {vid for a in used_open for vid, _ in a.endpoints}
     total = sum(poly.sheet(sid).euler for sid in sheets)
     return total + len(used_vertices) - len(used_open)
 
 
-def selection_orientable(poly, sheets):
-    """Parity union-find over selected sheets; opposite induced directions
-    along each shared arc are the compatible case."""
-    _require_known(poly, sheets)
+def _orientable(poly, sheets, selected):
     if any(not poly.sheet(sid).orientable for sid in sheets):
         return False
     uf = ParityUnionFind(sheets)
-    for arc in poly.arcs:
-        chosen = [(sid, d) for _, sid, d in _selected(poly, arc, sheets)]
-        if len(chosen) == 2:
-            (s1, d1), (s2, d2) = chosen
+    for wings in selected.values():
+        if len(wings) == 2:
+            (_, s1, d1), (_, s2, d2) = wings
             # equal signs fit exactly when the written directions disagree
             if not uf.union(s1, s2, int(d1 == d2)):
                 return False
     return True
 
 
+def selection_is_closed(poly, sheets):
+    """Degree check: 0 or 2 selected wings on every arc, which leaves none
+    on a boundary arc, since it has one."""
+    return all(len(wings) == 2 for wings in _selected(poly, sheets).values())
+
+
+def selection_euler(poly, sheets):
+    """Characteristic of the subsurface carried by the selected sheets."""
+    return _euler(poly, sheets, _selected(poly, sheets))
+
+
+def selection_orientable(poly, sheets):
+    """Parity union-find over selected sheets; opposite induced directions
+    along each shared arc are the compatible case."""
+    return _orientable(poly, sheets, _selected(poly, sheets))
+
+
 def make_selection(poly, sheets):
     """Build an annotated SurfaceSelection; raises when not closed/connected."""
-    require_valid(poly)
     sheets = frozenset(sheets)
-    if not selection_is_closed(poly, sheets):
+    selected = _selected(poly, sheets)
+    if any(len(wings) != 2 for wings in selected.values()):
         raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-    if not _selection_connected(poly, sheets):
+    if not _connected(sheets, selected):
         raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
     return SurfaceSelection(
         sheets=sheets,
-        arc_slots=_selection_arc_slots(poly, sheets),
-        orientable=selection_orientable(poly, sheets),
-        euler=selection_euler(poly, sheets),
+        arc_slots={aid: tuple(slot for slot, _, _ in wings)
+                   for aid, wings in selected.items()},
+        orientable=_orientable(poly, sheets, selected),
+        euler=_euler(poly, sheets, selected),
     )
 
 

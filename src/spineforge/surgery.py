@@ -25,7 +25,7 @@ from .arrangement import ArrangementBuilder, winding_numbers
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
-                   WingTraversal)
+                   WingTraversal, slot_count)
 from .errors import (ContainmentViolated, NoEmptyRegion, PatchNotOrientable,
                      PlanError, UnsupportedItinerary, WitnessMismatch)
 
@@ -480,14 +480,16 @@ def _plain_circuit(atoms):
 # ---------------------------------------------------------------------------
 
 def _insert_images(builder, circles):
-    """Insert the image curve `im_<id>` of every circle, those whose images
-    nest in fewer other images first, then by id.  A crossing-free image
-    goes inside the inner face of the image it nests in, or else in its
-    face.  Returns circle id -> the new crossings of its route image."""
+    """Insert the image curve `im_<id>` of every circle: the crossing-free
+    images first, those that nest in fewer other images first, then by id,
+    and then the routes by id.  A crossing-free image goes inside the inner
+    face of the image it nests in, or else in its face, which no route has
+    split yet.  Returns circle id -> the new crossings of its route image."""
     nesting = _image_nesting(circles)
     inner_face_of = {}
     route_crossings = {}
-    for circle in sorted(circles, key=lambda c: (nesting.get(c.id, (0,))[0], c.id)):
+    for circle in sorted(circles, key=lambda c: (
+            c.id not in nesting, nesting.get(c.id, (0,))[0], c.id)):
         image = circle.image
         curve_id, source = f"im_{circle.id}", ("aux", f"image:{circle.id}")
         if isinstance(image, ImageCircle):
@@ -509,12 +511,20 @@ def attach_surface(plan):
 
     existing_ids = ({s.id for s in poly.sheets} | {a.id for a in poly.arcs}
                     | {w.id for w in poly.vertices})
+    minted = {}  # the name of a new arc or disk -> the circle minting it
     for circle in plan.circles:
+        k = len(circle.events)
         fresh = {f"t_{circle.id}", f"d_{circle.id}"} | {
-            f"t_{circle.id}.{i}" for i in range(len(circle.events))}
+            f"t_{circle.id}.{i}" for i in range(k)}
         if fresh & existing_ids:
             raise PlanError("IdCollision",
                             f"circle id {circle.id} collides with existing names")
+        for name in ([f"t_{circle.id}.{i}" for i in range(k)] if k
+                     else [f"t_{circle.id}", f"d_{circle.id}"]):
+            if name in minted:
+                raise PlanError("IdCollision", f"circles {minted[name]} and "
+                                f"{circle.id} both mint {name}")
+            minted[name] = circle.id
 
     splits = _ArcSplits(poly, plan)
 
@@ -669,18 +679,11 @@ def attach_surface(plan):
                 wing_sides=tuple(((arc_id, slot), side) for arc_id in strand
                                  for slot, side in enumerate(slot_sides)))
             continue
-        old_key = poly._strand_of[sub_parent.get(key, key)]
-        old = base.assignments[old_key]
-        sides = []
-        for arc_id in strand:
-            parent = sub_parent.get(arc_id, arc_id)
-            arc = new_poly.arc(arc_id)
-            n_slots = 3 if arc.kind == TRIPLE else 1
-            for slot in range(n_slots):
-                sides.append(((arc_id, slot), old.wing_side(parent, slot)))
-        new_assignments[key] = StrandAssignment(
-            curve=old.curve, direction=old.direction, heavy=old.heavy,
-            wing_sides=tuple(sides))
+        old = base.assignments[poly._strand_of[sub_parent.get(key, key)]]
+        new_assignments[key] = replace(old, wing_sides=tuple(
+            ((arc_id, slot), old.wing_side(sub_parent.get(arc_id, arc_id), slot))
+            for arc_id in strand
+            for slot in range(slot_count(new_poly.arc(arc_id).kind))))
     for key, assignment in new_assignments.items():
         builder.retag_curve(assignment.curve, ("branch", key))
 

@@ -16,3 +16,11 @@ def rng():
 
 def repo_path(*parts):
     return os.path.join(os.path.dirname(__file__), "..", *parts)
+
+
+def empty_arrangement():
+    """The plane with no curves: one unbounded face."""
+    from spineforge.arrangement import CurveArrangement, Face
+    return CurveArrangement(
+        crossings=(), edges=(), curves=(),
+        faces=(Face("f_out", contours=(), unbounded=True, label="outside"),))

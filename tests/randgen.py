@@ -98,7 +98,7 @@ def random_interior_plan(rng, born, n_circles=None, name="rnd_plan"):
 def crossing_candidates(born):
     """Triple arcs usable for a two-point crossing circle, with the chosen
     heavy and light wing data."""
-    from spineforge.core import arc_wings, strand_circles
+    from spineforge.core import strand_circles
     poly = born.polyhedron
     strand_of = {}
     for circle in strand_circles(poly):
@@ -109,7 +109,7 @@ def crossing_candidates(born):
         if arc.kind != TRIPLE or not arc.closed:
             continue
         assignment = born.assignments[strand_of[arc.id]]
-        wings = arc_wings(poly, arc.id)
+        wings = poly._wings[arc.id]
         heavy = assignment.heavy
         heavy_slots = [s for s in range(3)
                        if assignment.wing_side(arc.id, s) == heavy]

@@ -154,7 +154,6 @@ def _orientable_by_enumeration(poly, sheets):
 
 def test_orientation_propagation_matches_enumeration():
     rng = random.Random(SEED + 2)
-    from spineforge.core import arc_wings
     checked = 0
     ok = True
     for trial in range(200):
@@ -165,7 +164,7 @@ def test_orientation_propagation_matches_enumeration():
         arcs = []
         sheets = set()
         for arc in poly.arcs:
-            wings = arc_wings(poly, arc.id)
+            wings = poly._wings[arc.id]
             slots = sorted(wings)
             if len(slots) >= 2 and rng.random() < 0.5:
                 a, b = rng.sample(slots, 2)
@@ -192,12 +191,11 @@ def test_orientation_propagation_matches_enumeration():
 
 
 def _graph_orientable_by_enumeration(born, graph, seed):
-    from spineforge.core import arc_wings
     poly = born.polyhedron
     seed_sheet, seed_sign = seed
     constraints = []
     for edge in graph.edges:
-        wings = arc_wings(poly, edge.arc)
+        wings = poly._wings[edge.arc]
         rel = 1 if wings[edge.slot_a][3] != wings[edge.slot_b][3] else -1
         constraints.append((edge.sheet_a, edge.sheet_b, rel))
     for signs in itertools.product((1, -1), repeat=len(graph.vertices)):

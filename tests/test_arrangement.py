@@ -1,11 +1,12 @@
 import pytest
 
 from spineforge.arrangement import (ArrEdge, Crossing, Curve,
-                                    CurveArrangement, Face, empty_arrangement,
+                                    CurveArrangement, Face,
                                     validate_arrangement, winding_numbers)
 from spineforge.core import ValidationReport, Violation
 from spineforge.errors import InvalidArrangement
 
+from conftest import empty_arrangement
 from randgen import random_surgered_maps
 
 

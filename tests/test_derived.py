@@ -16,8 +16,8 @@ import pytest
 from spineforge import formats, subsurfaces
 from spineforge.arrangement import validate_arrangement
 from spineforge.bornmap import realizability_certificate, validate_born_map
-from spineforge.core import (BOUNDARY, SimplePolyhedron, arc_wings,
-                             slot_count, strand_circles, validate_polyhedron)
+from spineforge.core import (BOUNDARY, SimplePolyhedron, slot_count,
+                             strand_circles, validate_polyhedron)
 from spineforge.errors import InvalidBornMap
 from spineforge.gallery import (build_base_example, build_closed_sheet,
                                 build_sphere_fixture, build_surgered_example,
@@ -55,7 +55,7 @@ def test_wing_table_and_strand_map_match_direct_scans(rng):
     for poly in derived_cases(rng):
         assert validate_polyhedron(poly).ok
         for arc in poly.arcs:
-            wings = arc_wings(poly, arc.id)
+            wings = poly._wings[arc.id]
             assert sorted(wings) == list(range(slot_count(arc.kind)))
             for slot, wing in wings.items():
                 # every traversal of the wing, found by scanning circuits

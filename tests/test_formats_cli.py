@@ -12,7 +12,7 @@ from spineforge.bornmap import validate_born_map
 from spineforge.cli import build_parser, main
 from spineforge.errors import SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
-                                klein_plan, relocation_plan)
+                                build_theta, klein_plan, relocation_plan)
 from spineforge.render import render_svg
 
 from conftest import repo_path
@@ -37,6 +37,32 @@ def test_arr_roundtrip(rng):
         arr, data = formats.parse_arr(formats.emit_arr(born))
         assert arr == born.arrangement
         assert formats.assemble_born_map(born.polyhedron, arr, data) == born
+
+
+def test_empty_names_roundtrip():
+    # an empty name is written as the bare keyword, not as a placeholder
+    born = replace(build_base_example(), name="")
+    poly = replace(build_theta(), name="")
+    plan = replace(relocation_plan(), name="")
+    assert formats.emit_spoly(poly).startswith("POLY\n")
+    assert formats.parse_spoly(formats.emit_spoly(poly)) == poly
+    arr, data = formats.parse_arr(formats.emit_arr(born))
+    assert formats.assemble_born_map(born.polyhedron, arr, data) == born
+    assert formats.emit_plan(plan).startswith("PLAN\n")
+    parsed, _ = formats.parse_plan(formats.emit_plan(plan))
+    assert replace(parsed, base=None) == replace(plan, base=None)
+
+
+@pytest.mark.parametrize("parse, record", [
+    (formats.parse_spoly, "POLY a b"),
+    (formats.parse_arr, "NAME a b"),
+    (formats.parse_plan, "PLAN a b"),
+])
+def test_name_of_two_tokens_is_a_parse_error(parse, record):
+    # the second token would otherwise be dropped without a trace
+    with pytest.raises(formats.ParseError,
+                       match=f"^line 1: bad {record.split()[0]} record$"):
+        parse(record + "\n")
 
 
 def test_plan_roundtrip():
@@ -369,6 +395,21 @@ def test_cli_graph_on_plan_unknown_to_its_base_fails_like_surgery(
         assert not [name for name in os.listdir() if name.startswith("out")]
 
 
+def test_cli_validate_rejects_a_wing_listed_twice(tmp_path, monkeypatch,
+                                                 capsys):
+    # c1:2 on the light side, as the record's last entry, is valid alone
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = Path("roundmap.arr").read_text()
+    record = "WINGSIDE c1 c1:0:R c1:1:R c1:2:L\n"
+    assert record in text
+    Path("twice.arr").write_text(text.replace(
+        record, "WINGSIDE c1 c1:0:R c1:1:R c1:2:R c1:2:L\n"))
+    capsys.readouterr()
+    assert main(["validate", "roundmap.spoly", "twice.arr"]) == 1
+    assert "WingSides(c1): slot 2 listed twice" in capsys.readouterr().out
+
+
 def test_cli_validate_rejects_broken_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["example", "base", "-o", "roundmap"])
@@ -530,7 +571,7 @@ def test_render_counts_circles_and_labels():
 
 
 def test_render_empty_map():
-    from spineforge.arrangement import empty_arrangement
+    from conftest import empty_arrangement
     from spineforge.bornmap import BornMap
     from spineforge.core import SimplePolyhedron
     born = BornMap(polyhedron=SimplePolyhedron((), (), (), name="empty"),

@@ -107,12 +107,11 @@ def test_maximal_graph_absent_for_incomparable(rng):
 
 def brute_force_orientation(born, graph, seed):
     poly = born.polyhedron
-    from spineforge.core import arc_wings
     sheets = list(graph.vertices)
     seed_sheet, seed_sign = seed
     constraints = []
     for edge in graph.edges:
-        table = arc_wings(poly, edge.arc)
+        table = poly._wings[edge.arc]
         d_a = table[edge.slot_a][3]
         d_b = table[edge.slot_b][3]
         constraints.append((edge.sheet_a, edge.sheet_b,
@@ -192,8 +191,7 @@ def test_orient_sheets_agrees_with_enumeration(rng):
         arcs = []
         sheets = set()
         for arc in poly.arcs:
-            from spineforge.core import arc_wings
-            wings = arc_wings(poly, arc.id)
+            wings = poly._wings[arc.id]
             slots = sorted(wings)
             if len(slots) >= 2 and rng.random() < 0.6:
                 a, b = rng.sample(slots, 2)

@@ -67,9 +67,8 @@ def test_odd_crossing_parity_is_rejected():
         RoundCircle("boundary", 1, 0, pos=0, radius=4)), name="four"))
     poly = base.polyhedron
     # find the sheet wings to write a typed, but impossible, itinerary
-    from spineforge.core import arc_wings
-    w1 = arc_wings(poly, "c1")
-    w2 = arc_wings(poly, "c2")
+    w1 = poly._wings["c1"]
+    w2 = poly._wings["c2"]
     shared = [s for s in range(3) if w1[s][0] in {w2[t][0] for t in range(3)}]
     circle = PlanCircle(
         id="bad",

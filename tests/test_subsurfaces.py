@@ -12,7 +12,6 @@ from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
 from spineforge.homology import gf2_rank, z2_homology
 from spineforge.obstruction import s3_obstruction
 from spineforge.subsurfaces import (_annotated, _index,
-                                    _selection_arc_slots,
                                     find_closed_surfaces, make_selection,
                                     selection_euler, selection_is_closed,
                                     selection_orientable,
@@ -281,6 +280,17 @@ def test_search_annotation_matches_make_selection(rng):
     assert open_arcs
 
 
+def scanned_arc_slots(poly, sheets):
+    """arc id -> the sorted slots of the selected sheets' wings on it, from
+    a scan of their circuits."""
+    slots = {}
+    for sid in sheets:
+        for circuit in poly.sheet(sid).circuits:
+            for trav in circuit:
+                slots.setdefault(trav.arc, []).append(trav.slot)
+    return {aid: tuple(sorted(found)) for aid, found in slots.items()}
+
+
 def test_search_annotation_checks_closedness_of_every_subset():
     # the walk only yields closed selections; its annotation still checks,
     # here against the slow oracles on every subset of the candidates
@@ -300,7 +310,7 @@ def test_search_annotation_checks_closedness_of_every_subset():
                 selection = next(annotation)
                 assert selection.sheets == sheets
                 assert selection.euler == selection_euler(poly, sheets)
-                assert selection.arc_slots == _selection_arc_slots(poly, sheets)
+                assert selection.arc_slots == scanned_arc_slots(poly, sheets)
         assert kinds == {True, False}
 
 

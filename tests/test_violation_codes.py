@@ -10,12 +10,13 @@ from functools import cache
 
 import pytest
 
-from spineforge.arrangement import Face, empty_arrangement, validate_arrangement
+from spineforge.arrangement import Face, validate_arrangement
 from spineforge.bornmap import validate_born_map
 from spineforge.core import SWAP, EndRoles, WingTraversal, validate_polyhedron
 from spineforge.gallery import build_sphere_fixture, build_theta
 from spineforge.surgery import attach_surface
 
+from conftest import empty_arrangement
 from test_surgery import crossing_plan_on_two_circles
 
 
@@ -176,6 +177,9 @@ BORN_MAP_CASES = {
     "AuxJump": lambda: born_with(arrangement=arr_with(
         "curves", "im_c2", source=("aux", "c2"))),
     "WingSides:slots [] vs [0]": lambda: assigned("c2", wing_sides=()),
+    # the last entry alone would be valid
+    "WingSides:slot 0 listed twice": lambda: assigned(
+        "c2", wing_sides=((("c2", 0), "R"), (("c2", 0), "L"))),
     "VertexMap:domain mismatch": lambda: born_with(
         vertex_crossings={"v_xa_0": "x_5"}),
     "VertexMap:not a bijection": lambda: born_with(
