@@ -15,6 +15,13 @@ class ParseError(SpineForgeError):
     code = "ParseError"
 
 
+class EmitError(SpineForgeError):
+    """An emitter was given a name or id that the parsers would not read
+    back as it is."""
+
+    code = "EmitError"
+
+
 class InvalidValue(SpineForgeError):
     """Raised when an operation receives a value that fails validation;
     `.report` carries the violations.  Subclasses set `code` and `noun`."""

@@ -8,6 +8,7 @@ exact on the in-memory values.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
 from .bornmap import BornMap, StrandAssignment
 from .core import (BranchArc, EndRoles, SheetSpec, SimplePolyhedron,
                    VertexSpec, WingTraversal)
-from .errors import ParseError
+from .errors import EmitError, ParseError
 from .surgery import (DiskRegion, ImageCircle, ImageRoute, PlanCircle,
                       PlanEvent, PlanSegment, RelocationWitness, SurfacePatch,
                       SurgeryPlan)
@@ -120,6 +121,36 @@ def _sign_str(value):
     return "+" if value > 0 else "-"
 
 
+_UNREADABLE = re.compile(r"[\s#]")
+
+
+def _word(value, what, avoid=""):
+    """`value`, a name or id, as an emitter writes it: a whole token, or a
+    field of a token that the parser splits at the characters in `avoid`.
+    Raises EmitError naming the value when the parser would not read it
+    back as it is: an empty value, whitespace, ``#`` (a comment) or one of
+    `avoid`."""
+    text = str(value)
+    found = _UNREADABLE.search(text)
+    if text and not found and not (avoid and any(c in text for c in avoid)):
+        return text
+    if not text:
+        reason = "it is empty"
+    elif found:
+        reason = ("it holds '#', which starts a comment" if found[0] == "#"
+                  else "it holds whitespace")
+    else:
+        reason = (f"it holds {next(c for c in avoid if c in text)!r}, which "
+                  f"separates the fields of its token")
+    raise EmitError(f"cannot write {what} {text!r}: {reason}")
+
+
+def _header(keyword, name, what):
+    """A ``POLY``, ``NAME`` or ``PLAN`` record: the bare keyword for an
+    empty name."""
+    return f"{keyword} {_word(name, what)}" if name else keyword
+
+
 def _name(tokens, lineno):
     """The name a ``POLY``, ``NAME`` or ``PLAN`` record gives: one token,
     or "" for the bare keyword."""
@@ -141,25 +172,31 @@ def _once(seen, tokens, lineno):
 # ---------------------------------------------------------------------------
 
 def emit_spoly(poly):
-    out = [f"POLY {poly.name}" if poly.name else "POLY"]
+    out = [_header("POLY", poly.name, "polyhedron name")]
     for sheet in poly.sheets:
+        sid = _word(sheet.id, "sheet id")
         kind = "orientable" if sheet.orientable else "nonorientable"
-        out.append(f"SHEET {sheet.id} {kind} {sheet.genus}")
+        out.append(f"SHEET {sid} {kind} {sheet.genus}")
         for circuit in sheet.circuits:
-            travs = " ".join(f"{t.arc}:{t.slot}:{_sign_str(t.direction)}"
-                             for t in circuit)
-            out.append(f"CIRCUIT {sheet.id} {travs}")
+            travs = " ".join(
+                f"{_word(t.arc, 'arc id')}:{t.slot}:{_sign_str(t.direction)}"
+                for t in circuit)
+            out.append(f"CIRCUIT {sid} {travs}")
     for arc in poly.arcs:
         if arc.closed:
             shape = "closed"
         else:
             (v0, p0), (v1, p1) = arc.endpoints
-            shape = f"ends {v0}:{p0} {v1}:{p1}"
-        out.append(f"ARC {arc.id} {arc.kind} {shape} monodromy {arc.monodromy}")
+            shape = (f"ends {_word(v0, 'vertex id')}:{p0} "
+                     f"{_word(v1, 'vertex id')}:{p1}")
+        out.append(f"ARC {_word(arc.id, 'arc id')} {arc.kind} {shape} "
+                   f"monodromy {arc.monodromy}")
     for vertex in poly.vertices:
-        ends = " ".join(f"{aid}:{end}" for aid, end in vertex.ends)
+        ends = " ".join(f"{_word(aid, 'arc id')}:{end}"
+                        for aid, end in vertex.ends)
         roles = " ".join(f"{r.free}:{r.lq}:{r.rq}" for r in vertex.roles)
-        out.append(f"VERTEX {vertex.id} ends {ends} roles {roles}")
+        out.append(f"VERTEX {_word(vertex.id, 'vertex id')} ends {ends} "
+                   f"roles {roles}")
     return "\n".join(out) + "\n"
 
 
@@ -218,47 +255,64 @@ def parse_spoly(text):
 
 def emit_arr(born):
     arr = born.arrangement
-    out = [f"NAME {born.name}"] if born.name else []
+    out = [_header("NAME", born.name, "map name")] if born.name else []
     for crossing in arr.crossings:
-        rays = " ".join(f"{eid}:{end}" for eid, end in crossing.order)
-        out.append(f"CROSSING {crossing.id} {rays}")
+        rays = " ".join(f"{_word(eid, 'edge id')}:{end}"
+                        for eid, end in crossing.order)
+        out.append(f"CROSSING {_word(crossing.id, 'crossing id')} {rays}")
     for edge in arr.edges:
         if edge.closed:
             shape = "closed"
         else:
             (x0, p0), (x1, p1) = edge.ends
-            shape = f"ends {x0}:{p0} {x1}:{p1}"
-        out.append(f"EDGE {edge.id} curve {edge.curve} {shape} "
-                   f"left {edge.left} right {edge.right}")
+            shape = (f"ends {_word(x0, 'crossing id')}:{p0} "
+                     f"{_word(x1, 'crossing id')}:{p1}")
+        out.append(f"EDGE {_word(edge.id, 'edge id')} "
+                   f"curve {_word(edge.curve, 'curve id')} {shape} "
+                   f"left {_word(edge.left, 'face id')} "
+                   f"right {_word(edge.right, 'face id')}")
     for curve in arr.curves:
-        source = f"{curve.source[0]}:{curve.source[1]}"
-        line = f"CURVE {curve.id} source {source} edges " + " ".join(curve.edges)
+        # the parser splits the source at its first ':'
+        kind, label = curve.source
+        source = (f"{_word(kind, 'curve source kind', ':')}:"
+                  f"{_word(label, 'curve source label')}")
+        edges = [_word(eid, "edge id") for eid in curve.edges]
+        if "draw" in edges:
+            raise EmitError(f"cannot write edge id 'draw' of curve "
+                            f"{curve.id!r}: it would read back as the "
+                            f"draw keyword")
+        line = (f"CURVE {_word(curve.id, 'curve id')} source {source} "
+                f"edges " + " ".join(edges))
         if curve.draw:
             line += " draw " + " ".join(repr(x) for x in curve.draw)
         out.append(line)
     for face in arr.faces:
-        line = f"FACE {face.id}"
+        fid = _word(face.id, "face id")
+        line = f"FACE {fid}"
         if face.unbounded:
             line += " unbounded"
         if face.label:
-            line += f" label {face.label}"
+            line += f" label {_word(face.label, 'face label')}"
         if face.draw:
             line += " draw " + " ".join(repr(x) for x in face.draw)
         out.append(line)
         for contour in face.contours:
-            sides = " ".join(f"{eid}:{_sign_str(d)}" for eid, d in contour)
-            out.append(f"CONTOUR {face.id} {sides}")
+            sides = " ".join(f"{_word(eid, 'edge id')}:{_sign_str(d)}"
+                             for eid, d in contour)
+            out.append(f"CONTOUR {fid} {sides}")
     for fid in sorted(born.fiber_counts):
-        out.append(f"COUNT {fid} {born.fiber_counts[fid]}")
+        out.append(f"COUNT {_word(fid, 'face id')} {born.fiber_counts[fid]}")
     for key in sorted(born.assignments):
         a = born.assignments[key]
-        out.append(f"ASSIGN {key} curve {a.curve} dir {_sign_str(a.direction)} "
-                   f"heavy {a.heavy}")
-        sides = " ".join(f"{aid}:{slot}:{side}"
+        key = _word(key, "strand key")
+        out.append(f"ASSIGN {key} curve {_word(a.curve, 'curve id')} "
+                   f"dir {_sign_str(a.direction)} heavy {a.heavy}")
+        sides = " ".join(f"{_word(aid, 'arc id')}:{slot}:{side}"
                          for (aid, slot), side in a.wing_sides)
         out.append(f"WINGSIDE {key} {sides}")
     for vid in sorted(born.vertex_crossings):
-        out.append(f"VERTEXMAP {vid} {born.vertex_crossings[vid]}")
+        out.append(f"VERTEXMAP {_word(vid, 'vertex id')} "
+                   f"{_word(born.vertex_crossings[vid], 'crossing id')}")
     return "\n".join(out) + "\n"
 
 
@@ -381,16 +435,18 @@ def assemble_born_map(poly, arr, born_data):
 # ---------------------------------------------------------------------------
 
 def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
-    out = [f"PLAN {plan.name}" if plan.name else "PLAN",
-           f"BASE {base_spoly} {base_arr}"]
+    out = [_header("PLAN", plan.name, "plan name"),
+           f"BASE {_word(base_spoly, 'base file name')} "
+           f"{_word(base_arr, 'base file name')}"]
     patch = plan.patch
     kind = "orientable" if patch.orientable else "nonorientable"
     out.append(f"PATCH {kind} genus {patch.genus} boundaries {patch.boundaries} "
-               f"id {patch.id}")
+               f"id {_word(patch.id, 'patch id')}")
     for circle in plan.circles:
-        out.append(f"CIRCLE {circle.id} patchdir {_sign_str(circle.patch_dir)}")
+        cid = _word(circle.id, "circle id")
+        out.append(f"CIRCLE {cid} patchdir {_sign_str(circle.patch_dir)}")
         for i, seg in enumerate(circle.segments):
-            line = f"SEG {circle.id} {i} sheet {seg.sheet}"
+            line = f"SEG {cid} {i} sheet {_word(seg.sheet, 'sheet id')}"
             if seg.side_genus is not None:
                 line += f" sidegenus {seg.side_genus}"
             if seg.side_circuits is not None:
@@ -398,38 +454,51 @@ def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
                 line += f" sidecircuits {listed}"
             out.append(line)
         for i, event in enumerate(circle.events):
-            out.append(f"EVENT {circle.id} {i} arc {event.arc} "
+            out.append(f"EVENT {cid} {i} arc {_word(event.arc, 'arc id')} "
                        f"pos {event.position} slotin {event.slot_in} "
                        f"slotout {event.slot_out}")
         image = circle.image
         if isinstance(image, ImageCircle):
-            line = f"IMAGECIRCLE {circle.id} face {image.face}"
+            line = f"IMAGECIRCLE {cid} face {_word(image.face, 'face id')}"
             if image.inside:
-                line += f" inside {image.inside}"
+                line += f" inside {_word(image.inside, 'circle id')}"
             line += f" orient {_sign_str(image.orient)}"
             if image.label:
-                line += f" label {image.label}"
+                line += f" label {_word(image.label, 'image label')}"
             if image.draw:
                 line += " draw " + " ".join(repr(x) for x in image.draw)
             out.append(line)
         else:
-            crosses = " ".join(f"{eid}@{pos}" for eid, pos in image.crossings)
-            out.append(f"IMAGEROUTE {circle.id} cross {crosses}")
+            # the parser splits a crossing at its first '@'
+            crosses = " ".join(f"{_word(eid, 'edge id', '@')}@{pos}"
+                               for eid, pos in image.crossings)
+            out.append(f"IMAGEROUTE {cid} cross {crosses}")
             for i, (fid, holes) in enumerate(image.runs):
-                line = f"IMAGERUN {circle.id} {i} face {fid}"
+                line = f"IMAGERUN {cid} {i} face {_word(fid, 'face id')}"
                 if holes:
-                    line += f" holes {holes}"
+                    line += f" holes {_word(holes, 'holes side')}"
                 out.append(line)
     for disk in plan.disks:
-        out.append(f"DISK {disk.circle} faces " + " ".join(disk.faces))
+        out.append(f"DISK {_word(disk.circle, 'circle id')} faces "
+                   + " ".join(_word(fid, "face id") for fid in disk.faces))
     if plan.witness:
         w = plan.witness
-        nesting = " ".join(f"{cid}:{parent or '-'}:{_sign_str(orient)}"
+        nesting = " ".join(f"{_word(cid, 'circle id')}:{_parent(parent)}:"
+                           f"{_sign_str(orient)}"
                            for cid, parent, orient in w.nesting)
         kind = "orientable" if w.surface_orientable else "nonorientable"
         out.append(f"WITNESS nesting {nesting} surface {kind} "
                    f"genus {w.surface_genus} boundaries {w.surface_boundaries}")
     return "\n".join(out) + "\n"
+
+
+def _parent(parent):
+    """A witness parent as written: ``-`` for none.  The parser splits a
+    nesting at its last two colons, so the parent holds none."""
+    if parent == "-":
+        raise EmitError("cannot write witness parent '-': it would read "
+                        "back as no parent")
+    return _word(parent, "witness parent", ":") if parent else "-"
 
 
 def _put_indexed(table, token, lineno, value):

@@ -9,7 +9,7 @@ so the search reduces to the per-arc degree constraint plus connectivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -17,16 +17,36 @@ from .core import BOUNDARY, ParityUnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceSelection:
     sheets: frozenset
     # arc_id -> tuple of selected slots (length 0 entries omitted)
     arc_slots: dict
     orientable: bool
     euler: int
+    # a selection the search yields holds what the walk decided, the sheets
+    # and orientability, and leaves arc_slots and euler unset; they are
+    # derived from the search index and the include order on the first
+    # read of either (see __getattr__)
+    _index: object = field(default=None, init=False, repr=False,
+                           compare=False)
+    _chosen: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def key(self):
         return tuple(sorted(self.sheets))
+
+    def __getattr__(self, name):
+        # reached only for an unset slot; the two derived ones are set
+        # together and never unset, so two threads reading at once both
+        # derive and store the same values
+        if name not in ("arc_slots", "euler") or self._index is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        arc_slots, euler = _derived(self._index, self._chosen, self.sheets)
+        object.__setattr__(self, "arc_slots", arc_slots)
+        object.__setattr__(self, "euler", euler)
+        return arc_slots if name == "arc_slots" else euler
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,8 @@ def find_closed_surfaces(poly, bound):
     through a completed wing pair, so every selection is connected, and no
     selection is reached twice.  The selections come in order of size,
     then of sorted sheet ids.  The tables the search reads are built on
-    the first search of a polyhedron object and kept on it.
+    the first search of a polyhedron object and kept on it.  A selection's
+    arc_slots and euler are derived from them on the first read of either.
     """
     results, examined, truncated = _closed_search(poly, bound)
     return SelectionSearch(selections=tuple(_annotated(poly, results)),
@@ -150,16 +171,17 @@ def find_closed_surfaces(poly, bound):
 
 def nonorientable_selections(poly, bound):
     """The non-orientable selections find_closed_surfaces(poly, bound)
-    lists, in its order, as an iterator that annotates each only when it
-    is drawn, and whether the search was truncated."""
+    lists, in its order, as an iterator that builds each only when it is
+    drawn, and whether the search was truncated."""
     results, _, truncated = _closed_search(poly, bound)
     return _annotated(poly, [r for r in results if not r[1]]), truncated
 
 
 class _Index(NamedTuple):
-    """What the search and its annotation read of one polyhedron.  The
-    candidates are the sheets on no boundary arc, by sorted id; their wings
-    all lie on triple arcs and are numbered in (arc position, slot) order."""
+    """What the search and the selections it yields read of one
+    polyhedron.  The candidates are the sheets on no boundary arc, by
+    sorted id; their wings all lie on triple arcs and are numbered in (arc
+    position, slot) order."""
     order: list          # candidate sheet ids
     nonorientable: list  # per candidate
     euler: list          # per candidate, its sheet's characteristic
@@ -318,33 +340,43 @@ def _closed_search(poly, bound):
 
 def _annotated(poly, results):
     """SurfaceSelections for raw results of _closed_search(poly, ...), in
-    order of size, then of sorted sheet ids; each is annotated only when
-    it is drawn.
-
-    This is make_selection for a polyhedron already validated, read from
-    the search's own index.  The search decided each selection's
-    orientability and connectedness.
-    """
+    order of size, then of sorted sheet ids; each is built only when it is
+    drawn, from the sheets and orientability the walk decided, and derives
+    its arc_slots and euler on first read (see _derived)."""
     index = _index(poly)
-    order, sheet_numbers, pairs = index.order, index.sheet_numbers, index.pairs
-    euler, open_ends = index.euler, index.open_ends
+    order = index.order
+    new, put = object.__new__, object.__setattr__
     # positions follow sorted ids, so sorting positions sorts the ids
     for chosen, orientable in sorted(results,
                                      key=lambda r: (len(r[0]), sorted(r[0]))):
+        selection = new(SurfaceSelection)
         # copied from a set, the frozenset's table is sized to fit
-        sheets = frozenset(set(map(order.__getitem__, chosen)))
-        # sorted, the wing numbers of each arc lie together with their
-        # slots in order, and the arcs follow poly.arcs; the selection is
-        # closed when they pair off, two wings to a triple arc (three
-        # wings on an arc leave one over, which pairs with the next arc's)
-        wings = sorted(chain.from_iterable(map(sheet_numbers.__getitem__,
-                                               chosen)))
-        found = list(map(pairs.get, zip(wings[::2], wings[1::2])))
-        if len(wings) % 2 or None in found:
-            raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-        arc_slots = dict(found)
-        ends = list(filter(None, map(open_ends.get, arc_slots)))
-        yield SurfaceSelection(
-            sheets=sheets, arc_slots=arc_slots, orientable=orientable,
-            euler=(sum(map(euler.__getitem__, chosen)) - len(ends)
-                   + len(frozenset().union(*ends))))
+        put(selection, "sheets", frozenset(set(map(order.__getitem__,
+                                                   chosen))))
+        put(selection, "orientable", orientable)
+        put(selection, "_index", index)
+        put(selection, "_chosen", chosen)
+        yield selection
+
+
+def _derived(index, chosen, sheets):
+    """The arc_slots and euler of the selection of candidate positions
+    `chosen`, read from the search's own index.
+
+    This is make_selection's annotation for a polyhedron already
+    validated; the search decided the selection's orientability and
+    connectedness.
+    """
+    # sorted, the wing numbers of each arc lie together with their slots in
+    # order, and the arcs follow poly.arcs; the selection is closed when
+    # they pair off, two wings to a triple arc (three wings on an arc leave
+    # one over, which pairs with the next arc's)
+    wings = sorted(chain.from_iterable(map(index.sheet_numbers.__getitem__,
+                                           chosen)))
+    found = list(map(index.pairs.get, zip(wings[::2], wings[1::2])))
+    if len(wings) % 2 or None in found:
+        raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
+    arc_slots = dict(found)
+    ends = list(filter(None, map(index.open_ends.get, arc_slots)))
+    return arc_slots, (sum(map(index.euler.__getitem__, chosen)) - len(ends)
+                       + len(frozenset().union(*ends)))

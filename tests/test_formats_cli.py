@@ -1,8 +1,10 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,11 @@ import pytest
 from spineforge import formats
 from spineforge.bornmap import validate_born_map
 from spineforge.cli import build_parser, main
-from spineforge.errors import SpineForgeError
+from spineforge.errors import EmitError, SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta, klein_plan, relocation_plan)
 from spineforge.render import render_svg
+from spineforge.surgery import ImageRoute
 
 from conftest import repo_path
 
@@ -63,6 +66,127 @@ def test_name_of_two_tokens_is_a_parse_error(parse, record):
     with pytest.raises(formats.ParseError,
                        match=f"^line 1: bad {record.split()[0]} record$"):
         parse(record + "\n")
+
+
+def theta_with_arc(arc_id, **change):
+    """build_theta() with its one arc named `arc_id`."""
+    theta = build_theta()
+    sheets = tuple(replace(sheet, circuits=tuple(
+        tuple(replace(trav, arc=arc_id) for trav in circuit)
+        for circuit in sheet.circuits)) for sheet in theta.sheets)
+    return replace(theta, sheets=sheets,
+                   arcs=(replace(theta.arcs[0], id=arc_id),), **change)
+
+
+def with_first(value, field, **change):
+    """`value` with the first entry of its tuple `field` changed."""
+    items = getattr(value, field)
+    return replace(value, **{field: (replace(items[0], **change),)
+                             + items[1:]})
+
+
+def with_witness(plan, nesting):
+    return replace(plan, witness=replace(plan.witness, nesting=nesting))
+
+
+def with_route_edge(plan, eid):
+    """`plan` with its first circle's image a route crossing edge `eid`."""
+    image = ImageRoute(((eid, Fraction(1, 2)),), (("r1", None),))
+    return with_first(plan, "circles", image=image)
+
+
+def with_first_record(born, field, **change):
+    """`born` with the first entry of its arrangement's `field` changed."""
+    return replace(born, arrangement=with_first(born.arrangement, field,
+                                                **change))
+
+
+UNWRITABLE = [
+    ("spoly name #", lambda: formats.emit_spoly(replace(build_theta(),
+                                                        name="a#b")),
+     "polyhedron name 'a#b': it holds '#'"),
+    ("spoly name space", lambda: formats.emit_spoly(replace(build_theta(),
+                                                            name="a b")),
+     "polyhedron name 'a b': it holds whitespace"),
+    ("sheet id space", lambda: formats.emit_spoly(
+        with_first(build_theta(), "sheets", id="w 0")),
+     "sheet id 'w 0': it holds whitespace"),
+    ("empty sheet id", lambda: formats.emit_spoly(
+        with_first(build_theta(), "sheets", id="")),
+     "sheet id '': it is empty"),
+    ("arc id tab", lambda: formats.emit_spoly(theta_with_arc("c\t0")),
+     "arc id 'c\\t0': it holds whitespace"),
+    ("vertex id #", lambda: formats.emit_spoly(with_first(
+        build_theta(), "arcs", endpoints=(("v#0", 0), ("v1", 1)))),
+     "vertex id 'v#0': it holds '#'"),
+    ("arr name space", lambda: formats.emit_arr(
+        replace(build_base_example(), name="x y")),
+     "map name 'x y': it holds whitespace"),
+    ("face label #", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "faces", label="r#1")),
+     "face label 'r#1': it holds '#'"),
+    ("source kind colon", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "curves", source=("bra:nch", "c1"))),
+     "curve source kind 'bra:nch': it holds ':'"),
+    ("curve edge draw", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "curves", edges=("draw",))),
+     "edge id 'draw' of curve 'im_c1'"),
+    ("circle id space", lambda: formats.emit_plan(with_first(
+        relocation_plan(), "circles", id="outer cut")),
+     "circle id 'outer cut': it holds whitespace"),
+    ("witness parent colon", lambda: formats.emit_plan(with_witness(
+        relocation_plan(), (("outer_cut", None, 1), ("inner", "a:b", -1)))),
+     "witness parent 'a:b': it holds ':'"),
+    ("witness parent dash", lambda: formats.emit_plan(with_witness(
+        relocation_plan(), (("outer_cut", None, 1), ("inner", "-", -1)))),
+     "witness parent '-'"),
+    ("route edge @", lambda: formats.emit_plan(
+        with_route_edge(relocation_plan(), "e@1")),
+     "edge id 'e@1': it holds '@'"),
+    ("base file space", lambda: formats.emit_plan(relocation_plan(),
+                                                  "my base.spoly"),
+     "base file name 'my base.spoly': it holds whitespace"),
+]
+
+
+@pytest.mark.parametrize("emit, message", [case[1:] for case in UNWRITABLE],
+                         ids=[case[0] for case in UNWRITABLE])
+def test_value_that_would_not_read_back_is_an_emit_error(emit, message):
+    # such a value used to be written as it is, and read back as another
+    # value or as a parse error
+    with pytest.raises(EmitError, match=f"^cannot write {re.escape(message)}"):
+        emit()
+
+
+def test_values_that_read_back_are_written():
+    # a colon in the first field of a token reads back, since the parsers
+    # split such a token at its last colons; a source label keeps its colons
+    for poly in (theta_with_arc("c:0", name="théta-1.b+c<2"),
+                 with_first(build_theta(), "sheets", id="w:0")):
+        assert formats.parse_spoly(formats.emit_spoly(poly)) == poly
+    born = with_first_record(build_base_example(), "curves",
+                             source=("branch", "c:1"))
+    arr, _ = formats.parse_arr(formats.emit_arr(born))
+    assert arr == born.arrangement
+    plan = with_witness(relocation_plan(), (("o:cut", None, 1),
+                                            ("i:cut", "o_cut", -1)))
+    plan = with_route_edge(plan, "e:1")
+    parsed, files = formats.parse_plan(formats.emit_plan(plan, "a:b.spoly",
+                                                         "a@b.arr"))
+    assert replace(parsed, base=None) == replace(plan, base=None)
+    assert files == ("a:b.spoly", "a@b.arr")
+
+
+def test_cli_surgery_on_a_circle_id_with_a_colon(tmp_path, monkeypatch):
+    # the ids surgery mints from it hold the colon in the first field of
+    # their tokens, so its output reads back
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = Path("klein.plan").read_text().replace("outer_cut", "o:cut")
+    Path("colon.plan").write_text(text)
+    assert main(["surgery", "colon.plan", "-o", "out"]) == 0
+    assert "t_o:cut" in Path("out.spoly").read_text()
+    assert main(["validate", "out.spoly", "out.arr"]) == 0
 
 
 def test_plan_roundtrip():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import sys
+import threading
 
 import pytest
 
@@ -292,8 +293,9 @@ def scanned_arc_slots(poly, sheets):
 
 
 def test_search_annotation_checks_closedness_of_every_subset():
-    # the walk only yields closed selections; its annotation still checks,
-    # here against the slow oracles on every subset of the candidates
+    # the walk only yields closed selections; its annotation, derived on
+    # the first read of arc_slots or euler, still checks, here against the
+    # slow oracles on every subset of the candidates
     for poly in (build_theta(), tower(4), build_base_example().polyhedron):
         order = _index(poly).order
         kinds = set()
@@ -302,16 +304,88 @@ def test_search_annotation_checks_closedness_of_every_subset():
                 sheets = {order[i] for i in chosen}
                 closed = selection_is_closed(poly, sheets)
                 kinds.add(closed)
-                annotation = _annotated(poly, [(chosen, True)])
+                selection = next(_annotated(poly, [(chosen, True)]))
                 if not closed:
-                    with pytest.raises(SelectionNotClosed):
-                        next(annotation)
+                    for name in ("arc_slots", "euler"):
+                        with pytest.raises(SelectionNotClosed):
+                            getattr(selection, name)
                     continue
-                selection = next(annotation)
                 assert selection.sheets == sheets
                 assert selection.euler == selection_euler(poly, sheets)
                 assert selection.arc_slots == scanned_arc_slots(poly, sheets)
         assert kinds == {True, False}
+
+
+def test_tower_selections_are_spheres():
+    # a tower's closed selections are the two-disk spheres and the disk
+    # capped annulus chains, so every one is orientable with euler 2
+    for n in (32, 64):
+        search = find_closed_surfaces(tower(n), 10 ** 6)
+        assert len(search.selections) == n * (n - 1) // 2
+        assert all(s.orientable and s.euler == 2 and s.arc_slots
+                   for s in search.selections)
+    for n in range(4, 17):
+        poly = tower(n)
+        for selection in find_closed_surfaces(poly, 10 ** 6).selections:
+            assert selection.arc_slots == scanned_arc_slots(poly,
+                                                            selection.sheets)
+
+
+def test_unread_selection_matches_make_selection():
+    for poly in (build_surgered_example().polyhedron, tower(8)):
+        for selection, again in zip(
+                find_closed_surfaces(poly, 10 ** 6).selections,
+                find_closed_surfaces(poly, 10 ** 6).selections):
+            # arc_slots and euler are not derived before their first read
+            for name in ("arc_slots", "euler"):
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(selection, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                selection.euler = 0
+            made = make_selection(poly, selection.sheets)
+            assert repr(again) == repr(made)
+            assert selection == made
+
+
+def test_unread_selections_read_from_many_threads_agree():
+    # each thread may derive a selection's arc_slots and euler; every one
+    # must see the values a single reader sees
+    poly = tower(16)
+    expected = [(s.arc_slots, s.euler)
+                for s in find_closed_surfaces(poly, 10 ** 6).selections]
+    selections = find_closed_surfaces(poly, 10 ** 6).selections
+    seen = [None] * 8
+
+    def read(k):
+        seen[k] = [(s.arc_slots, s.euler) for s in selections]
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 8
+
+
+def test_witness_is_the_first_nonorientable_selection(rng):
+    cases = [build_surgered_example().polyhedron]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    witnesses = 0
+    for poly in cases:
+        kind, witness, truncated = s3_obstruction(poly, 10 ** 6)
+        first = next((s for s in find_closed_surfaces(poly, 10 ** 6).selections
+                      if not s.orientable), None)
+        assert not truncated
+        assert witness == first
+        assert kind == ("obstructed" if first else "not-obstructed")
+        witnesses += witness is not None
+    assert witnesses >= 2
 
 
 def test_selections_span_the_mod_2_cycles(rng):
