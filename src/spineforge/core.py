@@ -171,9 +171,9 @@ class SimplePolyhedron:
     def vertex(self, vid):
         return self._vertex_by_id[vid]
 
-    # Derived data, built on first use and kept on this object, as is the
-    # closed-surface index of subsurfaces.  None of it is a field, so ==,
-    # hash and repr ignore it, and dataclasses.replace starts without it.
+    # Derived data, built on first use and kept on this object, as are the
+    # closed-surface index and uncut walk of subsurfaces.  No field holds
+    # it: ==, hash and repr ignore it; dataclasses.replace starts without it.
 
     @cached_property
     def _checked(self):

@@ -222,7 +222,8 @@ def s3_obstruction(poly, bound):
     exists within the bound, else ("not-obstructed", None); a third element
     flags truncation.  The witness is the first non-orientable selection
     find_closed_surfaces(poly, bound) would list, and the only one
-    annotated; the search reuses the polyhedron object's index."""
+    annotated; the search reuses the object's index and an uncut walk
+    that either this or find_closed_surfaces made on it."""
     bad, truncated = nonorientable_selections(poly, bound)
     witness = next(bad, None)
     return ("obstructed" if witness else "not-obstructed", witness, truncated)

@@ -104,17 +104,20 @@ def _orientable(poly, sheets, selected):
 def selection_is_closed(poly, sheets):
     """Degree check: 0 or 2 selected wings on every arc, which leaves none
     on a boundary arc, since it has one."""
+    sheets = frozenset(sheets)
     return all(len(wings) == 2 for wings in _selected(poly, sheets).values())
 
 
 def selection_euler(poly, sheets):
     """Characteristic of the subsurface carried by the selected sheets."""
+    sheets = frozenset(sheets)
     return _euler(poly, sheets, _selected(poly, sheets))
 
 
 def selection_orientable(poly, sheets):
     """Parity union-find over selected sheets; opposite induced directions
     along each shared arc are the compatible case."""
+    sheets = frozenset(sheets)
     return _orientable(poly, sheets, _selected(poly, sheets))
 
 
@@ -161,7 +164,8 @@ def find_closed_surfaces(poly, bound):
     through a completed wing pair, so every selection is connected, and no
     selection is reached twice.  The selections come in order of size,
     then of sorted sheet ids.  The tables the search reads are built on
-    the first search of a polyhedron object and kept on it.  A selection's
+    the first search of a polyhedron object and kept on it, as is a
+    search the bound did not cut (see _closed_search).  A selection's
     arc_slots and euler are derived from them on the first read of either.
     """
     results, examined, truncated = _closed_search(poly, bound)
@@ -242,10 +246,25 @@ def _index(poly):
 
 
 def _closed_search(poly, bound):
-    """The walk behind find_closed_surfaces over the polyhedron's _Index,
-    deciding orientability as a selection grows and annotating nothing.
-    Returns (results, examined, truncated), a result being the candidate
-    positions of a selection in include order and whether it is orientable.
+    """_walk over the polyhedron's _Index.  An uncut walk is kept in its
+    __dict__; a later bound it fits in gets it back, as a fresh walk would."""
+    require_valid(poly)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise ValueError(f"bound must be a positive integer, not {bound!r}")
+    kept = poly.__dict__.get("_closed_walk")
+    if kept is not None and bound >= kept[1]:
+        return kept[0], kept[1], False
+    results, examined, truncated = _walk(_index(poly), bound)
+    if not truncated:
+        poly.__dict__["_closed_walk"] = (results, examined)
+    return results, examined, truncated
+
+
+def _walk(index, bound):
+    """The walk behind find_closed_surfaces, deciding orientability as a
+    selection grows and annotating nothing.  Returns (results, examined,
+    truncated), results a tuple of pairs: the candidate positions of a
+    selection in include order, and whether it is orientable.
 
     The state is a few ints: bit i of `inc` stands for the included sheet
     `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
@@ -268,10 +287,6 @@ def _closed_search(poly, bound):
     `opened` and include order (`path`), and the sheet to include.
     Backtracking pops the next frame, so nothing is undone by hand.
     """
-    require_valid(poly)
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    index = _index(poly)
     single, odd, arcs_of = index.single, index.odd, index.arcs_of
     nonorientable = index.nonorientable
 
@@ -335,7 +350,7 @@ def _closed_search(poly, bound):
         if truncated:
             break
 
-    return results, examined, truncated
+    return tuple(results), examined, truncated
 
 
 def _annotated(poly, results):

@@ -25,7 +25,8 @@ from spineforge.gallery import (build_base_example, build_closed_sheet,
 from spineforge.obstruction import (DiskInP, disk_obstruction_report,
                                     s3_obstruction)
 from spineforge.render import render_svg
-from spineforge.subsurfaces import find_closed_surfaces
+from spineforge.subsurfaces import (find_closed_surfaces,
+                                    nonorientable_selections)
 
 from conftest import repo_path
 from randgen import random_round_map, random_surgered_maps
@@ -228,3 +229,39 @@ def test_index_and_strand_partition_are_built_once_per_object(monkeypatch):
     assert counts[("index", tuple(subsurfaces._index(poly).order))] == 1
     assert counts[("strands", id(poly))] == 1
     assert counts[("strands", id(base.polyhedron))] == 1
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+def test_closed_search_walks_once_per_object(monkeypatch, reversed_order):
+    walks = []
+    walk = subsurfaces._walk
+
+    def counted_walk(index, bound):
+        walks.append(bound)
+        return walk(index, bound)
+
+    monkeypatch.setattr(subsurfaces, "_walk", counted_walk)
+    base, surgered = build_base_example(), build_surgered_example()
+    poly = surgered.polyhedron
+    disks = (DiskInP(id="d1", boundary_circle="inner_cut",
+                     sheets=("i_band",)),
+             DiskInP(id="d2", boundary_circle="outer_cut",
+                     sheets=("i_band", "i_floor"),
+                     arcs=(("c8", 0, 1, False),)))
+    calls = [lambda: find_closed_surfaces(poly, 10 ** 6).selections,
+             lambda: s3_obstruction(poly, 10 ** 6)[:2],
+             lambda: tuple(nonorientable_selections(poly, 10 ** 6)[0]),
+             lambda: disk_obstruction_report(
+                 base, disks, surgered, closed_submanifold=True
+             ).nonorientable_selections]
+    if reversed_order:
+        calls.reverse()
+    outcomes = [call() for call in calls]
+    # the report searches with its default bound, 10**5, which the walk
+    # fits in as it fits in 10**6
+    assert walks == [10 ** 5 if reversed_order else 10 ** 6]
+    if reversed_order:
+        outcomes.reverse()
+    search, verdict, bad, reported = outcomes
+    assert verdict == ("obstructed", bad[0])
+    assert bad == reported == tuple(s for s in search if not s.orientable)

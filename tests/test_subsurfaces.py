@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import sys
 import threading
 
@@ -14,6 +15,7 @@ from spineforge.homology import gf2_rank, z2_homology
 from spineforge.obstruction import s3_obstruction
 from spineforge.subsurfaces import (_annotated, _index,
                                     find_closed_surfaces, make_selection,
+                                    nonorientable_selections,
                                     selection_euler, selection_is_closed,
                                     selection_orientable,
                                     surface_orientability)
@@ -155,6 +157,36 @@ def test_truncation_reported():
     born = build_base_example()
     search = find_closed_surfaces(born.polyhedron, 3)
     assert search.truncated
+
+
+def test_selection_helpers_read_any_iterable_of_sheet_ids():
+    # each helper reads the sheets more than once, so a one-shot iterator
+    # must give what a list gives
+    poly = build_base_example().polyhedron
+    ids = sorted(s.id for s in poly.sheets)
+    forms = (list, set, frozenset, tuple, iter, lambda c: (s for s in c))
+    for r in range(1, 4):
+        for combo in itertools.combinations(ids, r):
+            for check in (selection_is_closed, selection_euler,
+                          selection_orientable):
+                want = check(poly, list(combo))
+                assert all(check(poly, form(combo)) == want for form in forms)
+    assert not selection_is_closed(poly, iter(["i_band"]))
+    assert selection_euler(poly, iter(["i_cap"])) == 1
+
+
+@pytest.mark.parametrize("search", [find_closed_surfaces, s3_obstruction,
+                                    nonorientable_selections])
+@pytest.mark.parametrize("bound", [0, -1, 2.5, 5.0, math.nan, math.inf,
+                                   True, False, "5", None])
+def test_bound_that_is_not_a_positive_integer_is_rejected(search, bound):
+    poly = build_base_example().polyhedron
+    with pytest.raises(ValueError, match="positive integer"):
+        search(poly, bound)
+    # also once the polyhedron keeps a walk that any bound would reuse
+    find_closed_surfaces(poly, 10 ** 6)
+    with pytest.raises(ValueError, match="positive integer"):
+        search(poly, bound)
 
 
 def test_swap_circle_selection_is_nonorientable():
@@ -451,6 +483,91 @@ def test_search_results_do_not_depend_on_sheet_names(rng):
                 assert frozenset(map(back.get, witness.sheets)) in smallest
                 witnesses += 1
     assert witnesses >= 4
+
+
+def searched(poly, bound, verdict_first):
+    """What find_closed_surfaces and s3_obstruction give at `bound`, the
+    search read in full, the verdict first or second."""
+    def find():
+        search = find_closed_surfaces(poly, bound)
+        return (search.examined, search.truncated,
+                [(s.key(), s.orientable, s.arc_slots, s.euler)
+                 for s in search.selections])
+    if verdict_first:
+        verdict = s3_obstruction(poly, bound)
+        return find(), verdict
+    return find(), s3_obstruction(poly, bound)
+
+
+def test_shared_search_gives_what_a_fresh_object_gives(rng):
+    # a search whose bound did not cut it is kept on the polyhedron and
+    # reused; a cut one is not, so every search on one object must give
+    # what it gives on a copy that has searched nothing
+    cases = [build_theta(), build_base_example().polyhedron,
+             build_surgered_example().polyhedron,
+             build_sphere_fixture().polyhedron, build_closed_sheet(2),
+             build_closed_sheet(1, orientable=False)]
+    cases += [random_round_map(rng, name=f"k{i}").polyhedron
+              for i in range(20)]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 60)]
+    cases += [tower(n) for n in (4, 5, 8, 16, 32)]
+    kinds = set()
+    for poly in cases:
+        for bounds in ((10 ** 6, 5, 17, 10 ** 6), (3, 10 ** 6)):
+            shared = dataclasses.replace(poly)
+            for step, bound in enumerate(bounds):
+                got = searched(shared, bound, step % 2)
+                fresh = searched(dataclasses.replace(poly), bound, False)
+                assert got == fresh
+                assert s3_obstruction(dataclasses.replace(poly), bound) \
+                    == got[1]
+                kinds.add((got[1][0], got[1][2]))
+    assert kinds == {("obstructed", False), ("obstructed", True),
+                     ("not-obstructed", False), ("not-obstructed", True)}
+
+
+def test_searches_on_one_object_from_many_threads_agree():
+    # threads that walk one polyhedron at once may each keep their walk;
+    # every search must still give what it gives on a fresh object
+    bounds = (5, 10 ** 6, 17, 10 ** 6, 3)
+    for poly in (tower(12), build_surgered_example().polyhedron):
+        expected = [searched(dataclasses.replace(poly), bound, False)
+                    for bound in bounds]
+        shared = dataclasses.replace(poly)
+        seen = [None] * 8
+
+        def search(k):
+            seen[k] = [searched(shared, bound, k % 2) for bound in bounds]
+
+        threads = [threading.Thread(target=search, args=(k,))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
+
+
+def test_cut_search_keeps_nothing():
+    poly = tower(8)
+    for search in (find_closed_surfaces, s3_obstruction):
+        search(poly, 5)
+        assert "_closed_walk" not in poly.__dict__
+    full = find_closed_surfaces(poly, 10 ** 6)
+    kept = poly.__dict__["_closed_walk"]
+    assert kept[1] == full.examined and not full.truncated
+    cut = find_closed_surfaces(poly, 5)
+    assert (cut.examined, cut.truncated) == (6, True)
+    assert find_closed_surfaces(poly, full.examined - 1).truncated
+    # a bound the full walk fits in exactly reuses it
+    assert find_closed_surfaces(poly, full.examined) == full
+    assert poly.__dict__["_closed_walk"] is kept
 
 
 def test_large_tower_truncates_instead_of_crashing():
