@@ -508,121 +508,46 @@ def attach_surface(plan):
     _require_attachable(plan)
     base = plan.base
     poly = base.polyhedron
-
-    existing_ids = ({s.id for s in poly.sheets} | {a.id for a in poly.arcs}
-                    | {w.id for w in poly.vertices})
-    minted = {}  # the name of a new arc or disk -> the circle minting it
-    for circle in plan.circles:
-        k = len(circle.events)
-        fresh = {f"t_{circle.id}", f"d_{circle.id}"} | {
-            f"t_{circle.id}.{i}" for i in range(k)}
-        if fresh & existing_ids:
-            raise PlanError("IdCollision",
-                            f"circle id {circle.id} collides with existing names")
-        for name in ([f"t_{circle.id}.{i}" for i in range(k)] if k
-                     else [f"t_{circle.id}", f"d_{circle.id}"]):
-            if name in minted:
-                raise PlanError("IdCollision", f"circles {minted[name]} and "
-                                f"{circle.id} both mint {name}")
-            minted[name] = circle.id
-
     splits = _ArcSplits(poly, plan)
 
-    # --- chords, keyed by sheet and by their new triple arc ---------------
+    # --- per circle: its new names, chords, arcs, vertices, patch circuit ---
+    minted = {}  # the name of a new arc or disk -> the circle minting it
     chords_by_sheet = {}
     interior_by_sheet = {}
-    t_arcs = {}  # new triple arc id -> (its plan circle, its chord or None)
-    for circle in plan.circles:
-        k = len(circle.events)
-        if k == 0:
-            t_arcs[f"t_{circle.id}"] = (circle, None)
-            interior_by_sheet.setdefault(circle.segments[0].sheet, []).append(circle)
-        for i in range(k):
-            prev_event = circle.events[(i - 1) % k]
-            event = circle.events[i]
-            seg = circle.segments[i]
-            chord = _Chord(
-                t_arc=f"t_{circle.id}.{i}",
-                p=(prev_event.arc, prev_event.slot_out),
-                q=(event.arc, event.slot_in),
-                p_vertex=f"v_{circle.id}_{(i - 1) % k}",
-                q_vertex=f"v_{circle.id}_{i}",
-                side_genus=seg.side_genus, side_circuits=seg.side_circuits)
-            chords_by_sheet.setdefault(seg.sheet, []).append(chord)
-            t_arcs[chord.t_arc] = (circle, chord)
-
-    # --- build new sheets ---------------------------------------------------
-    new_sheets = []
-    for sheet in poly.sheets:
-        if sheet.id in chords_by_sheet:
-            for pid, circuits, genus in _cut_sheet(splits, sheet,
-                                                   chords_by_sheet[sheet.id]):
-                new_sheets.append(SheetSpec(pid, True, genus, tuple(circuits)))
-            continue
-        circuits = [_plain_circuit(_expand_circuit(splits, circuit, {}))
-                    for circuit in sheet.circuits]
-        for circle in interior_by_sheet.get(sheet.id, ()):
-            t_arc = f"t_{circle.id}"
-            circuits.append((WingTraversal(t_arc, 2, -1),))
-            new_sheets.append(SheetSpec(f"d_{circle.id}", True, 0,
-                                        ((WingTraversal(t_arc, 1, 1),),)))
-        new_sheets.append(replace(sheet, circuits=tuple(circuits)))
-
-    # patch sheet
-    patch_id = plan.patch.id
-    existing = {s.id for s in new_sheets}
-    while patch_id in existing:
-        patch_id += "_"
+    circle_arcs = []
+    circle_vertices = []
     patch_circuits = []
     for circle in plan.circles:
-        if not circle.events:
-            patch_circuits.append(
-                (WingTraversal(f"t_{circle.id}", 0, circle.patch_dir),))
+        k = len(circle.events)
+        names = ([f"t_{circle.id}.{i}" for i in range(k)] if k
+                 else [f"t_{circle.id}", f"d_{circle.id}"])
+        for name in names:
+            if name in minted:
+                raise PlanError("IdCollision", f"circles {minted[name].id} and "
+                                f"{circle.id} both mint {name}")
+            minted[name] = circle
+        if not k:
+            # the new arc and the disk it cuts from the circle's sheet
+            interior_by_sheet.setdefault(circle.segments[0].sheet,
+                                         []).append(names)
+            circle_arcs.append(BranchArc(names[0], TRIPLE, None, TRIVIAL))
+            patch_circuits.append((WingTraversal(names[0], 0, circle.patch_dir),))
             continue
         sign = 1 if circle.patch_dir > 0 else -1
-        patch_circuits.append(tuple(
-            WingTraversal(f"t_{circle.id}.{i}", 0, sign)
-            for i in range(len(circle.events))[::sign]))
-    new_sheets.append(SheetSpec(patch_id, plan.patch.orientable,
-                                plan.patch.genus, tuple(patch_circuits)))
-
-    # --- build new arcs and vertices ---------------------------------------
-    new_arcs = []
-    for arc in poly.arcs:
-        subs = splits.sub_arcs.get(arc.id)
-        if subs is None:
-            new_arcs.append(arc)
-            continue
-        for sub, start, end in subs:
-            new_arcs.append(BranchArc(sub, arc.kind, (
-                (start, 2) if start else arc.endpoints[0],
-                (end, 0) if end else arc.endpoints[1]), TRIVIAL))
-    for t_arc, (_, chord) in t_arcs.items():
-        new_arcs.append(BranchArc(t_arc, TRIPLE, None if chord is None else (
-            (chord.p_vertex, 3), (chord.q_vertex, 1)), TRIVIAL))
-
-    new_vertices = []
-    for vertex in poly.vertices:
-        # remap ends naming split arcs onto the outermost sub-arcs
-        fixed = []
-        for aid, end_index in vertex.ends:
-            subs = splits.sub_arcs.get(aid)
-            if subs is None:
-                fixed.append((aid, end_index))
-            else:
-                fixed.append((subs[0][0], 0) if end_index == 0
-                             else (subs[-1][0], 1))
-        new_vertices.append(replace(vertex, ends=tuple(fixed)))
-
-    for circle in plan.circles:
-        k = len(circle.events)
-        for i in range(k):
-            event = circle.events[i]
-            vid = f"v_{circle.id}_{i}"
-            a_left, a_right = splits.arriving[vid], splits.leaving[vid]
-            t_prev = f"t_{circle.id}.{i}"
-            t_next = f"t_{circle.id}.{(i + 1) % k}"
-            ends = ((a_left, 1), (t_prev, 1), (a_right, 0), (t_next, 0))
+        patch_circuits.append(tuple(WingTraversal(names[i], 0, sign)
+                                    for i in range(k)[::sign]))
+        vids = [f"v_{circle.id}_{i}" for i in range(k)]
+        for i, (event, seg) in enumerate(zip(circle.events, circle.segments)):
+            prev_event = circle.events[i - 1]
+            chords_by_sheet.setdefault(seg.sheet, []).append(_Chord(
+                t_arc=names[i], p=(prev_event.arc, prev_event.slot_out),
+                q=(event.arc, event.slot_in),
+                p_vertex=vids[i - 1], q_vertex=vids[i],
+                side_genus=seg.side_genus, side_circuits=seg.side_circuits))
+            circle_arcs.append(BranchArc(
+                names[i], TRIPLE, ((vids[i - 1], 3), (vids[i], 1)), TRIVIAL))
+            ends = ((splits.arriving[vids[i]], 1), (names[i], 1),
+                    (splits.leaving[vids[i]], 0), (names[(i + 1) % k], 0))
             free_a = next(s for s in (0, 1, 2)
                           if s not in (event.slot_in, event.slot_out))
             # a chord's minus side holds slot 1 of its new arc (_cut_sheet);
@@ -637,10 +562,61 @@ def attach_surface(plan):
                 EndRoles(free=free_a, lq=event.slot_out, rq=event.slot_in),
                 EndRoles(free=0, lq=lq_out, rq=3 - lq_out),
             )
-            new_vertices.append(VertexSpec(vid, ends, roles))
+            circle_vertices.append(VertexSpec(vids[i], ends, roles))
 
-    # a new sheet piece, sub-arc or vertex may take the name of a part the
-    # output keeps
+    # --- build new sheets ---------------------------------------------------
+    new_sheets = []
+    for sheet in poly.sheets:
+        if sheet.id in chords_by_sheet:
+            for pid, circuits, genus in _cut_sheet(splits, sheet,
+                                                   chords_by_sheet[sheet.id]):
+                new_sheets.append(SheetSpec(pid, True, genus, tuple(circuits)))
+            continue
+        circuits = [_plain_circuit(_expand_circuit(splits, circuit, {}))
+                    for circuit in sheet.circuits]
+        for t_arc, disk in interior_by_sheet.get(sheet.id, ()):
+            circuits.append((WingTraversal(t_arc, 2, -1),))
+            new_sheets.append(SheetSpec(disk, True, 0,
+                                        ((WingTraversal(t_arc, 1, 1),),)))
+        new_sheets.append(replace(sheet, circuits=tuple(circuits)))
+
+    # patch sheet
+    patch_id = plan.patch.id
+    existing = {s.id for s in new_sheets}
+    while patch_id in existing:
+        patch_id += "_"
+    new_sheets.append(SheetSpec(patch_id, plan.patch.orientable,
+                                plan.patch.genus, tuple(patch_circuits)))
+
+    # --- build new arcs and vertices ---------------------------------------
+    new_arcs = []
+    for arc in poly.arcs:
+        subs = splits.sub_arcs.get(arc.id)
+        if subs is None:
+            new_arcs.append(arc)
+            continue
+        for sub, start, end in subs:
+            new_arcs.append(BranchArc(sub, arc.kind, (
+                (start, 2) if start else arc.endpoints[0],
+                (end, 0) if end else arc.endpoints[1]), TRIVIAL))
+    new_arcs.extend(circle_arcs)
+
+    new_vertices = []
+    for vertex in poly.vertices:
+        # remap ends naming split arcs onto the outermost sub-arcs
+        fixed = []
+        for aid, end_index in vertex.ends:
+            subs = splits.sub_arcs.get(aid)
+            if subs is None:
+                fixed.append((aid, end_index))
+            else:
+                fixed.append((subs[0][0], 0) if end_index == 0
+                             else (subs[-1][0], 1))
+        new_vertices.append(replace(vertex, ends=tuple(fixed)))
+    new_vertices.extend(circle_vertices)
+
+    # a new name may meet a part the output keeps, or a patch id an arc or
+    # vertex id
     ids = set()
     for part in (*new_sheets, *new_arcs, *new_vertices):
         if part.id in ids:
@@ -666,8 +642,8 @@ def attach_surface(plan):
     new_assignments = {}
     for strand in new_poly._strands:
         key = strand[0]
-        if key in t_arcs:
-            circle = t_arcs[key][0]
+        circle = minted.get(key)
+        if circle is not None:
             # slot 1 of a crossing-free circle's arc is its cut disk, on
             # the side its image encloses
             if not circle.events and circle.image.orient > 0:

@@ -544,6 +544,27 @@ def test_cli_validate_rejects_broken_file(tmp_path, monkeypatch):
     assert main(["validate", "broken.spoly"]) == 1
 
 
+@pytest.mark.parametrize("argv, report", [
+    (["euler", "bad.spoly"], "invalid: "),
+    (["homology", "bad.spoly"], "invalid: "),
+    (["obstruct", "bad.spoly"], "invalid: "),
+    # the .arr is never read: it does not exist
+    (["validate", "bad.spoly", "missing.arr"], "polyhedron: invalid: "),
+])
+def test_cli_on_an_invalid_polyhedron_is_status_one(tmp_path, monkeypatch,
+                                                    capsys, argv, report):
+    # one sheet fills one of the three slots of a closed triple arc
+    monkeypatch.chdir(tmp_path)
+    Path("bad.spoly").write_text("POLY bad\nSHEET s0 orientable 0\n"
+                                 "CIRCUIT s0 c1:0:+\n"
+                                 "ARC c1 triple closed monodromy trivial\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == report + "TripleArcDegree(c1): 1 of 3 slots filled\n"
+    assert out.err == ""
+
+
 def test_cli_unknown_input_is_status_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["validate", "missing.spoly"]) == 2
@@ -692,6 +713,19 @@ def test_render_counts_circles_and_labels():
     surgered = build_surgered_example()
     svg = render_svg(surgered)
     assert svg.count("<circle") == 8
+
+
+def test_render_places_a_curve_without_a_draw_hint_by_depth():
+    # the route image im_xa has no draw hint
+    poly = formats.parse_spoly(
+        Path(repo_path("fixtures", "crossed.spoly")).read_text())
+    arr, data = formats.parse_arr(
+        Path(repo_path("fixtures", "crossed.arr")).read_text())
+    born = formats.assemble_born_map(poly, arr, data)
+    assert born.arrangement.curve("im_xa").draw is None
+    svg = render_svg(born)
+    assert svg.count("<circle") == len(born.arrangement.curves)
+    assert svg.count("<text") == len(born.arrangement.faces)
 
 
 def test_render_empty_map():

@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from spineforge.errors import SelectionNotClosed
+from spineforge.core import SheetSpec, SimplePolyhedron
+from spineforge.errors import SelectionNotClosed, SelectionNotConnected
 from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 build_closed_sheet, build_sphere_fixture,
                                 build_surgered_example, build_theta,
@@ -151,6 +152,18 @@ def test_open_selection_rejected():
 def test_selection_naming_an_unknown_sheet_is_rejected(check, sheets):
     with pytest.raises(SelectionNotClosed, match=r"\['nope'\]"):
         check(build_theta(), sheets)
+
+
+@pytest.mark.parametrize("check", [make_selection, surface_orientability])
+def test_closed_but_disconnected_selection_rejected(check):
+    # a sphere and a torus, both closed, with no arc between them
+    p = SimplePolyhedron((SheetSpec("a", True, 0, ()),
+                          SheetSpec("b", True, 1, ())), (), ())
+    with pytest.raises(SelectionNotConnected,
+                       match=r"selection \['a', 'b'\] is not connected"):
+        check(p, {"a", "b"})
+    assert [sorted(s.sheets) for s in find_closed_surfaces(p, 100).selections] \
+        == [["a"], ["b"]]
 
 
 def test_truncation_reported():

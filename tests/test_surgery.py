@@ -90,6 +90,40 @@ def test_names_minted_by_two_circles_are_an_id_collision():
     assert str(caught.value) == "circles xa and xa.0 both mint t_xa.0"
 
 
+def with_s1_named(plan, name):
+    """The plan on a base whose sheet s1, which no circle visits, is
+    renamed `name`."""
+    poly = plan.base.polyhedron
+    sheets = tuple(replace(s, id=name) if s.id == "s1" else s
+                   for s in poly.sheets)
+    base = replace(plan.base, polyhedron=replace(poly, sheets=sheets))
+    assert validate_born_map(base).ok
+    return replace(plan, base=base)
+
+
+@pytest.mark.parametrize("name", ["d_xa", "t_xa"])
+def test_names_a_circle_does_not_mint_stay_free(name):
+    # xa has events, so it mints t_xa.0 and t_xa.1 but neither t_xa nor d_xa
+    out = attach_surface(with_s1_named(crossing_plan_on_two_circles(), name))
+    assert validate_born_map(out).ok
+    assert name in {s.id for s in out.polyhedron.sheets}
+
+
+def test_minted_name_on_an_untouched_sheet_is_an_id_collision():
+    plan = with_s1_named(crossing_plan_on_two_circles(), "t_xa.0")
+    with pytest.raises(PlanError) as caught:
+        attach_surface(plan)
+    assert caught.value.code == "IdCollision"
+    assert str(caught.value) == "two parts of the output are named t_xa.0"
+
+
+def test_patch_named_like_a_sheet_gets_an_underscore():
+    plan = klein_plan()
+    out = attach_surface(replace(plan, patch=replace(plan.patch, id="i_band")))
+    ids = [s.id for s in out.polyhedron.sheets]
+    assert ids.count("i_band") == 1 and ids[-1] == "i_band_"
+
+
 def image_beside_route(circle_id, holes="right"):
     """crossing_plan_on_two_circles plus a crossing-free circle in s1 whose
     image lies in r1, a face the route splits; `holes` is the side of the

@@ -2,10 +2,12 @@
 
 Each case turns a valid value into one that breaks one rule, with
 `dataclasses.replace`.  The validator must report the rule's code (other
-codes may come with it) and must not raise.
+codes may come with it) and must not raise.  The surgery-plan cases also
+check what `attach_surface` or `normalized_plan` raises.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -13,8 +15,12 @@ import pytest
 from spineforge.arrangement import Face, validate_arrangement
 from spineforge.bornmap import validate_born_map
 from spineforge.core import SWAP, EndRoles, WingTraversal, validate_polyhedron
-from spineforge.gallery import build_sphere_fixture, build_theta
-from spineforge.surgery import attach_surface
+from spineforge.errors import PlanError
+from spineforge.gallery import (build_sphere_fixture, build_theta, klein_plan,
+                                relocation_plan)
+from spineforge.surgery import (PlanCircle, PlanEvent, PlanSegment,
+                                attach_surface, check_attachment_hypotheses,
+                                normalized_plan)
 
 from conftest import empty_arrangement
 from test_surgery import crossing_plan_on_two_circles
@@ -212,3 +218,198 @@ def test_every_arrangement_violation_is_reported(case):
 @pytest.mark.parametrize("case", BORN_MAP_CASES)
 def test_every_born_map_violation_is_reported(case):
     check(validate_born_map, case, BORN_MAP_CASES[case])
+
+
+def circle_with(plan, index, **changes):
+    """`plan` with its circle `index` replaced by a changed copy."""
+    circles = list(plan.circles)
+    circles[index] = replace(circles[index], **changes)
+    return replace(plan, circles=tuple(circles))
+
+
+def klein_with(**changes):
+    """klein_plan with its circle outer_cut changed."""
+    return circle_with(klein_plan(), 0, **changes)
+
+
+def xa_with(**changes):
+    """crossing_plan_on_two_circles with its circle xa changed."""
+    return circle_with(crossing_plan_on_two_circles(), 0, **changes)
+
+
+def xa_part(field, i, **changes):
+    """xa with its `field` (events or segments) entry `i` changed."""
+    items = list(getattr(crossing_plan_on_two_circles().circles[0], field))
+    items[i] = replace(items[i], **changes)
+    return xa_with(**{field: tuple(items)})
+
+
+def xa_image(**changes):
+    image = crossing_plan_on_two_circles().circles[0].image
+    return xa_with(image=replace(image, **changes))
+
+
+def base_with(plan, **changes):
+    return replace(plan, base=replace(plan.base, **changes))
+
+
+def s2_non_orientable():
+    plan = crossing_plan_on_two_circles()
+    poly = plan.base.polyhedron
+    sheets = tuple(replace(s, orientable=False, genus=1) if s.id == "s2" else s
+                   for s in poly.sheets)
+    return base_with(plan, polyhedron=replace(poly, sheets=sheets))
+
+
+def xa_and_xb():
+    """xa plus a circle xb crossing c1 too, between s1 and s2."""
+    plan = crossing_plan_on_two_circles()
+    xb = PlanCircle(
+        "xb", (PlanSegment("s1"), PlanSegment("s2", side_genus=0)),
+        (PlanEvent("c1", Fraction(1, 6), slot_in=1, slot_out=2),
+         PlanEvent("c1", Fraction(5, 6), slot_in=2, slot_out=1)),
+        replace(plan.circles[0].image, crossings=(("e_c1", Fraction(1, 6)),
+                                                  ("e_c1", Fraction(5, 6)))))
+    return replace(plan, circles=plan.circles + (xb,),
+                   patch=replace(plan.patch, boundaries=2))
+
+
+def xa_four_times():
+    """xa crossing c1 four times, so that two chords run through s2."""
+    positions = [Fraction(i, 5) for i in range(1, 5)]
+    return xa_with(
+        segments=(PlanSegment("s0"), PlanSegment("s2", side_genus=0)) * 2,
+        events=tuple(PlanEvent("c1", x, slot_in=a, slot_out=b)
+                     for x, (a, b) in zip(positions, [(0, 2), (2, 0)] * 2)),
+        image=replace(crossing_plan_on_two_circles().circles[0].image,
+                      crossings=tuple(("e_c1", x) for x in positions),
+                      runs=(("r1", "right"), ("r0", None)) * 2))
+
+
+# case -> (plan, the report's codes, text of one violation's str)
+PLAN_CASES = {
+    "BaseInvalid": (
+        lambda: base_with(klein_plan(), fiber_counts={
+            f: n for f, n in klein_plan().base.fiber_counts.items()
+            if f != "r0"}),
+        ["BaseInvalid", "CountMissing"], "BaseInvalid(klein_attachment)"),
+    "CircleIds": (
+        lambda: circle_with(klein_plan(), 1, id="outer_cut", image=replace(
+            klein_plan().circles[1].image, inside=None)),
+        ["CircleIds"], "CircleIds(klein_attachment)"),
+    "ItineraryShape:crossing-free": (
+        lambda: klein_with(segments=klein_plan().circles[0].segments * 2),
+        ["ItineraryShape"], "ItineraryShape(outer_cut)"),
+    "ItineraryShape:crossing": (
+        lambda: xa_with(segments=(PlanSegment("s0"),)),
+        ["ItineraryShape"], "ItineraryShape(xa)"),
+    "ItineraryShape:side genus": (
+        lambda: xa_part("segments", 1, side_genus=1),
+        ["ItineraryShape"], "ItineraryShape(s2): side genus"),
+    "ItineraryShape:side circuits": (
+        lambda: xa_part("segments", 1, side_circuits=(2,)),
+        ["ItineraryShape"], "ItineraryShape(s2): side circuits"),
+    "ImageCorrespondence:route shape": (
+        lambda: xa_image(crossings=(("e_c1", Fraction(1, 3)),)),
+        ["ImageCorrespondence"], "route shape does not match the events"),
+    "ImageCorrespondence:unknown edge": (
+        lambda: xa_image(crossings=(("zz", Fraction(1, 3)),
+                                    ("e_c1", Fraction(2, 3)))),
+        ["ImageCorrespondence"], "unknown edge zz"),
+    "ImageCorrespondence:other curve": (
+        lambda: xa_image(crossings=(("e_c2", Fraction(1, 3)),
+                                    ("e_c1", Fraction(2, 3)))),
+        ["ImageCorrespondence"], "edge e_c2 is not on the image of c1"),
+    "EventPosition:end of arc": (
+        lambda: xa_part("events", 0, position=Fraction(1)),
+        ["EventPosition"], "EventPosition(xa): c1"),
+    "EventPosition:repeated": (
+        lambda: xa_part("events", 1, position=Fraction(1, 3)),
+        ["EventPosition"], "repeated position on c1"),
+    # the run after the second crossing must be r0, where it starts
+    "RouteOverEmptyFace": (
+        lambda: xa_image(runs=(("r1", "right"), ("r_out", None))),
+        ["RouteFaceMismatch", "RouteFaceMismatch", "RouteOverEmptyFace"],
+        "RouteOverEmptyFace(xa): r_out"),
+    "UnknownFace:crossing-free": (
+        lambda: klein_with(image=replace(klein_plan().circles[0].image,
+                                         face="zz")),
+        ["UnknownFace"], "UnknownFace(outer_cut): zz"),
+    "NonTransverse:boundary arc": (
+        lambda: xa_part("events", 0, arc="c2"),
+        ["NonTransverse"], "c2 is not a triple arc"),
+    # s0 and s1 both lie left of the image of c1
+    "NonTransverse:one side": (
+        lambda: xa_with(
+            segments=(PlanSegment("s0"), PlanSegment("s1")),
+            events=(PlanEvent("c1", Fraction(1, 3), slot_in=0, slot_out=1),
+                    PlanEvent("c1", Fraction(2, 3), slot_in=1, slot_out=0)),
+            image=replace(crossing_plan_on_two_circles().circles[0].image,
+                          runs=(("r0", None), ("r0", None)))),
+        ["NonTransverse", "NonTransverse"], "both wings on side L"),
+    # every crossing of c1 reaches s2, so xb also cuts s2 a second time
+    "UnsupportedItinerary:two circles on one arc": (
+        xa_and_xb, ["UnsupportedItinerary", "UnsupportedItinerary"],
+        "UnsupportedItinerary(c1): two circles cross the same arc"),
+    "UnsupportedItinerary:non-orientable sheet": (
+        s2_non_orientable, ["UnsupportedItinerary"],
+        "chord through a non-orientable sheet"),
+    "UnsupportedItinerary:several chords": (
+        xa_four_times, ["UnsupportedItinerary"],
+        "UnsupportedItinerary(s2): multiple chords through a non-disk sheet"),
+    # a chord's sheet is the one its events' wings lie in, so an unknown
+    # one also mismatches them
+    "UnknownSheet:chord": (
+        lambda: xa_part("segments", 0, sheet="zz"),
+        ["ItineraryMismatch", "ItineraryMismatch", "UnknownSheet"],
+        "UnknownSheet(zz)"),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_every_plan_hypothesis_is_reported_and_raised(case):
+    make, codes, text = PLAN_CASES[case]
+    plan = make()
+    report = check_attachment_hypotheses(plan)
+    assert [v.code for v in report.violations] == codes, str(report)
+    assert any(text in str(v) for v in report.violations), str(report)
+    with pytest.raises(PlanError) as caught:
+        attach_surface(plan)
+    assert caught.value.code == codes[0]
+
+
+def relocation_with(**changes):
+    return replace(relocation_plan(), **changes)
+
+
+# case -> (plan, the code normalized_plan raises, its message)
+RELOCATION_CASES = {
+    "no witness": (lambda: relocation_with(witness=None),
+                   "WitnessMismatch", "no relocation witness supplied"),
+    "witness circles": (
+        lambda: relocation_with(witness=replace(
+            relocation_plan().witness, nesting=(("outer_cut", None, 1),))),
+        "WitnessMismatch", "witness circles do not match the plan"),
+    "unknown disk faces": (
+        lambda: relocation_with(disks=(
+            replace(relocation_plan().disks[0], faces=("zz",)),
+            relocation_plan().disks[1])),
+        "ContainmentViolated", "unknown faces for outer_cut"),
+    "nested image": (
+        lambda: circle_with(relocation_plan(), 1, image=replace(
+            relocation_plan().circles[1].image, inside="outer_cut")),
+        "ContainmentViolated", "image of inner_cut nests inside another circle"),
+    "image outside its disk": (
+        lambda: relocation_with(disks=tuple(
+            replace(d, circle=other) for d, other in zip(
+                relocation_plan().disks, ("inner_cut", "outer_cut")))),
+        "ContainmentViolated", "image of outer_cut not inside its disk region"),
+}
+
+
+@pytest.mark.parametrize("case", RELOCATION_CASES)
+def test_every_relocation_hypothesis_is_raised(case):
+    make, code, message = RELOCATION_CASES[case]
+    with pytest.raises(PlanError) as caught:
+        normalized_plan(make())
+    assert (caught.value.code, str(caught.value)) == (code, message)
