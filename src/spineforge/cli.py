@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import replace
 
 from . import formats
@@ -52,12 +52,25 @@ def _read(path):
 
 
 def _write_atomic(path, text):
+    """Write `text` to `path` through a new file beside it and a rename.  A
+    new `path` gets the mode open(path, "w") would give it, 0o666 less the
+    umask, and an existing one keeps its mode."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_spineforge_")
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = None
+        tmp = os.path.join(directory,
+                           f".tmp_spineforge_{os.urandom(8).hex()}")
+        # created as open() creates a file, so the umask applies
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            if mode is not None:
+                os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

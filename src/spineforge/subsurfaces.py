@@ -24,10 +24,10 @@ class SurfaceSelection:
     arc_slots: dict
     orientable: bool
     euler: int
-    # a selection the search yields holds what the walk decided, the sheets
-    # and orientability, and leaves arc_slots and euler unset; they are
-    # derived from the search index and the include order on the first
-    # read of either (see __getattr__)
+    # a selection the search yields holds what the walk decided, its
+    # orientability, and leaves sheets, arc_slots and euler unset; they are
+    # derived from the search index and the include order on first read,
+    # sheets on its own and arc_slots with euler (see __getattr__)
     _index: object = field(default=None, init=False, repr=False,
                            compare=False)
     _chosen: tuple = field(default=None, init=False, repr=False,
@@ -37,13 +37,19 @@ class SurfaceSelection:
         return tuple(sorted(self.sheets))
 
     def __getattr__(self, name):
-        # reached only for an unset slot; the two derived ones are set
-        # together and never unset, so two threads reading at once both
-        # derive and store the same values
-        if name not in ("arc_slots", "euler") or self._index is None:
+        # reached only for an unset slot; a derived one is never unset, so
+        # two threads reading at once both derive and store the same values
+        if (name not in ("sheets", "arc_slots", "euler")
+                or self._index is None):
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        arc_slots, euler = _derived(self._index, self._chosen, self.sheets)
+        if name == "sheets":
+            # copied from a set, the frozenset's table is sized to fit
+            sheets = frozenset(set(map(self._index.order.__getitem__,
+                                       self._chosen)))
+            object.__setattr__(self, "sheets", sheets)
+            return sheets
+        arc_slots, euler = _derived(self._index, self._chosen)
         object.__setattr__(self, "arc_slots", arc_slots)
         object.__setattr__(self, "euler", euler)
         return arc_slots if name == "arc_slots" else euler
@@ -166,7 +172,8 @@ def find_closed_surfaces(poly, bound):
     then of sorted sheet ids.  The tables the search reads are built on
     the first search of a polyhedron object and kept on it, as is a
     search the bound did not cut (see _closed_search).  A selection's
-    arc_slots and euler are derived from them on the first read of either.
+    sheets are derived from them on their first read, and its arc_slots
+    and euler on the first read of either.
     """
     results, examined, truncated = _closed_search(poly, bound)
     return SelectionSearch(selections=tuple(_annotated(poly, results)),
@@ -263,8 +270,8 @@ def _closed_search(poly, bound):
 def _walk(index, bound):
     """The walk behind find_closed_surfaces, deciding orientability as a
     selection grows and annotating nothing.  Returns (results, examined,
-    truncated), results a tuple of pairs: the candidate positions of a
-    selection in include order, and whether it is orientable.
+    truncated), results a tuple of triples: the candidate positions of a
+    selection in include order, whether it is orientable, and its `inc`.
 
     The state is a few ints: bit i of `inc` stands for the included sheet
     `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
@@ -329,7 +336,7 @@ def _walk(index, bound):
                 opened ^= odd[i]
                 if not opened:
                     # every arc the selection touches carries 0 or 2 wings
-                    results.append((path, flat))
+                    results.append((path, flat, inc))
                     continue
                 # the open arc with the fewest completers, taking the first
                 # with at most one at once
@@ -353,28 +360,37 @@ def _walk(index, bound):
     return tuple(results), examined, truncated
 
 
+# byte b with its eight bits in reverse order, at b
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _annotated(poly, results):
     """SurfaceSelections for raw results of _closed_search(poly, ...), in
     order of size, then of sorted sheet ids; each is built only when it is
-    drawn, from the sheets and orientability the walk decided, and derives
-    its arc_slots and euler on first read (see _derived)."""
+    drawn, from the include order and orientability the walk decided, and
+    derives its sheets, arc_slots and euler on first read (see
+    SurfaceSelection.__getattr__)."""
     index = _index(poly)
-    order = index.order
+    width = (len(index.order) + 7) // 8
     new, put = object.__new__, object.__setattr__
-    # positions follow sorted ids, so sorting positions sorts the ids
-    for chosen, orientable in sorted(results,
-                                     key=lambda r: (len(r[0]), sorted(r[0]))):
+
+    def key(result):
+        # positions follow sorted ids, so of two equal-size selections the
+        # one holding the smallest position they do not share comes first;
+        # with the bits of `inc` reversed that one is the larger number
+        reversed_inc = int.from_bytes(
+            result[2].to_bytes(width, "little").translate(_REVERSED), "big")
+        return len(result[0]), -reversed_inc
+
+    for chosen, orientable, _ in sorted(results, key=key):
         selection = new(SurfaceSelection)
-        # copied from a set, the frozenset's table is sized to fit
-        put(selection, "sheets", frozenset(set(map(order.__getitem__,
-                                                   chosen))))
         put(selection, "orientable", orientable)
         put(selection, "_index", index)
         put(selection, "_chosen", chosen)
         yield selection
 
 
-def _derived(index, chosen, sheets):
+def _derived(index, chosen):
     """The arc_slots and euler of the selection of candidate positions
     `chosen`, read from the search's own index.
 
@@ -390,7 +406,8 @@ def _derived(index, chosen, sheets):
                                            chosen)))
     found = list(map(index.pairs.get, zip(wings[::2], wings[1::2])))
     if len(wings) % 2 or None in found:
-        raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
+        sheets = sorted(map(index.order.__getitem__, chosen))
+        raise SelectionNotClosed(f"selection {sheets} is not closed")
     arc_slots = dict(found)
     ends = list(filter(None, map(index.open_ends.get, arc_slots)))
     return arc_slots, (sum(map(index.euler.__getitem__, chosen)) - len(ends)

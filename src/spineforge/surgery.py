@@ -203,6 +203,13 @@ def check_attachment_hypotheses(plan):
             v.append(Violation("ImageCorrespondence", circle.id,
                                "route shape does not match the events"))
             continue
+        # an unknown sheet would also mismatch its events' wings
+        unknown = [seg.sheet for seg in circle.segments
+                   if seg.sheet not in poly._sheet_by_id]
+        if unknown:
+            v.extend(Violation("UnknownSheet", circle.id, sheet_id)
+                     for sheet_id in unknown)
+            continue
         for i, event in enumerate(circle.events):
             if event.arc not in poly._arc_by_id:
                 v.append(Violation("UnknownArc", circle.id, event.arc))
@@ -280,9 +287,6 @@ def check_attachment_hypotheses(plan):
             positions[key] = circle.id
 
     for sheet_id, chords in chord_sheets.items():
-        if sheet_id not in poly._sheet_by_id:
-            v.append(Violation("UnknownSheet", sheet_id))
-            continue
         if sheet_id in interior_sheets:
             v.append(Violation("UnsupportedItinerary", sheet_id,
                                "chords and interior circles in one sheet"))
@@ -327,6 +331,11 @@ def _require_attachable(plan):
 # arc splitting
 # ---------------------------------------------------------------------------
 
+def _vertex_name(circle_id, i):
+    """The id of the new vertex at event `i` of the circle `circle_id`."""
+    return f"v_{circle_id}_{i}"
+
+
 class _ArcSplits:
     """Sub-arc layout of every arc crossed by plan events.
 
@@ -342,7 +351,7 @@ class _ArcSplits:
         for circle in plan.circles:
             for i, event in enumerate(circle.events):
                 crossed.setdefault(event.arc, []).append(
-                    (event.position, f"v_{circle.id}_{i}"))
+                    (event.position, _vertex_name(circle.id, i)))
         for arc_id, marks in crossed.items():
             vids = [vid for _, vid in sorted(marks)]
             if poly.arc(arc_id).closed:
@@ -536,7 +545,7 @@ def attach_surface(plan):
         sign = 1 if circle.patch_dir > 0 else -1
         patch_circuits.append(tuple(WingTraversal(names[i], 0, sign)
                                     for i in range(k)[::sign]))
-        vids = [f"v_{circle.id}_{i}" for i in range(k)]
+        vids = [_vertex_name(circle.id, i) for i in range(k)]
         for i, (event, seg) in enumerate(zip(circle.events, circle.segments)):
             prev_event = circle.events[i - 1]
             chords_by_sheet.setdefault(seg.sheet, []).append(_Chord(
@@ -633,7 +642,7 @@ def attach_surface(plan):
     new_vertex_crossings = dict(base.vertex_crossings)
     for cid, xids in _insert_images(builder, plan.circles).items():
         for i, xid in enumerate(xids):
-            new_vertex_crossings[f"v_{cid}_{i}"] = xid
+            new_vertex_crossings[_vertex_name(cid, i)] = xid
 
     # rebuild assignments; each image curve becomes the branch of its circle
     sub_parent = {sub: arc_id for arc_id, subs in splits.sub_arcs.items()

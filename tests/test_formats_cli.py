@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -413,6 +414,29 @@ def test_cli_write_into_missing_directory_is_status_two(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {target}.spoly: ")
     assert ".tmp_spineforge_" not in err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cli_output_files_get_the_mode_open_gives(tmp_path, monkeypatch,
+                                                  umask):
+    # a new file gets 0o666 less the umask, as open(path, "w") gives it,
+    # and an existing one keeps its own mode
+    monkeypatch.chdir(tmp_path)
+    Path("kept.arr").write_text("")
+    os.chmod("kept.arr", 0o640)
+    old = os.umask(umask)
+    try:
+        assert main(["example", "base", "-o", "rm"]) == 0
+        assert main(["example", "base", "-o", "kept"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("rm.spoly", "rm.arr", "rm_klein.plan", "kept.spoly"):
+        assert stat.S_IMODE(os.stat(name).st_mode) == 0o666 & ~umask, name
+    assert stat.S_IMODE(os.stat("kept.arr").st_mode) == 0o640
+    assert Path("kept.arr").read_text() == Path("rm.arr").read_text()
+    assert sorted(os.listdir()) == sorted(
+        ["rm.spoly", "rm.arr", "rm_klein.plan", "kept.spoly", "kept.arr",
+         "kept_klein.plan"])
 
 
 def mutate(rng, text):

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import types
 
 import pytest
 
@@ -14,7 +15,7 @@ from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 round_reeb)
 from spineforge.homology import gf2_rank, z2_homology
 from spineforge.obstruction import s3_obstruction
-from spineforge.subsurfaces import (_annotated, _index,
+from spineforge.subsurfaces import (_Index, _annotated, _index,
                                     find_closed_surfaces, make_selection,
                                     nonorientable_selections,
                                     selection_euler, selection_is_closed,
@@ -252,6 +253,43 @@ def tower(n):
     return round_reeb(RoundSpec(circles, name=f"tower{n}")).polyhedron
 
 
+def test_selections_come_in_order_of_size_then_of_sorted_sheet_ids(rng):
+    cases = [build_theta(), build_base_example().polyhedron,
+             build_surgered_example().polyhedron]
+    cases += [tower(n) for n in range(4, 33)]
+    cases += [random_round_map(rng, name=f"q{i}").polyhedron
+              for i in range(50)]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    for poly in cases:
+        keys = [(len(s.sheets), s.key())
+                for s in find_closed_surfaces(poly, 10 ** 6).selections]
+        assert keys == sorted(set(keys))
+
+
+def test_include_mask_order_is_size_then_sorted_positions(rng):
+    # _annotated sorts equal-size results by their include masks with the
+    # bits reversed over the index's byte width; sets on either side of a
+    # byte boundary check that the bytes are reversed as well as the bits
+    for width in range(1, 26):
+        n = rng.randint(8 * width - 7, 8 * width)
+        # zero-padded, the ids sort as their positions do
+        ids = [f"s{i:03d}" for i in range(n)]
+        stub = types.SimpleNamespace(_closed_index=_Index._make(
+            [ids] + [None] * (len(_Index._fields) - 1)))
+        edges = {0, n - 1}.union(*({8 * j - 1, 8 * j}
+                                   for j in range(1, width)))
+        sets = {frozenset(c) for k in (1, 2)
+                for c in itertools.combinations(sorted(edges), k)}
+        sets |= {frozenset(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                 for _ in range(200)}
+        results = [(tuple(rng.sample(sorted(chosen), len(chosen))), True,
+                    sum(1 << i for i in chosen)) for chosen in sets]
+        rng.shuffle(results)
+        expected = sorted((tuple(ids[i] for i in sorted(chosen))
+                           for chosen in sets), key=lambda t: (len(t), t))
+        assert [s.key() for s in _annotated(stub, results)] == expected
+
+
 def test_tower_search_tree_is_pinned():
     for n, examined, count in ((8, 74, 28), (16, 338, 120)):
         search = find_closed_surfaces(tower(n), 10 ** 6)
@@ -349,7 +387,8 @@ def test_search_annotation_checks_closedness_of_every_subset():
                 sheets = {order[i] for i in chosen}
                 closed = selection_is_closed(poly, sheets)
                 kinds.add(closed)
-                selection = next(_annotated(poly, [(chosen, True)]))
+                mask = sum(1 << i for i in chosen)
+                selection = next(_annotated(poly, [(chosen, True, mask)]))
                 if not closed:
                     for name in ("arc_slots", "euler"):
                         with pytest.raises(SelectionNotClosed):
@@ -381,28 +420,35 @@ def test_unread_selection_matches_make_selection():
         for selection, again in zip(
                 find_closed_surfaces(poly, 10 ** 6).selections,
                 find_closed_surfaces(poly, 10 ** 6).selections):
-            # arc_slots and euler are not derived before their first read
-            for name in ("arc_slots", "euler"):
+            # sheets, arc_slots and euler are not derived before their first
+            # read, and sheets not with the other two
+            for name in ("sheets", "arc_slots", "euler"):
                 with pytest.raises(AttributeError):
                     object.__getattribute__(selection, name)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 selection.euler = 0
+            assert type(again.euler) is int and type(again.arc_slots) is dict
+            with pytest.raises(AttributeError):
+                object.__getattribute__(again, "sheets")
+            assert type(selection.sheets) is frozenset
+            with pytest.raises(AttributeError):
+                object.__getattribute__(selection, "euler")
             made = make_selection(poly, selection.sheets)
             assert repr(again) == repr(made)
             assert selection == made
 
 
 def test_unread_selections_read_from_many_threads_agree():
-    # each thread may derive a selection's arc_slots and euler; every one
-    # must see the values a single reader sees
+    # each thread may derive a selection's sheets, arc_slots and euler;
+    # every one must see the values a single reader sees
     poly = tower(16)
-    expected = [(s.arc_slots, s.euler)
+    expected = [(s.sheets, s.arc_slots, s.euler)
                 for s in find_closed_surfaces(poly, 10 ** 6).selections]
     selections = find_closed_surfaces(poly, 10 ** 6).selections
     seen = [None] * 8
 
     def read(k):
-        seen[k] = [(s.arc_slots, s.euler) for s in selections]
+        seen[k] = [(s.sheets, s.arc_slots, s.euler) for s in selections]
 
     threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
