@@ -54,11 +54,14 @@ def _read(path):
 def _write_atomic(path, text):
     """Write `text` to `path` through a new file beside it and a rename.  A
     new `path` gets the mode open(path, "w") would give it, 0o666 less the
-    umask, and an existing one keeps its mode."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask, and an existing one keeps its mode.  A symbolic link at `path`
+    is written through, as open(path, "w") writes it: the new file goes
+    beside the link's target and replaces the target."""
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
     try:
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             mode = None
         tmp = os.path.join(directory,
@@ -71,7 +74,7 @@ def _write_atomic(path, text):
                 handle.write(text)
             if mode is not None:
                 os.chmod(tmp, mode)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

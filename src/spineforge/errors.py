@@ -51,10 +51,6 @@ class InvalidBornMap(InvalidValue):
     noun = "born map"
 
 
-class NotNormal(SpineForgeError):
-    code = "NotNormal"
-
-
 class SelectionNotClosed(SpineForgeError):
     code = "SelectionNotClosed"
 

@@ -167,8 +167,7 @@ def orient_sheets(born, graph, seed):
     assignment = {seed_sheet: seed_sign}
     parent_arc = {seed_sheet: None}
     queue = [seed_sheet]
-    while queue:
-        current = queue.pop(0)
+    for current in queue:
         for other, relation, arc in adjacency[current]:
             want = assignment[current] * relation
             if other not in assignment:

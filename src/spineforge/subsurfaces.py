@@ -78,14 +78,6 @@ def _selected(poly, sheets):
     return out
 
 
-def _connected(sheets, selected):
-    uf = ParityUnionFind(sheets)
-    for wings in selected.values():
-        for (_, first, _), (_, second, _) in zip(wings, wings[1:]):
-            uf.union(first, second, 0)
-    return uf.sets == 1
-
-
 def _euler(poly, sheets, selected):
     used = [poly.arc(aid) for aid, wings in selected.items() if len(wings) == 2]
     used_open = [a for a in used if not a.closed]
@@ -94,17 +86,18 @@ def _euler(poly, sheets, selected):
     return total + len(used_vertices) - len(used_open)
 
 
-def _orientable(poly, sheets, selected):
-    if any(not poly.sheet(sid).orientable for sid in sheets):
-        return False
+def _signed(poly, sheets, selected):
+    """(pieces, orientable): one parity union-find over the arcs with two
+    selected wings.  It goes on uniting after a sign contradiction, so
+    that it still counts the pieces those arcs join."""
     uf = ParityUnionFind(sheets)
+    orientable = all(poly.sheet(sid).orientable for sid in sheets)
     for wings in selected.values():
         if len(wings) == 2:
             (_, s1, d1), (_, s2, d2) = wings
             # equal signs fit exactly when the written directions disagree
-            if not uf.union(s1, s2, int(d1 == d2)):
-                return False
-    return True
+            orientable = uf.union(s1, s2, int(d1 == d2)) and orientable
+    return uf.sets, orientable
 
 
 def selection_is_closed(poly, sheets):
@@ -124,7 +117,7 @@ def selection_orientable(poly, sheets):
     """Parity union-find over selected sheets; opposite induced directions
     along each shared arc are the compatible case."""
     sheets = frozenset(sheets)
-    return _orientable(poly, sheets, _selected(poly, sheets))
+    return _signed(poly, sheets, _selected(poly, sheets))[1]
 
 
 def make_selection(poly, sheets):
@@ -133,13 +126,14 @@ def make_selection(poly, sheets):
     selected = _selected(poly, sheets)
     if any(len(wings) != 2 for wings in selected.values()):
         raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
-    if not _connected(sheets, selected):
+    pieces, orientable = _signed(poly, sheets, selected)
+    if pieces != 1:
         raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
     return SurfaceSelection(
         sheets=sheets,
         arc_slots={aid: tuple(slot for slot, _, _ in wings)
                    for aid, wings in selected.items()},
-        orientable=_orientable(poly, sheets, selected),
+        orientable=orientable,
         euler=_euler(poly, sheets, selected),
     )
 
@@ -191,9 +185,10 @@ def nonorientable_selections(poly, bound):
 class _Index(NamedTuple):
     """What the search and the selections it yields read of one
     polyhedron.  The candidates are the sheets on no boundary arc, by
-    sorted id; their wings all lie on triple arcs and are numbered in (arc
-    position, slot) order."""
-    order: list          # candidate sheet ids
+    descending id, so that a larger include mask holds smaller ids; their
+    wings all lie on triple arcs and are numbered in (arc position, slot)
+    order."""
+    order: list          # candidate sheet ids, descending
     nonorientable: list  # per candidate
     euler: list          # per candidate, its sheet's characteristic
     sheet_numbers: list  # per candidate, the numbers of its wings
@@ -215,7 +210,8 @@ def _index(poly):
     wings_of = poly._wings
     banned = {wing[0] for arc in poly.arcs if arc.kind == BOUNDARY
               for wing in wings_of[arc.id].values()}
-    order = sorted(s.id for s in poly.sheets if s.id not in banned)
+    order = sorted((s.id for s in poly.sheets if s.id not in banned),
+                   reverse=True)
     position = {sid: i for i, sid in enumerate(order)}
     sheet_numbers = [[] for _ in order]
     pairs = {}
@@ -281,9 +277,10 @@ def _walk(index, bound):
     flips whether the arc is open.  An include checks only the included
     sheet's arcs.
 
-    Every state is one include.  Of the open arcs, the walk branches on
+    Every state is one include.  Seeds are taken in ascending id order,
+    which is descending position.  Of the open arcs, the walk branches on
     the first in `poly.arcs` order with at most one completer, else the
-    first with the fewest, and tries the completers in ascending position.
+    first with the fewest, and tries the completers in ascending id order.
 
     A sheet joining through a completed wing pair takes the sign that
     pair forces, so that the two sheets induce opposite directions on the
@@ -300,8 +297,8 @@ def _walk(index, bound):
     results = []
     examined = 0
     truncated = False
-    for seed in range(len(index.order)):
-        taken = (1 << seed) - 1  # the earlier seeds
+    for seed in reversed(range(len(index.order))):
+        taken = -1 << seed + 1  # the earlier seeds
         stack = [(0, 0, True, 0, (), seed)]
         while stack:
             inc, neg, flat, opened, path, i = stack.pop()
@@ -349,40 +346,30 @@ def _walk(index, bound):
                         fewest = can
                         if can.bit_count() <= 1:
                             break
-                # pushed from the top, so the smallest completer pops first
+                # pushed from the bottom, so the smallest id pops first
                 while fewest:
-                    top = fewest.bit_length() - 1
-                    stack.append((inc, neg, flat, opened, path, top))
-                    fewest ^= 1 << top
+                    low = fewest & -fewest
+                    stack.append((inc, neg, flat, opened, path,
+                                  low.bit_length() - 1))
+                    fewest ^= low
         if truncated:
             break
 
     return tuple(results), examined, truncated
 
 
-# byte b with its eight bits in reverse order, at b
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def _annotated(poly, results):
     """SurfaceSelections for raw results of _closed_search(poly, ...), in
-    order of size, then of sorted sheet ids; each is built only when it is
-    drawn, from the include order and orientability the walk decided, and
-    derives its sheets, arc_slots and euler on first read (see
-    SurfaceSelection.__getattr__)."""
+    order of size, then of sorted sheet ids: of two equal-size selections,
+    the one holding the smallest id they do not share has the larger
+    include mask, as candidates are numbered in descending id order.  Each
+    is built only when it is drawn, from the include order and
+    orientability the walk decided, and derives its sheets, arc_slots and
+    euler on first read (see SurfaceSelection.__getattr__)."""
     index = _index(poly)
-    width = (len(index.order) + 7) // 8
     new, put = object.__new__, object.__setattr__
-
-    def key(result):
-        # positions follow sorted ids, so of two equal-size selections the
-        # one holding the smallest position they do not share comes first;
-        # with the bits of `inc` reversed that one is the larger number
-        reversed_inc = int.from_bytes(
-            result[2].to_bytes(width, "little").translate(_REVERSED), "big")
-        return len(result[0]), -reversed_inc
-
-    for chosen, orientable, _ in sorted(results, key=key):
+    for chosen, orientable, _ in sorted(
+            results, key=lambda result: (len(result[0]), -result[2])):
         selection = new(SurfaceSelection)
         put(selection, "orientable", orientable)
         put(selection, "_index", index)

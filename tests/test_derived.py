@@ -104,7 +104,8 @@ def scanned_index(poly):
                    for sheet in poly.sheets for circuit in sheet.circuits
                    for trav in circuit if trav.arc == arc.id)
     banned = {sid for a, _, sid in wings if poly.arcs[a].kind == BOUNDARY}
-    order = sorted(s.id for s in poly.sheets if s.id not in banned)
+    order = sorted((s.id for s in poly.sheets if s.id not in banned),
+                   reverse=True)
     wings = [w for w in wings if w[2] not in banned]
     arcs = range(len(poly.arcs))
     # on[i][a]: the number of wings candidate i has on arc a

@@ -439,6 +439,26 @@ def test_cli_output_files_get_the_mode_open_gives(tmp_path, monkeypatch,
          "kept_klein.plan"])
 
 
+def test_cli_output_is_written_through_a_symbolic_link(tmp_path, monkeypatch,
+                                                       capsys):
+    # as with open(path, "w"), a link at the output path stays a link, and
+    # the file it points to in another directory gets the text
+    monkeypatch.chdir(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "real.spoly").write_text("")
+    os.symlink(other / "real.spoly", "rm.spoly")
+    assert main(["example", "base", "-o", "rm"]) == 0
+    assert capsys.readouterr().out == (
+        "wrote rm.spoly rm.arr rm_klein.plan\n")
+    assert os.path.islink("rm.spoly")
+    assert (other / "real.spoly").read_text() == formats.emit_spoly(
+        build_base_example().polyhedron)
+    assert os.listdir(other) == ["real.spoly"]
+    assert sorted(os.listdir()) == ["other", "rm.arr", "rm.spoly",
+                                    "rm_klein.plan"]
+
+
 def mutate(rng, text):
     """One random edit of one line: drop a token, swap in a bad token,
     truncate the line or duplicate it."""

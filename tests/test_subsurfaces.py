@@ -267,13 +267,14 @@ def test_selections_come_in_order_of_size_then_of_sorted_sheet_ids(rng):
 
 
 def test_include_mask_order_is_size_then_sorted_positions(rng):
-    # _annotated sorts equal-size results by their include masks with the
-    # bits reversed over the index's byte width; sets on either side of a
-    # byte boundary check that the bytes are reversed as well as the bits
+    # candidates are numbered in descending id order, and _annotated sorts
+    # equal-size results by descending include mask, so the one holding the
+    # smallest id two sets do not share comes first; sets on either side of
+    # a byte boundary check masks wider than one byte
     for width in range(1, 26):
         n = rng.randint(8 * width - 7, 8 * width)
-        # zero-padded, the ids sort as their positions do
-        ids = [f"s{i:03d}" for i in range(n)]
+        # zero-padded, the ids sort as their numbers do
+        ids = [f"s{i:03d}" for i in reversed(range(n))]
         stub = types.SimpleNamespace(_closed_index=_Index._make(
             [ids] + [None] * (len(_Index._fields) - 1)))
         edges = {0, n - 1}.union(*({8 * j - 1, 8 * j}
@@ -285,7 +286,7 @@ def test_include_mask_order_is_size_then_sorted_positions(rng):
         results = [(tuple(rng.sample(sorted(chosen), len(chosen))), True,
                     sum(1 << i for i in chosen)) for chosen in sets]
         rng.shuffle(results)
-        expected = sorted((tuple(ids[i] for i in sorted(chosen))
+        expected = sorted((tuple(sorted(ids[i] for i in chosen))
                            for chosen in sets), key=lambda t: (len(t), t))
         assert [s.key() for s in _annotated(stub, results)] == expected
 
@@ -671,6 +672,28 @@ def test_search_orientability_matches_union_find_oracle(rng):
                 poly, selection.sheets)
             kinds.add(selection.orientable)
     assert kinds == {True, False}
+
+
+def test_make_selection_counts_pieces_in_any_arc_order(rng):
+    # make_selection learns connectedness and orientability from one parity
+    # union-find pass, which must go on uniting after a sign contradiction:
+    # with the arcs rotated, a non-orientable selection meets its
+    # contradiction at another point of that pass
+    cases = [build_surgered_example().polyhedron]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    checked = 0
+    for poly in cases:
+        found = [s for s in find_closed_surfaces(poly, 10 ** 6).selections
+                 if not s.orientable]
+        for turn in range(len(poly.arcs)):
+            turned = dataclasses.replace(
+                poly, arcs=poly.arcs[turn:] + poly.arcs[:turn])
+            for selection in found:
+                again = make_selection(turned, selection.sheets)
+                assert (again.orientable, again.euler) == (False,
+                                                          selection.euler)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("direction, orientable", [(-1, True), (1, False)])
