@@ -44,9 +44,12 @@ def _reason(exc):
 
 
 def _read(path):
+    """The text of `path`, less one leading byte-order mark.  Decoding is
+    plain UTF-8, so the offset of a byte that does not decode counts the
+    mark's bytes too."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise _FileAccessError(f"cannot read {path}: {_reason(exc)}") from exc
 

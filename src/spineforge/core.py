@@ -235,27 +235,6 @@ def continue_at_vertex(vertex, port_in, slot_in):
     return port_out, vertex.roles[port_out].lq
 
 
-def monodromy_perm(arc):
-    if arc.monodromy == SWAP:
-        return {0: 0, 1: 2, 2: 1}
-    return {0: 0, 1: 1, 2: 2}
-
-
-def next_traversal(poly, trav):
-    """The traversal forced after `trav` by the continuation rules."""
-    arc = poly.arc(trav.arc)
-    if arc.closed:
-        perm = monodromy_perm(arc)
-        return WingTraversal(arc.id, perm[trav.slot], trav.direction)
-    end_index = 1 if trav.direction > 0 else 0
-    vid, port = arc.endpoints[end_index]
-    vertex = poly.vertex(vid)
-    port_out, slot_out = continue_at_vertex(vertex, port, trav.slot)
-    arc_out, end_out = vertex.ends[port_out]
-    direction = 1 if end_out == 0 else -1
-    return WingTraversal(arc_out, slot_out, direction)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -271,6 +250,7 @@ def validate_polyhedron(poly):
 def _check_polyhedron(poly):
     """(report, wing table); the table is complete when the report is ok."""
     v = []
+    arc_by_id, vertex_by_id = poly._arc_by_id, poly._vertex_by_id
 
     ids = [s.id for s in poly.sheets] + [a.id for a in poly.arcs] + [w.id for w in poly.vertices]
     seen = set()
@@ -301,10 +281,10 @@ def _check_polyhedron(poly):
         if not arc.closed:
             for end_index, ref in enumerate(arc.endpoints):
                 vid, port = ref
-                if vid not in poly._vertex_by_id:
+                if vid not in vertex_by_id:
                     v.append(Violation("UnknownVertex", arc.id, vid))
                     continue
-                vertex = poly.vertex(vid)
+                vertex = vertex_by_id[vid]
                 if not (0 <= port < 4):
                     v.append(Violation("PortRange", arc.id, str(port)))
                 # a vertex without four ends is reported as VertexShape
@@ -318,10 +298,10 @@ def _check_polyhedron(poly):
             v.append(Violation("VertexShape", vertex.id))
             continue
         for port, (aid, end_index) in enumerate(vertex.ends):
-            if aid not in poly._arc_by_id:
+            if aid not in arc_by_id:
                 v.append(Violation("UnknownArc", vertex.id, aid))
                 continue
-            arc = poly.arc(aid)
+            arc = arc_by_id[aid]
             if arc.kind != TRIPLE:
                 v.append(Violation("VertexEndKind", vertex.id,
                                    f"{aid} is not triple"))
@@ -350,10 +330,10 @@ def _check_polyhedron(poly):
                 v.append(Violation("EmptyCircuit", sheet.id, f"circuit {ci}"))
                 continue
             for pos, trav in enumerate(circuit):
-                if trav.arc not in poly._arc_by_id:
+                if trav.arc not in arc_by_id:
                     v.append(Violation("CircuitRef", sheet.id, f"unknown arc {trav.arc}"))
                     continue
-                arc = poly.arc(trav.arc)
+                arc = arc_by_id[trav.arc]
                 if not (0 <= trav.slot < slot_count(arc.kind)):
                     v.append(Violation("CircuitRef", sheet.id,
                                        f"arc {trav.arc} slot {trav.slot}"))
@@ -377,13 +357,29 @@ def _check_polyhedron(poly):
     if v:
         return ValidationReport.failed(v), wings
 
-    # circuit continuity under the continuation table
+    # circuit continuity under the continuation table: each traversal must
+    # be followed by the one its arc's far end forces, compared as
+    # (arc, slot, direction)
     for sheet in poly.sheets:
         for ci, circuit in enumerate(sheet.circuits):
+            last = len(circuit) - 1
             for pos, trav in enumerate(circuit):
-                expected = next_traversal(poly, trav)
-                actual = circuit[(pos + 1) % len(circuit)]
-                if actual != expected:
+                arc = arc_by_id[trav.arc]
+                slot, direction = trav.slot, trav.direction
+                if arc.endpoints is None:
+                    # around a closed circle; swap monodromy exchanges
+                    # slots 1 and 2
+                    if slot and arc.monodromy == SWAP:
+                        slot = 3 - slot
+                    expected = (arc.id, slot, direction)
+                else:
+                    vid, port = arc.endpoints[direction > 0]
+                    vertex = vertex_by_id[vid]
+                    port_out, slot_out = continue_at_vertex(vertex, port, slot)
+                    arc_out, end_out = vertex.ends[port_out]
+                    expected = (arc_out, slot_out, 1 if end_out == 0 else -1)
+                actual = circuit[pos + 1 if pos < last else 0]
+                if (actual.arc, actual.slot, actual.direction) != expected:
                     v.append(Violation("CircuitContinuity", sheet.id,
                                        f"circuit {ci} after {trav.arc}:{trav.slot}"))
 

@@ -23,11 +23,12 @@ from .surgery import (DiskRegion, ImageCircle, ImageRoute, PlanCircle,
 
 
 def _records(text):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        tokens = line.split()
+        if tokens:
+            yield lineno, tokens
 
 
 @functools.cache
@@ -75,6 +76,9 @@ def _fields(token, count, lineno):
         raise ParseError(f"line {lineno}: expected {count} fields separated "
                          f"by ':', got {token!r}")
     return fields
+
+
+_SIGNS = {"+": 1, "-": -1}
 
 
 def _sign(token, lineno):
@@ -209,24 +213,32 @@ def parse_spoly(text):
     seen = set()
     for lineno, tokens in _records(text):
         tag = tokens[0]
-        if tag == "POLY":
-            _once(seen, tokens, lineno)
-            name = _name(tokens, lineno)
-        elif tag == "SHEET":
-            _shape(tokens, lineno, "SHEET _ _ _")
-            sheets.append((tokens[1], _orientable(tokens[2], lineno),
-                           _int(tokens[3], lineno)))
-            circuits.setdefault(tokens[1], [])
-        elif tag == "CIRCUIT":
-            _shape(tokens, lineno, "CIRCUIT _ _", more=True)
+        if tag == "CIRCUIT":
+            if len(tokens) < 3:
+                _shape(tokens, lineno, "CIRCUIT _ _", more=True)
             sid = tokens[1]
             if sid not in circuits:
                 raise ParseError(f"line {lineno}: CIRCUIT before SHEET {sid}")
             travs = []
             for token in tokens[2:]:
-                arc, slot, d = _fields(token, 3, lineno)
-                travs.append(WingTraversal(arc, _int(slot, lineno), _sign(d, lineno)))
+                try:
+                    arc, slot, d = token.rsplit(":", 2)
+                    trav = WingTraversal(arc, int(slot), _SIGNS[d])
+                except (ValueError, KeyError):
+                    trav = None
+                if trav is None:
+                    # the checked readers raise the ParseError, outside the
+                    # handler so that it chains to no other exception
+                    arc, slot, d = _fields(token, 3, lineno)
+                    trav = WingTraversal(arc, _int(slot, lineno), _sign(d, lineno))
+                travs.append(trav)
             circuits[sid].append(tuple(travs))
+        elif tag == "SHEET":
+            if len(tokens) != 4:
+                _shape(tokens, lineno, "SHEET _ _ _")
+            sheets.append((tokens[1], _orientable(tokens[2], lineno),
+                           _int(tokens[3], lineno)))
+            circuits.setdefault(tokens[1], [])
         elif tag == "ARC":
             if tokens[3:4] == ["ends"]:
                 _shape(tokens, lineno, "ARC _ _ ends _ _ monodromy _")
@@ -241,6 +253,9 @@ def parse_spoly(text):
             roles = [EndRoles(*(_int(f, lineno) for f in _fields(token, 3, lineno)))
                      for token in tokens[8:12]]
             vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
+        elif tag == "POLY":
+            _once(seen, tokens, lineno)
+            name = _name(tokens, lineno)
         else:
             raise ParseError(f"line {lineno}: unknown record {tag!r}")
     sheet_specs = tuple(

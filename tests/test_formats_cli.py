@@ -13,6 +13,7 @@ import pytest
 from spineforge import formats
 from spineforge.bornmap import validate_born_map
 from spineforge.cli import build_parser, main
+from spineforge.core import WingTraversal
 from spineforge.errors import EmitError, SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta, klein_plan, relocation_plan)
@@ -252,6 +253,51 @@ def test_malformed_spoly_record_is_a_parse_error(record):
         formats.parse_spoly(text)
 
 
+# a comment-only line, a record with a trailing comment and a blank line
+# put the record under test on line 5
+SPOLY_LEAD = "# lead\nPOLY p  # named p\n\nSHEET a orientable 0\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("CIRCUIT a c1:0", "expected 3 fields separated by ':', got 'c1:0'"),
+    ("CIRCUIT a c1:x:+", "expected an integer, got 'x'"),
+    ("CIRCUIT a c1:0:*", "expected + or -, got '*'"),
+    ("CIRCUIT a c1:0:", "expected + or -, got ''"),
+    ("CIRCUIT a c1:0:+ c1:1:+ c1:x:*", "expected an integer, got 'x'"),
+    ("CIRCUIT a", "bad CIRCUIT record"),
+    ("SHEET s1 orientable", "bad SHEET record"),
+    ("SHEET s1 orientable 0 1", "bad SHEET record"),
+    ("SHEET s1 flat 0", "expected orientable or nonorientable, got 'flat'"),
+    ("CIRCUIT zz c1:0:+", "CIRCUIT before SHEET zz"),
+])
+def test_spoly_record_errors_name_their_line(record, message):
+    with pytest.raises(formats.ParseError) as caught:
+        formats.parse_spoly(SPOLY_LEAD + record + "\n")
+    assert str(caught.value) == f"line 5: {message}"
+    # the error shows no other exception in its traceback
+    assert caught.value.__cause__ is None
+    assert caught.value.__context__ is None or \
+        caught.value.__suppress_context__
+
+
+def test_spoly_records_behind_comments_parse():
+    # only the last two colons of a traversal separate: the arc is a:b:c
+    poly = formats.parse_spoly(SPOLY_LEAD + "CIRCUIT a a:b:c:0:+ x:1:-\n"
+                               "SHEET s1 orientable 0 # x 1\n")
+    assert poly.name == "p"
+    assert poly.sheet("a").circuits == \
+        ((WingTraversal("a:b:c", 0, 1), WingTraversal("x", 1, -1)),)
+    assert poly.sheet("s1").circuits == ()
+
+
+def test_arr_and_plan_records_behind_comments_name_their_line():
+    with pytest.raises(formats.ParseError, match="^line 5: bad COUNT record$"):
+        formats.parse_arr("# lead\nNAME m  # named m\n\nFACE r5\nCOUNT r3\n")
+    with pytest.raises(formats.ParseError, match="^line 5: bad CIRCLE record$"):
+        formats.parse_plan("# lead\nPLAN p  # named p\n\n"
+                           "CIRCLE inner_cut patchdir +\nCIRCLE outer_cut +\n")
+
+
 MALFORMED_ARR_RECORDS = [
     "COUNT r3",
     "CURVE",
@@ -404,6 +450,24 @@ def test_cli_undecodable_input_is_status_two(tmp_path, monkeypatch, capsys):
     Path("bad.spoly").write_bytes(b"POLY p\nSHEET a orientable \xff\n")
     assert main(["obstruct", "bad.spoly"]) == 2
     assert capsys.readouterr().err.startswith("cannot read bad.spoly: ")
+
+
+def test_cli_ignores_a_leading_byte_order_mark(tmp_path, monkeypatch, capsys):
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name in ("roundmap.spoly", "roundmap.arr"):
+        data = Path(name).read_bytes()
+        Path("bom_" + name).write_bytes(b"\xef\xbb\xbf" + data)
+    capsys.readouterr()
+    assert main(["validate", "roundmap.spoly", "roundmap.arr"]) == 0
+    plain = capsys.readouterr()
+    assert main(["validate", "bom_roundmap.spoly", "bom_roundmap.arr"]) == 0
+    assert capsys.readouterr() == plain
+    # decoding counts the mark's three bytes in the offset it reports
+    Path("bad.spoly").write_bytes(b"\xef\xbb\xbfPOLY p\n\xff\n")
+    assert main(["validate", "bad.spoly"]) == 2
+    assert capsys.readouterr().err == ("cannot read bad.spoly: not UTF-8 text "
+                                       "(byte 0xff at offset 10)\n")
 
 
 def test_cli_write_into_missing_directory_is_status_two(tmp_path, monkeypatch,

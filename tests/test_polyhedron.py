@@ -1,15 +1,21 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from spineforge import formats
 from spineforge.core import (BOUNDARY, SWAP, TRIPLE, TRIVIAL, BranchArc,
                              EndRoles, SheetSpec, SimplePolyhedron,
-                             VertexSpec, WingTraversal, continue_at_vertex,
-                             euler_characteristic, is_normal, strand_circles,
-                             validate_polyhedron)
+                             VertexSpec, Violation, WingTraversal,
+                             continue_at_vertex, euler_characteristic,
+                             is_normal, strand_circles, validate_polyhedron)
 from spineforge.errors import InvalidPolyhedron
 from spineforge.gallery import (build_base_example, build_closed_sheet,
-                                build_surgered_example, build_theta)
+                                build_sphere_fixture, build_surgered_example,
+                                build_theta)
 
-from randgen import random_round_map
+from conftest import repo_path
+from randgen import random_round_map, random_surgered_maps
 
 
 def test_closed_genus2_sheet_is_valid_and_normal():
@@ -56,7 +62,138 @@ def test_swap_circuit_must_respect_monodromy():
     poly = SimplePolyhedron(sheets, (arc,), ())
     report = validate_polyhedron(poly)
     assert not report.ok
-    assert any(v.code == "CircuitContinuity" for v in report.violations)
+    assert str(report) == ("invalid: CircuitContinuity(w1): circuit 0 after "
+                           "c0:1; CircuitContinuity(w2): circuit 0 after c0:2")
+
+
+def reference_next(poly, trav):
+    """The traversal forced after `trav`, built as a WingTraversal through
+    the polyhedron's accessors: the slow statement of the rule that the
+    validator checks on plain tuples."""
+    arc = poly.arc(trav.arc)
+    if arc.closed:
+        perm = {0: 0, 1: 2, 2: 1} if arc.monodromy == SWAP else \
+            {0: 0, 1: 1, 2: 2}
+        return WingTraversal(arc.id, perm[trav.slot], trav.direction)
+    vid, port = arc.endpoints[1 if trav.direction > 0 else 0]
+    vertex = poly.vertex(vid)
+    port_out, slot_out = continue_at_vertex(vertex, port, trav.slot)
+    arc_out, end_out = vertex.ends[port_out]
+    return WingTraversal(arc_out, slot_out, 1 if end_out == 0 else -1)
+
+
+def reference_continuity(poly):
+    """The CircuitContinuity violations of `poly`, in the validator's order."""
+    out = []
+    for sheet in poly.sheets:
+        for ci, circuit in enumerate(sheet.circuits):
+            for pos, trav in enumerate(circuit):
+                if circuit[(pos + 1) % len(circuit)] != reference_next(poly, trav):
+                    out.append(Violation("CircuitContinuity", sheet.id,
+                                         f"circuit {ci} after "
+                                         f"{trav.arc}:{trav.slot}"))
+    return out
+
+
+def with_circuits(change):
+    """A mutation: for each circuit of two or more traversals (or, when
+    there is none, for one circuit), `poly` with that circuit replaced by
+    change(circuit, rng)."""
+    def mutants(poly, rng):
+        places = [(si, ci) for si, sheet in enumerate(poly.sheets)
+                  for ci, circuit in enumerate(sheet.circuits)
+                  if len(circuit) > 1]
+        if not places:
+            places = [(si, ci) for si, sheet in enumerate(poly.sheets)
+                      for ci in range(len(sheet.circuits))][:1]
+        for si, ci in places:
+            sheet = poly.sheets[si]
+            circuits = list(sheet.circuits)
+            circuits[ci] = tuple(change(circuits[ci], rng))
+            sheets = list(poly.sheets)
+            sheets[si] = replace(sheet, circuits=tuple(circuits))
+            yield replace(poly, sheets=tuple(sheets))
+    return mutants
+
+
+def flip_one(circuit, rng):
+    at = rng.randrange(len(circuit))
+    return circuit[:at] + (circuit[at].reversed(),) + circuit[at + 1:]
+
+
+def rotate(circuit, rng):
+    at = rng.randrange(len(circuit))
+    return circuit[at:] + circuit[:at]
+
+
+def swap_two(circuit, rng):
+    out = list(circuit)
+    i, j = rng.sample(range(len(out)), 2) if len(out) > 1 else (0, 0)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def toggle_monodromy(poly, rng):
+    """For each closed triple arc, `poly` with its monodromy toggled
+    between trivial and swap."""
+    for arc in poly.arcs:
+        if arc.closed and arc.kind == TRIPLE:
+            toggled = replace(arc, monodromy=TRIVIAL if arc.monodromy == SWAP
+                              else SWAP)
+            yield replace(poly, arcs=tuple(toggled if a is arc else a
+                                           for a in poly.arcs))
+
+
+def exchange_slots(poly, rng):
+    """For one random triple arc, `poly` with the wings in two of its slots
+    trading places."""
+    triple = [arc for arc in poly.arcs if arc.kind == TRIPLE]
+    if not triple:
+        return
+    aid = rng.choice(triple).id
+    s, t = rng.sample(range(3), 2)
+    swap = {s: t, t: s}
+
+    def moved(trav):
+        if trav.arc != aid or trav.slot not in swap:
+            return trav
+        return replace(trav, slot=swap[trav.slot])
+    yield replace(poly, sheets=tuple(
+        replace(sheet, circuits=tuple(tuple(moved(t) for t in circuit)
+                                      for circuit in sheet.circuits))
+        for sheet in poly.sheets))
+
+
+MUTATIONS = [with_circuits(flip_one), with_circuits(lambda c, rng: c[::-1]),
+             with_circuits(rotate), with_circuits(swap_two),
+             toggle_monodromy, exchange_slots]
+
+
+def test_circuit_continuity_matches_the_reference_rule(rng):
+    polys = [build_theta(), build_closed_sheet(2),
+             build_closed_sheet(1, orientable=False),
+             build_base_example().polyhedron,
+             build_surgered_example().polyhedron,
+             build_sphere_fixture().polyhedron]
+    for name in ("roundmap", "surgered", "crossed", "crossed_twice"):
+        polys.append(formats.parse_spoly(
+            Path(repo_path("fixtures", f"{name}.spoly")).read_text()))
+    polys += [random_round_map(rng, name=f"c{i}").polyhedron
+              for i in range(100)]
+    polys += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    broken = {"closed": 0, "open": 0}
+    for poly in polys:
+        assert validate_polyhedron(poly).ok
+        for mutant in (m for mutate in MUTATIONS for m in mutate(poly, rng)):
+            expected = reference_continuity(mutant)
+            # every mutation keeps each wing slot filled once, so the
+            # validator reaches its continuity pass
+            assert validate_polyhedron(mutant).violations == tuple(expected)
+            for violation in expected:
+                aid = violation.detail.split(" after ")[1].rsplit(":", 1)[0]
+                broken["closed" if mutant.arc(aid).closed else "open"] += 1
+    # breaks after closed circles and after arcs that end at vertices
+    assert broken["closed"] and broken["open"]
 
 
 def test_base_example_validates_with_six_circles():
