@@ -23,7 +23,9 @@ from .surgery import (DiskRegion, ImageCircle, ImageRoute, PlanCircle,
 
 
 def _records(text):
-    for lineno, line in enumerate(text.splitlines(), 1):
+    if "\r" in text:  # only \n, \r\n and \r end a line, as in open()
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), 1):
         if "#" in line:
             line = line[:line.index("#")]
         tokens = line.split()

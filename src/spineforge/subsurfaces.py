@@ -10,7 +10,6 @@ so the search reduces to the per-arc degree constraint plus connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 from .core import BOUNDARY, ParityUnionFind, require_valid
@@ -26,30 +25,35 @@ class SurfaceSelection:
     euler: int
     # a selection the search yields holds what the walk decided, its
     # orientability, and leaves sheets, arc_slots and euler unset; they are
-    # derived from the search index and the include order on first read,
+    # derived from its polyhedron and the include order on first read,
     # sheets on its own and arc_slots with euler (see __getattr__)
-    _index: object = field(default=None, init=False, repr=False,
-                           compare=False)
+    _poly: object = field(default=None, init=False, repr=False,
+                          compare=False)
     _chosen: tuple = field(default=None, init=False, repr=False,
                            compare=False)
 
     def key(self):
         return tuple(sorted(self.sheets))
 
+    def __reduce__(self):  # pickled as make_selection builds it
+        return SurfaceSelection, (self.sheets, self.arc_slots,
+                                  self.orientable, self.euler)
+
     def __getattr__(self, name):
         # reached only for an unset slot; a derived one is never unset, so
         # two threads reading at once both derive and store the same values
         if (name not in ("sheets", "arc_slots", "euler")
-                or self._index is None):
+                or self._poly is None):
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
+        # copied from a set, the frozenset's table is sized to fit
+        sheets = frozenset(set(map(_index(self._poly).order.__getitem__,
+                                   self._chosen)))
         if name == "sheets":
-            # copied from a set, the frozenset's table is sized to fit
-            sheets = frozenset(set(map(self._index.order.__getitem__,
-                                       self._chosen)))
             object.__setattr__(self, "sheets", sheets)
             return sheets
-        arc_slots, euler = _derived(self._index, self._chosen)
+        arc_slots, euler = _closed_annotation(self._poly, sheets,
+                                              _selected(self._poly, sheets))
         object.__setattr__(self, "arc_slots", arc_slots)
         object.__setattr__(self, "euler", euler)
         return arc_slots if name == "arc_slots" else euler
@@ -64,18 +68,19 @@ class SelectionSearch:
 
 def _selected(poly, sheets):
     """arc id -> the (slot, sheet id, direction) of each of its wings in a
-    selected sheet, by slot, for the arcs that have any: one scan of the
-    wing table, which every selection helper reads."""
+    selected sheet, by slot, for the arcs that have any, in poly.arcs
+    order: the wing table read only at the arcs the sheets' circuits run
+    along, which every selection helper reads."""
     unknown = set(sheets) - poly._sheet_by_id.keys()
     if unknown:
         raise SelectionNotClosed(f"selection names unknown sheets {sorted(unknown)}")
-    out = {}
-    for arc_id, wings in poly._wings.items():
-        chosen = [(slot, sid, d) for slot, (sid, _, _, d) in sorted(wings.items())
-                  if sid in sheets]
-        if chosen:
-            out[arc_id] = chosen
-    return out
+    wings_of = poly._wings
+    along = {trav.arc for sid in sheets
+             for circuit in poly.sheet(sid).circuits for trav in circuit}
+    return {aid: sorted([(slot, sid, d)
+                         for slot, (sid, _, _, d) in wings_of[aid].items()
+                         if sid in sheets])
+            for aid in wings_of if aid in along}
 
 
 def _euler(poly, sheets, selected):
@@ -120,22 +125,25 @@ def selection_orientable(poly, sheets):
     return _signed(poly, sheets, _selected(poly, sheets))[1]
 
 
+def _closed_annotation(poly, sheets, selected):
+    """(arc_slots, euler) of a selection from its _selected table, for
+    make_selection and a searched selection alike; raises unless closed."""
+    if any(len(wings) != 2 for wings in selected.values()):
+        raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
+    return ({aid: (w1[0], w2[0]) for aid, (w1, w2) in selected.items()},
+            _euler(poly, sheets, selected))
+
+
 def make_selection(poly, sheets):
     """Build an annotated SurfaceSelection; raises when not closed/connected."""
     sheets = frozenset(sheets)
     selected = _selected(poly, sheets)
-    if any(len(wings) != 2 for wings in selected.values()):
-        raise SelectionNotClosed(f"selection {sorted(sheets)} is not closed")
+    arc_slots, euler = _closed_annotation(poly, sheets, selected)
     pieces, orientable = _signed(poly, sheets, selected)
     if pieces != 1:
         raise SelectionNotConnected(f"selection {sorted(sheets)} is not connected")
-    return SurfaceSelection(
-        sheets=sheets,
-        arc_slots={aid: tuple(slot for slot, _, _ in wings)
-                   for aid, wings in selected.items()},
-        orientable=orientable,
-        euler=_euler(poly, sheets, selected),
-    )
+    return SurfaceSelection(sheets=sheets, arc_slots=arc_slots,
+                            orientable=orientable, euler=euler)
 
 
 def surface_orientability(poly, selection):
@@ -167,7 +175,7 @@ def find_closed_surfaces(poly, bound):
     the first search of a polyhedron object and kept on it, as is a
     search the bound did not cut (see _closed_search).  A selection's
     sheets are derived from them on their first read, and its arc_slots
-    and euler on the first read of either.
+    and euler, by make_selection's rule, on the first read of either.
     """
     results, examined, truncated = _closed_search(poly, bound)
     return SelectionSearch(selections=tuple(_annotated(poly, results)),
@@ -183,16 +191,11 @@ def nonorientable_selections(poly, bound):
 
 
 class _Index(NamedTuple):
-    """What the search and the selections it yields read of one
-    polyhedron.  The candidates are the sheets on no boundary arc, by
-    descending id, so that a larger include mask holds smaller ids; their
-    wings all lie on triple arcs and are numbered in (arc position, slot)
-    order."""
+    """What the search, and a selection it yields to name its sheets, read
+    of one polyhedron.  The candidates are the sheets on no boundary arc,
+    by descending id, so that a larger include mask holds smaller ids."""
     order: list          # candidate sheet ids, descending
     nonorientable: list  # per candidate
-    euler: list          # per candidate, its sheet's characteristic
-    sheet_numbers: list  # per candidate, the numbers of its wings
-    pairs: dict   # (w1, w2), w1 < w2 on one arc -> (arc id, (slot1, slot2))
     single: list  # per arc, the mask of candidates with one wing on it
     odd: list     # per candidate, the mask of arcs where it has one wing
     # per candidate, one (sheet mask, two-wing mask, own wings, rel) per
@@ -200,7 +203,6 @@ class _Index(NamedTuple):
     # the walk's `neg`, has the partner's bit set when the pair forces
     # sign -1, and with two it is whether they break orientability
     arcs_of: list
-    open_ends: dict  # open arc id -> frozenset of its end vertices
 
 
 def _index(poly):
@@ -213,38 +215,28 @@ def _index(poly):
     order = sorted((s.id for s in poly.sheets if s.id not in banned),
                    reverse=True)
     position = {sid: i for i, sid in enumerate(order)}
-    sheet_numbers = [[] for _ in order]
-    pairs = {}
     single = []
     odd = [0] * len(order)
     arcs_of = [[] for _ in order]
-    first = 0  # the number of the arc's first wing
     for a, arc in enumerate(poly.arcs):
-        wings = sorted((slot, position[sid], d)
-                       for slot, (sid, _, _, d) in wings_of[arc.id].items()
-                       if sid in position)
+        wings = [(position[sid], d)
+                 for sid, _, _, d in wings_of[arc.id].values()
+                 if sid in position]
         mask = twice = flip = 0
-        for w, (slot, i, d) in enumerate(wings):
-            sheet_numbers[i].append(first + w)
+        for i, d in wings:
             twice |= mask & 1 << i
             mask |= 1 << i
             flip |= (d < 0) << i
-            for v in range(w + 1, len(wings)):
-                pairs[first + w, first + v] = (arc.id, (slot, wings[v][0]))
         single.append(mask & ~twice)
-        for i in dict.fromkeys(i for _, i, _ in wings):
-            own = [d for _, j, d in wings if j == i]
+        for i in dict.fromkeys(i for i, _ in wings):
+            own = [d for j, d in wings if j == i]
             rel = (own[0] == own[1] if len(own) > 1
                    else flip if own[0] < 0 else ~flip)
             arcs_of[i].append((mask, twice, len(own), rel))
             odd[i] |= (len(own) == 1) << a
-        first += len(wings)
-    sheets = [poly.sheet(sid) for sid in order]
     index = poly.__dict__["_closed_index"] = _Index(
-        order, [not s.orientable for s in sheets], [s.euler for s in sheets],
-        sheet_numbers, pairs, single, odd, arcs_of,
-        {arc.id: frozenset(vid for vid, _ in arc.endpoints)
-         for arc in poly.arcs if not arc.closed})
+        order, [not poly.sheet(sid).orientable for sid in order],
+        single, odd, arcs_of)
     return index
 
 
@@ -366,36 +358,12 @@ def _annotated(poly, results):
     is built only when it is drawn, from the include order and
     orientability the walk decided, and derives its sheets, arc_slots and
     euler on first read (see SurfaceSelection.__getattr__)."""
-    index = _index(poly)
     new, put = object.__new__, object.__setattr__
     for chosen, orientable, _ in sorted(
             results, key=lambda result: (len(result[0]), -result[2])):
         selection = new(SurfaceSelection)
         put(selection, "orientable", orientable)
-        put(selection, "_index", index)
+        put(selection, "_poly", poly)
         put(selection, "_chosen", chosen)
         yield selection
 
-
-def _derived(index, chosen):
-    """The arc_slots and euler of the selection of candidate positions
-    `chosen`, read from the search's own index.
-
-    This is make_selection's annotation for a polyhedron already
-    validated; the search decided the selection's orientability and
-    connectedness.
-    """
-    # sorted, the wing numbers of each arc lie together with their slots in
-    # order, and the arcs follow poly.arcs; the selection is closed when
-    # they pair off, two wings to a triple arc (three wings on an arc leave
-    # one over, which pairs with the next arc's)
-    wings = sorted(chain.from_iterable(map(index.sheet_numbers.__getitem__,
-                                           chosen)))
-    found = list(map(index.pairs.get, zip(wings[::2], wings[1::2])))
-    if len(wings) % 2 or None in found:
-        sheets = sorted(map(index.order.__getitem__, chosen))
-        raise SelectionNotClosed(f"selection {sheets} is not closed")
-    arc_slots = dict(found)
-    ends = list(filter(None, map(index.open_ends.get, arc_slots)))
-    return arc_slots, (sum(map(index.euler.__getitem__, chosen)) - len(ends)
-                       + len(frozenset().union(*ends)))

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from spineforge.arrangement import (ArrEdge, Crossing, Curve,
-                                    CurveArrangement, Face,
+from spineforge.arrangement import (ArrangementBuilder, ArrEdge, Crossing,
+                                    Curve, CurveArrangement, Face,
                                     validate_arrangement, winding_numbers)
 from spineforge.core import ValidationReport, Violation
-from spineforge.errors import InvalidArrangement
+from spineforge.errors import InvalidArrangement, PlanError
+from spineforge.gallery import build_base_example
 
 from conftest import empty_arrangement
 from randgen import random_surgered_maps
@@ -192,3 +195,15 @@ def test_winding_numbers_match_an_edge_scan_on_surgery_outputs(rng):
         every_curve = {curve.id: 1 for curve in arr.curves}
         assert winding_numbers(arr, every_curve) == \
             edge_scan_winding_numbers(arr, every_curve)
+
+
+def test_route_through_the_unbounded_face_is_refused():
+    # e_c11 parts r5 from r_out; a route crossing it twice runs a chord
+    # through r_out, which would split the unbounded face
+    builder = ArrangementBuilder(build_base_example().arrangement)
+    crossings = (("e_c11", Fraction(1, 3)), ("e_c11", Fraction(2, 3)))
+    with pytest.raises(PlanError) as caught:
+        builder.insert_route("x", crossings, (("r_out", None), ("r5", None)),
+                             ("aux", "x"))
+    assert caught.value.code == "UnsupportedRoute"
+    assert str(caught.value) == "chord through the unbounded face"

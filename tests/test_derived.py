@@ -118,18 +118,10 @@ def scanned_index(poly):
     return dict(
         order=order,
         nonorientable=[not poly.sheet(sid).orientable for sid in order],
-        euler=[poly.sheet(sid).euler for sid in order],
-        sheet_numbers=[[k for k, w in enumerate(wings) if w[2] == sid]
-                       for sid in order],
-        pairs={(k, m): (poly.arcs[wings[k][0]].id, (wings[k][1], wings[m][1]))
-               for k in range(len(wings)) for m in range(k + 1, len(wings))
-               if wings[k][0] == wings[m][0]},
         single=[mask(a, lambda n: n == 1) for a in arcs],
         odd=[sum(1 << a for a in arcs if counts[a] == 1) for counts in on],
         arcs_of=[[(mask(a, bool), mask(a, lambda n: n >= 2), counts[a])
-                  for a in arcs if counts[a]] for counts in on],
-        open_ends={arc.id: frozenset(vid for vid, _ in arc.endpoints)
-                   for arc in poly.arcs if not arc.closed})
+                  for a in arcs if counts[a]] for counts in on])
 
 
 def test_closed_surface_index_and_strand_partition_match_direct_scans(rng):

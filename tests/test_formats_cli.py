@@ -290,6 +290,23 @@ def test_spoly_records_behind_comments_parse():
     assert poly.sheet("s1").circuits == ()
 
 
+@pytest.mark.parametrize("text, message", [
+    # a line separator inside a comment does not end the comment's line
+    ("# note\u2028more\nBAD x\n", "line 2: unknown record 'BAD'"),
+    # a form feed inside a record separates its tokens, not its lines
+    ("POLY p\x0cq\n", "line 1: bad POLY record"),
+    ("# x\x0b\x1c\x1d\x1e\x85\u2029y\nBAD x\n",
+     "line 2: unknown record 'BAD'"),
+    ("POLY p\r\n# c\r\n\r\nBAD x\r\n", "line 4: unknown record 'BAD'"),
+    ("POLY p\r# c\r\rBAD x\r", "line 4: unknown record 'BAD'"),
+    ("POLY p\r\n# c\r\nBAD x\n", "line 3: unknown record 'BAD'"),
+])
+def test_records_end_only_at_the_line_ends_open_reads(text, message):
+    with pytest.raises(formats.ParseError) as caught:
+        formats.parse_spoly(text)
+    assert str(caught.value) == message
+
+
 def test_arr_and_plan_records_behind_comments_name_their_line():
     with pytest.raises(formats.ParseError, match="^line 5: bad COUNT record$"):
         formats.parse_arr("# lead\nNAME m  # named m\n\nFACE r5\nCOUNT r3\n")

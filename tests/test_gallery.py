@@ -80,6 +80,18 @@ def test_round_reeb_rejects_event_positions_off_the_stack(circles, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("circle, message", [
+    (RoundCircle("triple", -1, 0), "circle 0: negative count"),
+    (RoundCircle("boundary", 2, 1), "outermost outside count must be 0"),
+    (RoundCircle("weird", 1, 0), "circle 0: kind weird with jump -1"),
+])
+def test_round_reeb_rejects_bad_counts_and_kinds(circle, message):
+    with pytest.raises(PlanError) as info:
+        round_reeb(RoundSpec(circles=(circle,), name="bad"))
+    assert info.value.code == "CountRule"
+    assert str(info.value) == message
+
+
 def test_round_reeb_numbers_more_than_ten_thousand_lines():
     # a tower of 5001 circles has 10001 fiber lines, hence sheets
     n = 5001

@@ -40,6 +40,15 @@ def test_disk_straddling_an_arc():
     assert graph.edges[0].arc == "c8"
 
 
+def test_disk_arc_entry_off_its_sheets_adds_no_edge():
+    # c1's wings lie on tube, i_band and i_cap, none of them the disk's
+    disk = DiskInP(id="d", boundary_circle="x", sheets=("o_cap",),
+                   arcs=(("c1", 0, 1, False),))
+    graph = build_graph(build_base_example(), disk)
+    assert graph.vertices == ("o_cap",)
+    assert graph.edges == ()
+
+
 @pytest.mark.parametrize("sheets, arcs, code", [
     (("i_band", "nope"), (), "UnknownSheet"),
     (("i_band", "i_floor"), (("zz", 0, 1, False),), "UnknownArc"),

@@ -1,6 +1,9 @@
 import dataclasses
+import glob
 import itertools
 import math
+import pathlib
+import pickle
 import sys
 import threading
 import types
@@ -9,6 +12,7 @@ import pytest
 
 from spineforge.core import SheetSpec, SimplePolyhedron
 from spineforge.errors import SelectionNotClosed, SelectionNotConnected
+from spineforge.formats import parse_spoly
 from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
                                 build_closed_sheet, build_sphere_fixture,
                                 build_surgered_example, build_theta,
@@ -22,6 +26,7 @@ from spineforge.subsurfaces import (_Index, _annotated, _index,
                                     selection_orientable,
                                     surface_orientability)
 
+from conftest import repo_path
 from randgen import random_round_map, random_surgered_maps
 
 
@@ -363,6 +368,58 @@ def test_search_annotation_matches_make_selection(rng):
             open_arcs += any(not poly.arc(aid).closed
                              for aid in selection.arc_slots)
     assert open_arcs
+
+
+def circuit_euler(poly, sheets):
+    """Oracle for the characteristic of a closed selection, from the
+    sheets' circuits and poly.arcs alone: the sheets' characteristics, less
+    the open arcs their circuits run along, plus those arcs' end vertices."""
+    total, along = 0, set()
+    for sid in sheets:
+        sheet = poly.sheet(sid)
+        handles = 2 * sheet.genus if sheet.orientable else sheet.genus
+        total += 2 - handles - len(sheet.circuits)
+        along.update(t.arc for circuit in sheet.circuits for t in circuit)
+    open_arcs = [arc for arc in poly.arcs
+                 if arc.id in along and arc.endpoints is not None]
+    ends = {vid for arc in open_arcs for vid, _ in arc.endpoints}
+    return total - len(open_arcs) + len(ends)
+
+
+def test_search_euler_matches_a_count_over_circuits(rng):
+    # make_selection and the search annotate by one rule, so comparing the
+    # two checks nothing of euler; this count does not go through it
+    cases = [build_theta(), build_base_example().polyhedron,
+             build_surgered_example().polyhedron,
+             build_sphere_fixture().polyhedron, build_closed_sheet(0),
+             build_closed_sheet(2, orientable=False)]
+    cases += [parse_spoly(pathlib.Path(path).read_text())
+              for path in sorted(glob.glob(repo_path("fixtures", "*.spoly")))]
+    cases += [tower(n) for n in range(4, 17)]
+    cases += [random_round_map(rng, name=f"e{i}").polyhedron
+              for i in range(100)]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 100)]
+    checked, vertices = 0, 0
+    for poly in cases:
+        for selection in find_closed_surfaces(poly, 10 ** 6).selections:
+            assert selection.euler == circuit_euler(poly, selection.sheets)
+            checked += 1
+            vertices += any(not poly.arc(aid).closed
+                            for aid in selection.arc_slots)
+    # the vertex term is reached, not only closed circles
+    assert checked > 1000 and vertices
+
+
+def test_searched_selections_pickle_as_built_ones():
+    poly = build_surgered_example().polyhedron
+    for selection in find_closed_surfaces(tower(8), 10 ** 6).selections + \
+            find_closed_surfaces(poly, 10 ** 6).selections:
+        loaded = pickle.loads(pickle.dumps(selection))
+        assert loaded == selection
+        assert (loaded.arc_slots, loaded.euler) == \
+            (selection.arc_slots, selection.euler)
+        # the polyhedron it was derived from is not pickled with it
+        assert loaded._poly is None
 
 
 def scanned_arc_slots(poly, sheets):
