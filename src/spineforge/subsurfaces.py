@@ -10,10 +10,13 @@ so the search reduces to the per-arc degree constraint plus connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 from .core import BOUNDARY, ParityUnionFind, require_valid
 from .errors import SelectionNotClosed, SelectionNotConnected
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # digits to flags for compress
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,15 +28,19 @@ class SurfaceSelection:
     euler: int
     # a selection the search yields holds what the walk decided, its
     # orientability, and leaves sheets, arc_slots and euler unset; they are
-    # derived from its polyhedron and the include order on first read,
-    # sheets on its own and arc_slots with euler (see __getattr__)
-    _poly: object = field(default=None, init=False, repr=False,
-                          compare=False)
-    _chosen: tuple = field(default=None, init=False, repr=False,
-                           compare=False)
+    # derived from its polyhedron and include mask on first read, sheets on
+    # its own and arc_slots with euler (see __getattr__)
+    _poly: object = field(default=None, init=False, compare=False)
+    _chosen: int = field(default=None, init=False, compare=False)
 
     def key(self):
         return tuple(sorted(self.sheets))
+
+    def __repr__(self):  # sheets listed as key() lists them
+        sheets = ", ".join(map(repr, self.key()))
+        return (f"SurfaceSelection(sheets=frozenset({{{sheets}}}), "
+                f"arc_slots={self.arc_slots!r}, "
+                f"orientable={self.orientable!r}, euler={self.euler!r})")
 
     def __reduce__(self):  # pickled as make_selection builds it
         return SurfaceSelection, (self.sheets, self.arc_slots,
@@ -46,9 +53,10 @@ class SurfaceSelection:
                 or self._poly is None):
             raise AttributeError(f"{type(self).__name__!r} object has no "
                                  f"attribute {name!r}")
-        # copied from a set, the frozenset's table is sized to fit
-        sheets = frozenset(set(map(_index(self._poly).order.__getitem__,
-                                   self._chosen)))
+        # the mask's digits, lowest first, pick the sheets; copied from a
+        # set, the frozenset's table is sized to fit
+        digits = bin(self._chosen)[:1:-1].encode().translate(_DIGITS)
+        sheets = frozenset(set(compress(_index(self._poly).order, digits)))
         if name == "sheets":
             object.__setattr__(self, "sheets", sheets)
             return sheets
@@ -147,10 +155,8 @@ def make_selection(poly, sheets):
 
 
 def surface_orientability(poly, selection):
-    """Orientable(genus) or NonOrientable(crosscaps) for a closed selection.
-
-    Accepts either a SurfaceSelection or a bare iterable of sheet ids.
-    """
+    """Orientable(genus) or NonOrientable(crosscaps) for a closed selection,
+    given as a SurfaceSelection or as a bare iterable of sheet ids."""
     sheets = selection.sheets if isinstance(selection, SurfaceSelection) else frozenset(selection)
     sel = make_selection(poly, sheets)
     if sel.orientable:
@@ -187,7 +193,7 @@ def nonorientable_selections(poly, bound):
     lists, in its order, as an iterator that builds each only when it is
     drawn, and whether the search was truncated."""
     results, _, truncated = _closed_search(poly, bound)
-    return _annotated(poly, [r for r in results if not r[1]]), truncated
+    return _annotated(poly, [r for r in results if not r[2]]), truncated
 
 
 class _Index(NamedTuple):
@@ -215,9 +221,7 @@ def _index(poly):
     order = sorted((s.id for s in poly.sheets if s.id not in banned),
                    reverse=True)
     position = {sid: i for i, sid in enumerate(order)}
-    single = []
-    odd = [0] * len(order)
-    arcs_of = [[] for _ in order]
+    single, odd, arcs_of = [], [0] * len(order), [[] for _ in order]
     for a, arc in enumerate(poly.arcs):
         wings = [(position[sid], d)
                  for sid, _, _, d in wings_of[arc.id].values()
@@ -258,8 +262,10 @@ def _closed_search(poly, bound):
 def _walk(index, bound):
     """The walk behind find_closed_surfaces, deciding orientability as a
     selection grows and annotating nothing.  Returns (results, examined,
-    truncated), results a tuple of triples: the candidate positions of a
-    selection in include order, whether it is orientable, and its `inc`.
+    truncated), results a tuple of (size, -inc, orientable) triples, one
+    per selection.  They sort in the order find_closed_surfaces lists
+    them: of two equal-size selections, the one holding the smallest id
+    they do not share has the larger `inc`.
 
     The state is a few ints: bit i of `inc` stands for the included sheet
     `order[i]` and bit i of `neg` for one signed -1, and bit a of `opened`
@@ -279,21 +285,18 @@ def _walk(index, bound):
     shared arc; every further pair it completes only checks that relation,
     and `flat` is cleared when one fails (or the sheet is non-orientable).
 
-    A frame is a state to try: the parent's `inc`, `neg`, `flat`,
-    `opened` and include order (`path`), and the sheet to include.
+    A frame is a state to try: the parent's `inc`, `neg`, `flat` and
+    `opened`, and the sheet to include.
     Backtracking pops the next frame, so nothing is undone by hand.
     """
-    single, odd, arcs_of = index.single, index.odd, index.arcs_of
-    nonorientable = index.nonorientable
+    _, nonorientable, single, odd, arcs_of = index
 
-    results = []
-    examined = 0
-    truncated = False
+    results, examined, truncated = [], 0, False
     for seed in reversed(range(len(index.order))):
         taken = -1 << seed + 1  # the earlier seeds
-        stack = [(0, 0, True, 0, (), seed)]
+        stack = [(0, 0, True, 0, seed)]
         while stack:
-            inc, neg, flat, opened, path, i = stack.pop()
+            inc, neg, flat, opened, i = stack.pop()
             examined += 1
             if examined > bound:
                 truncated = True
@@ -318,14 +321,13 @@ def _walk(index, bound):
                         bad = True
             else:
                 inc |= bit
-                path += (i,)
                 if minus:
                     neg |= bit
                 flat = flat and not bad
                 opened ^= odd[i]
                 if not opened:
                     # every arc the selection touches carries 0 or 2 wings
-                    results.append((path, flat, inc))
+                    results.append((inc.bit_count(), -inc, flat))
                     continue
                 # the open arc with the fewest completers, taking the first
                 # with at most one at once
@@ -341,7 +343,7 @@ def _walk(index, bound):
                 # pushed from the bottom, so the smallest id pops first
                 while fewest:
                     low = fewest & -fewest
-                    stack.append((inc, neg, flat, opened, path,
+                    stack.append((inc, neg, flat, opened,
                                   low.bit_length() - 1))
                     fewest ^= low
         if truncated:
@@ -352,18 +354,16 @@ def _walk(index, bound):
 
 def _annotated(poly, results):
     """SurfaceSelections for raw results of _closed_search(poly, ...), in
-    order of size, then of sorted sheet ids: of two equal-size selections,
-    the one holding the smallest id they do not share has the larger
-    include mask, as candidates are numbered in descending id order.  Each
-    is built only when it is drawn, from the include order and
-    orientability the walk decided, and derives its sheets, arc_slots and
-    euler on first read (see SurfaceSelection.__getattr__)."""
-    new, put = object.__new__, object.__setattr__
-    for chosen, orientable, _ in sorted(
-            results, key=lambda result: (len(result[0]), -result[2])):
+    their sorted order (see _walk).  Each is built only when it is drawn,
+    from the include mask and orientability the walk decided, and derives
+    its sheets, arc_slots and euler on first read (see SurfaceSelection)."""
+    new = object.__new__
+    put_orientable = SurfaceSelection.orientable.__set__
+    put_poly = SurfaceSelection._poly.__set__
+    put_chosen = SurfaceSelection._chosen.__set__
+    for _, mask, orientable in sorted(results):
         selection = new(SurfaceSelection)
-        put(selection, "orientable", orientable)
-        put(selection, "_poly", poly)
-        put(selection, "_chosen", chosen)
+        put_orientable(selection, orientable)
+        put_poly(selection, poly)
+        put_chosen(selection, -mask)
         yield selection
-

@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import pickle
+import random
 import sys
 import threading
 import types
@@ -288,8 +289,8 @@ def test_include_mask_order_is_size_then_sorted_positions(rng):
                 for c in itertools.combinations(sorted(edges), k)}
         sets |= {frozenset(rng.sample(range(n), rng.randint(1, min(n, 5))))
                  for _ in range(200)}
-        results = [(tuple(rng.sample(sorted(chosen), len(chosen))), True,
-                    sum(1 << i for i in chosen)) for chosen in sets]
+        results = [(len(chosen), -sum(1 << i for i in chosen), True)
+                   for chosen in sets]
         rng.shuffle(results)
         expected = sorted((tuple(sorted(ids[i] for i in chosen))
                            for chosen in sets), key=lambda t: (len(t), t))
@@ -422,6 +423,24 @@ def test_searched_selections_pickle_as_built_ones():
         assert loaded._poly is None
 
 
+def test_repr_lists_sheets_sorted_however_they_were_built():
+    # a searched selection builds its sheets from the include mask, and an
+    # unpickled one from the pickled frozenset; both print them sorted
+    polys = [build_surgered_example().polyhedron]
+    polys += [born.polyhedron
+              for born in random_surgered_maps(random.Random(7), 50)]
+    count = 0
+    for poly in polys:
+        for selection in find_closed_surfaces(poly, 10 ** 6).selections:
+            loaded = pickle.loads(pickle.dumps(selection))
+            assert repr(loaded) == repr(selection)
+            sheets = ", ".join(map(repr, selection.key()))
+            assert repr(selection).startswith(
+                f"SurfaceSelection(sheets=frozenset({{{sheets}}}), ")
+            count += 1
+    assert count > 100
+
+
 def scanned_arc_slots(poly, sheets):
     """arc id -> the sorted slots of the selected sheets' wings on it, from
     a scan of their circuits."""
@@ -446,7 +465,7 @@ def test_search_annotation_checks_closedness_of_every_subset():
                 closed = selection_is_closed(poly, sheets)
                 kinds.add(closed)
                 mask = sum(1 << i for i in chosen)
-                selection = next(_annotated(poly, [(chosen, True, mask)]))
+                selection = next(_annotated(poly, [(size, -mask, True)]))
                 if not closed:
                     for name in ("arc_slots", "euler"):
                         with pytest.raises(SelectionNotClosed):
@@ -685,6 +704,22 @@ def test_cut_search_keeps_nothing():
     # a bound the full walk fits in exactly reuses it
     assert find_closed_surfaces(poly, full.examined) == full
     assert poly.__dict__["_closed_walk"] is kept
+
+
+def test_kept_walk_holds_only_ints():
+    # a kept result is a selection's size, its include mask negated and
+    # its orientability, not a tuple of positions
+    polys = [tower(n) for n in range(4, 17)]
+    polys.append(build_surgered_example().polyhedron)
+    for poly in polys:
+        search = find_closed_surfaces(poly, 10 ** 6)
+        results, examined = poly.__dict__["_closed_walk"]
+        assert examined == search.examined
+        assert len(results) == len(search.selections) > 0
+        for entry in results:
+            assert type(entry) is tuple
+            assert [type(x) for x in entry] == [int, int, bool]
+            assert entry[0] == (-entry[1]).bit_count() > 0
 
 
 def test_large_tower_truncates_instead_of_crashing():
