@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .core import ParityUnionFind, ValidationReport, Violation
+from .core import ParityUnionFind, ValidationReport, Violation, duplicate_ids
 from .errors import InvalidArrangement, PlanError
 
 
@@ -127,14 +127,7 @@ def validate_arrangement(arr):
 
 
 def _check_arrangement(arr):
-    v = []
-    ids = ([c.id for c in arr.crossings] + [e.id for e in arr.edges]
-           + [c.id for c in arr.curves] + [f.id for f in arr.faces])
-    seen = set()
-    for i in ids:
-        if i in seen:
-            v.append(Violation("DuplicateId", i))
-        seen.add(i)
+    v = duplicate_ids(arr.crossings, arr.edges, arr.curves, arr.faces)
 
     for crossing in arr.crossings:
         if len(crossing.order) != 4:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arrangement import face_depths, validate_arrangement
-from .core import (TRIPLE, ValidationReport, Violation, is_normal,
+from .core import (TRIPLE, ValidationReport, Violation, is_normal, slot_count,
                    validate_polyhedron)
 from .errors import DimensionTooLow, InvalidBornMap
 
@@ -99,10 +99,9 @@ def validate_born_map(born):
     poly = born.polyhedron
     arr = born.arrangement
 
-    strands = {circle[0]: circle for circle in poly._strands}
-    if set(born.assignments) != set(strands):
+    if set(born.assignments) != set(poly._strands):
         v.append(Violation("AssignmentTotality", born.name or "born map",
-                           f"strands {sorted(strands)} vs "
+                           f"strands {sorted(poly._strands)} vs "
                            f"assigned {sorted(born.assignments)}"))
         return ValidationReport.failed(v)
 
@@ -163,9 +162,9 @@ def validate_born_map(born):
     # wing side bookkeeping: triple arcs put two wings on the heavy side,
     # boundary arcs put their single wing there
     for key, assignment in born.assignments.items():
-        for arc_id in strands[key]:
+        for arc_id in poly._strands[key]:
             arc = poly.arc(arc_id)
-            expected = {0, 1, 2} if arc.kind == TRIPLE else {0}
+            expected = set(range(slot_count(arc.kind)))
             sides = assignment._sides.get(arc_id, {})
             if sides.keys() != expected:
                 v.append(Violation("WingSides", arc_id,

@@ -42,10 +42,6 @@ TRIPLE = "triple"
 TRIVIAL = "trivial"
 SWAP = "swap"
 
-FREE = "free"
-LQ = "lq"
-RQ = "rq"
-
 
 def slot_count(kind):
     return 1 if kind == BOUNDARY else 3
@@ -94,18 +90,6 @@ class EndRoles:
     free: int
     lq: int  # bound to the quadrant counterclockwise of this ray
     rq: int  # bound to the quadrant clockwise of this ray
-
-    def role_of(self, slot):
-        if slot == self.free:
-            return FREE
-        if slot == self.lq:
-            return LQ
-        if slot == self.rq:
-            return RQ
-        return None
-
-    def as_tuple(self):
-        return (self.free, self.lq, self.rq)
 
 
 @dataclass(frozen=True)
@@ -186,15 +170,14 @@ class SimplePolyhedron:
 
     @cached_property
     def _wings(self):
-        """arc id -> {slot: (sheet id, circuit index, position, direction)},
-        the table validation builds as it checks that each slot is filled
-        once; an invalid polyhedron raises InvalidPolyhedron."""
+        """arc id -> {slot: (sheet id, direction)}, built by validation's
+        slot-claim pass; raises InvalidPolyhedron on an invalid polyhedron."""
         require_valid(self)
         return self._checked[1]
 
     @cached_property
     def _strands(self):
-        """strand_circles(self), kept as a tuple."""
+        """Smallest arc id -> sorted arc-id tuple, per strand circle, by key."""
         require_valid(self)
         uf = ParityUnionFind(arc.id for arc in self.arcs)
         for vertex in self.vertices:
@@ -203,12 +186,13 @@ class SimplePolyhedron:
         groups = {}
         for arc in self.arcs:
             groups.setdefault(uf.find(arc.id)[0], []).append(arc.id)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        return {circle[0]: circle
+                for circle in sorted(tuple(sorted(g)) for g in groups.values())}
 
     @cached_property
     def _strand_of(self):
-        """arc id -> key of its strand circle, the circle's smallest arc id."""
-        return {aid: circle[0] for circle in self._strands for aid in circle}
+        """arc id -> key of its strand circle."""
+        return {aid: key for key, circle in self._strands.items() for aid in circle}
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +206,16 @@ def continue_at_vertex(vertex, port_in, slot_in):
     twelve (port, slot) pairs of the vertex.
     """
     roles_in = vertex.roles[port_in]
-    role = roles_in.role_of(slot_in)
-    if role is None:
-        raise ValueError(f"slot {slot_in} not present at vertex {vertex.id} port {port_in}")
-    if role == FREE:
+    if slot_in == roles_in.free:
         port_out = (port_in + 2) % 4
         return port_out, vertex.roles[port_out].free
-    if role == LQ:
+    if slot_in == roles_in.lq:
         port_out = (port_in + 1) % 4
         return port_out, vertex.roles[port_out].rq
-    port_out = (port_in - 1) % 4
-    return port_out, vertex.roles[port_out].lq
+    if slot_in == roles_in.rq:
+        port_out = (port_in - 1) % 4
+        return port_out, vertex.roles[port_out].lq
+    raise ValueError(f"slot {slot_in} not present at vertex {vertex.id} port {port_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +230,21 @@ def validate_polyhedron(poly):
     return poly._report
 
 
+def duplicate_ids(*tables):
+    """A DuplicateId for each repeat of an id across `tables`, in order."""
+    v, seen = [], set()
+    for table in tables:
+        for record in table:
+            if record.id in seen:
+                v.append(Violation("DuplicateId", record.id))
+            seen.add(record.id)
+    return v
+
+
 def _check_polyhedron(poly):
     """(report, wing table); the table is complete when the report is ok."""
-    v = []
     arc_by_id, vertex_by_id = poly._arc_by_id, poly._vertex_by_id
-
-    ids = [s.id for s in poly.sheets] + [a.id for a in poly.arcs] + [w.id for w in poly.vertices]
-    seen = set()
-    for i in ids:
-        if i in seen:
-            v.append(Violation("DuplicateId", i))
-        seen.add(i)
+    v = duplicate_ids(poly.sheets, poly.arcs, poly.vertices)
 
     for sheet in poly.sheets:
         if sheet.genus < 0:
@@ -316,7 +303,7 @@ def _check_polyhedron(poly):
                 v.append(Violation("ArcEndReused", vertex.id, f"{aid}:{end_index}"))
             port_claims[key] = (vertex.id, port)
         for port, roles in enumerate(vertex.roles):
-            if sorted(roles.as_tuple()) != [0, 1, 2]:
+            if sorted((roles.free, roles.lq, roles.rq)) != [0, 1, 2]:
                 v.append(Violation("VertexRoles", vertex.id, f"port {port}"))
 
     wings = {arc.id: {} for arc in poly.arcs}
@@ -329,7 +316,7 @@ def _check_polyhedron(poly):
             if not circuit:
                 v.append(Violation("EmptyCircuit", sheet.id, f"circuit {ci}"))
                 continue
-            for pos, trav in enumerate(circuit):
+            for trav in circuit:
                 if trav.arc not in arc_by_id:
                     v.append(Violation("CircuitRef", sheet.id, f"unknown arc {trav.arc}"))
                     continue
@@ -344,7 +331,7 @@ def _check_polyhedron(poly):
                 slots = wings[trav.arc]
                 if trav.slot in slots:
                     v.append(Violation("SlotDoubleFilled", trav.arc, f"slot {trav.slot}"))
-                slots[trav.slot] = (sheet.id, ci, pos, trav.direction)
+                slots[trav.slot] = (sheet.id, trav.direction)
 
     for arc in poly.arcs:
         missing = [s for s in range(slot_count(arc.kind)) if s not in wings[arc.id]]
@@ -453,7 +440,7 @@ def strand_circles(poly):
     of one component of the singular set of any realizing map.  Each call
     returns a fresh list of the partition the polyhedron keeps.
     """
-    return list(poly._strands)
+    return list(poly._strands.values())
 
 
 def euler_characteristic(poly):

@@ -84,10 +84,8 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _sign(token, lineno):
-    if token == "+":
-        return 1
-    if token == "-":
-        return -1
+    if token in _SIGNS:
+        return _SIGNS[token]
     raise ParseError(f"line {lineno}: expected + or -, got {token!r}")
 
 

@@ -157,8 +157,8 @@ def orient_sheets(born, graph, seed):
     adjacency = {v: [] for v in graph.vertices}
     for edge in graph.edges:
         wings = poly._wings[edge.arc]
-        d_a = wings[edge.slot_a][3]
-        d_b = wings[edge.slot_b][3]
+        d_a = wings[edge.slot_a][1]
+        d_b = wings[edge.slot_b][1]
         # equal signs are compatible exactly when written directions differ
         relation = 1 if d_a != d_b else -1
         adjacency[edge.sheet_a].append((edge.sheet_b, relation, edge.arc))

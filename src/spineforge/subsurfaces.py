@@ -86,7 +86,7 @@ def _selected(poly, sheets):
     along = {trav.arc for sid in sheets
              for circuit in poly.sheet(sid).circuits for trav in circuit}
     return {aid: sorted([(slot, sid, d)
-                         for slot, (sid, _, _, d) in wings_of[aid].items()
+                         for slot, (sid, d) in wings_of[aid].items()
                          if sid in sheets])
             for aid in wings_of if aid in along}
 
@@ -224,7 +224,7 @@ def _index(poly):
     single, odd, arcs_of = [], [0] * len(order), [[] for _ in order]
     for a, arc in enumerate(poly.arcs):
         wings = [(position[sid], d)
-                 for sid, _, _, d in wings_of[arc.id].values()
+                 for sid, d in wings_of[arc.id].values()
                  if sid in position]
         mask = twice = flip = 0
         for i, d in wings:

@@ -336,6 +336,11 @@ def _vertex_name(circle_id, i):
     return f"v_{circle_id}_{i}"
 
 
+def _image_curve(circle_id):
+    """The id of the image curve of the circle `circle_id`."""
+    return f"im_{circle_id}"
+
+
 class _ArcSplits:
     """Sub-arc layout of every arc crossed by plan events.
 
@@ -500,7 +505,7 @@ def _insert_images(builder, circles):
     for circle in sorted(circles, key=lambda c: (
             c.id not in nesting, nesting.get(c.id, (0,))[0], c.id)):
         image = circle.image
-        curve_id, source = f"im_{circle.id}", ("aux", f"image:{circle.id}")
+        curve_id, source = _image_curve(circle.id), ("aux", f"image:{circle.id}")
         if isinstance(image, ImageCircle):
             host = inner_face_of[image.inside] if image.inside else image.face
             inner_face_of[circle.id] = builder.insert_circle(
@@ -557,14 +562,13 @@ def attach_surface(plan):
                 names[i], TRIPLE, ((vids[i - 1], 3), (vids[i], 1)), TRIVIAL))
             ends = ((splits.arriving[vids[i]], 1), (names[i], 1),
                     (splits.leaving[vids[i]], 0), (names[(i + 1) % k], 0))
-            free_a = next(s for s in (0, 1, 2)
-                          if s not in (event.slot_in, event.slot_out))
+            free_a = 3 - event.slot_in - event.slot_out
             # a chord's minus side holds slot 1 of its new arc (_cut_sheet);
             # it lies counterclockwise of the new arc's end when the sheet
             # runs the crossed wing backward, on either side of the vertex
             wings = poly._wings[event.arc]
-            lq_in = 2 if wings[event.slot_in][3] > 0 else 1
-            lq_out = 2 if wings[event.slot_out][3] > 0 else 1
+            lq_in = 2 if wings[event.slot_in][1] > 0 else 1
+            lq_out = 2 if wings[event.slot_out][1] > 0 else 1
             roles = (
                 EndRoles(free=free_a, lq=event.slot_in, rq=event.slot_out),
                 EndRoles(free=0, lq=lq_in, rq=3 - lq_in),
@@ -649,8 +653,7 @@ def attach_surface(plan):
                   for sub, _, _ in subs}
 
     new_assignments = {}
-    for strand in new_poly._strands:
-        key = strand[0]
+    for key, strand in new_poly._strands.items():
         circle = minted.get(key)
         if circle is not None:
             # slot 1 of a crossing-free circle's arc is its cut disk, on
@@ -660,7 +663,7 @@ def attach_surface(plan):
             else:
                 slot_sides = ("L", "R", "L")
             new_assignments[key] = StrandAssignment(
-                curve=f"im_{circle.id}", direction=1, heavy="L",
+                curve=_image_curve(circle.id), direction=1, heavy="L",
                 wing_sides=tuple(((arc_id, slot), side) for arc_id in strand
                                  for slot, side in enumerate(slot_sides)))
             continue
@@ -675,7 +678,7 @@ def attach_surface(plan):
     new_arr = builder.freeze()
     # a face's count grows from that of the base face it lies in by the
     # winding of the image curves around it
-    coverage = winding_numbers(new_arr, {f"im_{c.id}": 1 for c in plan.circles})
+    coverage = winding_numbers(new_arr, {_image_curve(c.id): 1 for c in plan.circles})
     if any(w < 0 for w in coverage.values()):
         raise PlanError("PatchCoverageNegative",
                         "image orientations cover a region negatively")
@@ -776,7 +779,7 @@ def normalize_into_disk(plan):
     moved = normalized_plan(plan)
     base = plan.base
     curve_ids = {c.id for c in base.arrangement.curves}
-    if all(f"im_{c.id}" in curve_ids for c in moved.circles):
+    if all(_image_curve(c.id) in curve_ids for c in moved.circles):
         return base
     # a base holding only some images fails with DuplicateImage
     builder = ArrangementBuilder(base.arrangement)

@@ -196,7 +196,7 @@ def _graph_orientable_by_enumeration(born, graph, seed):
     constraints = []
     for edge in graph.edges:
         wings = poly._wings[edge.arc]
-        rel = 1 if wings[edge.slot_a][3] != wings[edge.slot_b][3] else -1
+        rel = 1 if wings[edge.slot_a][1] != wings[edge.slot_b][1] else -1
         constraints.append((edge.sheet_a, edge.sheet_b, rel))
     for signs in itertools.product((1, -1), repeat=len(graph.vertices)):
         assign = dict(zip(graph.vertices, signs))

@@ -207,3 +207,28 @@ def test_route_through_the_unbounded_face_is_refused():
                              ("aux", "x"))
     assert caught.value.code == "UnsupportedRoute"
     assert str(caught.value) == "chord through the unbounded face"
+
+
+TWICE_ACROSS_C10 = (("e_c10", Fraction(1, 3)), ("e_c10", Fraction(2, 3)))
+
+
+@pytest.mark.parametrize("curve_id, crossings, runs, code, message", [
+    ("im_c1", TWICE_ACROSS_C10, (("r4", None), ("r5", None)),
+     "DuplicateImage", "im_c1"),
+    ("x", (), (), "RouteShape", "x"),
+    ("x", TWICE_ACROSS_C10, (("r4", None),), "RouteShape", "x"),
+    ("x", (("e_c10", Fraction(1, 2)), ("e_c10", Fraction(1, 2))),
+     (("r4", None), ("r5", None)), "RouteShape", "repeated position on e_c10"),
+    # e_4 is a piece of e_c10, which the route splits
+    ("x", TWICE_ACROSS_C10, (("r4", None), ("r4", None)),
+     "NonTransverse", "route x does not cross e_4"),
+    ("x", TWICE_ACROSS_C10, (("r5", None), ("r1", None)),
+     "RouteFaceMismatch", "face r1 not adjacent to crossed edge"),
+], ids=["duplicate image", "no crossings", "runs unmatched",
+        "repeated position", "one face both sides", "face not adjacent"])
+def test_insert_route_refusals(curve_id, crossings, runs, code, message):
+    builder = ArrangementBuilder(build_base_example().arrangement)
+    with pytest.raises(PlanError) as caught:
+        builder.insert_route(curve_id, crossings, runs, ("aux", curve_id))
+    assert caught.value.code == code
+    assert str(caught.value) == message

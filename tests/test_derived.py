@@ -60,10 +60,10 @@ def test_wing_table_and_strand_map_match_direct_scans(rng):
             assert sorted(wings) == list(range(slot_count(arc.kind)))
             for slot, wing in wings.items():
                 # every traversal of the wing, found by scanning circuits
-                scanned = [(sheet.id, ci, pos, trav.direction)
+                scanned = [(sheet.id, trav.direction)
                            for sheet in poly.sheets
-                           for ci, circuit in enumerate(sheet.circuits)
-                           for pos, trav in enumerate(circuit)
+                           for circuit in sheet.circuits
+                           for trav in circuit
                            if (trav.arc, trav.slot) == (arc.id, slot)]
                 assert scanned == [wing]
             open_arcs += not arc.closed

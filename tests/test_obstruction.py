@@ -121,8 +121,8 @@ def brute_force_orientation(born, graph, seed):
     constraints = []
     for edge in graph.edges:
         table = poly._wings[edge.arc]
-        d_a = table[edge.slot_a][3]
-        d_b = table[edge.slot_b][3]
+        d_a = table[edge.slot_a][1]
+        d_b = table[edge.slot_b][1]
         constraints.append((edge.sheet_a, edge.sheet_b,
                             1 if d_a != d_b else -1))
     for signs in itertools.product((1, -1), repeat=len(sheets)):

@@ -14,8 +14,9 @@ import pytest
 
 from spineforge.arrangement import Face, validate_arrangement
 from spineforge.bornmap import validate_born_map
-from spineforge.core import SWAP, EndRoles, WingTraversal, validate_polyhedron
-from spineforge.errors import PlanError
+from spineforge.core import (SWAP, EndRoles, SheetSpec, WingTraversal,
+                             validate_polyhedron)
+from spineforge.errors import InvalidArrangement, PlanError
 from spineforge.gallery import (build_sphere_fixture, build_theta, klein_plan,
                                 relocation_plan)
 from spineforge.surgery import (PlanCircle, PlanEvent, PlanSegment,
@@ -92,6 +93,8 @@ POLYHEDRON_CASES = {
     "ArcKind": lambda: poly_with("arcs", "c2", kind="loop"),
     "SwapPlacement": lambda: poly_with("arcs", "c2", monodromy=SWAP),
     "Monodromy": lambda: poly_with("arcs", "c2", monodromy="twist"),
+    "BoundaryArcOpen": lambda: poly_with(
+        "arcs", "c2", endpoints=(("v_xa_0", 0), ("v_xa_1", 0))),
     "UnknownVertex": lambda: poly_with(
         "arcs", "c1.0", endpoints=(("nowhere", 2), ("v_xa_1", 0))),
     "PortRange": lambda: poly_with(
@@ -105,6 +108,8 @@ POLYHEDRON_CASES = {
         "vertices", "v_xa_0",
         ends=crossed().polyhedron.vertex("v_xa_0").ends[:3]),
     "UnknownArc": lambda: vertex_ends(0, ("zz", 1)),
+    "VertexEndKind": lambda: vertex_ends(0, ("c2", 0)),
+    "ArcEndReused": lambda: vertex_ends(1, ("c1.1", 1)),
     "VertexRoles": lambda: poly_with(
         "vertices", "v_xa_0",
         roles=(EndRoles(0, 0, 1),) + crossed().polyhedron.vertex("v_xa_0").roles[1:]),
@@ -113,6 +118,9 @@ POLYHEDRON_CASES = {
     "CircuitRef:arc c2 slot 5": lambda: circuit_plus("s1", ("c2", 5, 1)),
     "CircuitRef:direction": lambda: circuit_plus("s1", ("c2", 0, 0)),
     "SlotDoubleFilled": lambda: circuit_plus("p", ("c1.0", 1, 1)),
+    "CircuitContinuity": lambda: poly_with(
+        "sheets", "s1", circuits=((WingTraversal("c1.0", 1, 1),
+                                   WingTraversal("c1.1", 1, -1)),)),
 }
 
 ARRANGEMENT_CASES = {
@@ -180,6 +188,12 @@ BORN_MAP_CASES = {
         fiber_counts={**crossed().fiber_counts, "zz": 3}),
     "NegativeCount": lambda: born_with(
         fiber_counts={**crossed().fiber_counts, "f_10": -1}),
+    "ClosedSheet": lambda: born_with(polyhedron=replace(
+        crossed().polyhedron, sheets=crossed().polyhedron.sheets
+        + (SheetSpec("closed", True, 0, ()),))),
+    # f_8 is a corner of both crossings and borders two branch edges
+    "CornerRule": lambda: born_with(
+        fiber_counts={**crossed().fiber_counts, "f_8": 4}),
     "AuxJump": lambda: born_with(arrangement=arr_with(
         "curves", "im_c2", source=("aux", "c2"))),
     "WingSides:slots [] vs [0]": lambda: assigned("c2", wing_sides=()),
@@ -218,6 +232,29 @@ def test_every_arrangement_violation_is_reported(case):
 @pytest.mark.parametrize("case", BORN_MAP_CASES)
 def test_every_born_map_violation_is_reported(case):
     check(validate_born_map, case, BORN_MAP_CASES[case])
+
+
+@pytest.mark.parametrize("validate, case, codes", [
+    (validate_polyhedron, POLYHEDRON_CASES["ArcEndReused"],
+     ["StrandMismatch", "StrandMismatch", "ArcEndReused"]),
+    (validate_polyhedron, POLYHEDRON_CASES["VertexEndKind"],
+     ["StrandMismatch", "VertexEndKind", "StrandMismatch"]),
+    (validate_born_map, BORN_MAP_CASES["ClosedSheet"], ["ClosedSheet"]),
+    (validate_born_map, BORN_MAP_CASES["CornerRule"],
+     ["CrossingRule", "HeavySide", "CornerRule", "CornerRule"]),
+], ids=["ArcEndReused", "VertexEndKind", "ClosedSheet", "CornerRule"])
+def test_the_codes_that_come_together(validate, case, codes):
+    assert [v.code for v in validate(case()).violations] == codes
+
+
+def test_an_arrangement_without_an_unbounded_face_has_none_to_name():
+    arr = crossed().arrangement
+    bounded = replace(arr, faces=tuple(replace(f, unbounded=False)
+                                       for f in arr.faces))
+    with pytest.raises(InvalidArrangement) as caught:
+        bounded.unbounded_face
+    assert [v.code for v in caught.value.report.violations] == \
+        ["NoUnboundedFace"]
 
 
 def circle_with(plan, index, **changes):
@@ -362,6 +399,11 @@ PLAN_CASES = {
     "UnknownSheet:chord": (
         lambda: xa_part("segments", 0, sheet="zz"),
         ["UnknownSheet"], "UnknownSheet(xa): zz"),
+    # segment 1 runs from wing 2 of c1 back to it, and that wing lies in s2
+    "ItineraryMismatch": (
+        lambda: xa_part("segments", 1, sheet="s1"),
+        ["ItineraryMismatch", "ItineraryMismatch"],
+        "ItineraryMismatch(xa): event 0: wing 2 lies in s2"),
 }
 
 
