@@ -312,22 +312,22 @@ class ArrangementBuilder:
     The builder keeps the arrangement's frozen records in four id-keyed
     dicts (`crossings`, `edges`, `curves`, `faces`) and changes a record by
     storing a `dataclasses.replace` copy of it; `freeze` sorts each table by
-    id into a new CurveArrangement.  `origin` names the face of the input
-    arrangement that each new face lies in."""
+    id into a new CurveArrangement.  `_origins` maps every face the builder
+    has held to the input face it lies in; `fresh` never reuses those ids."""
 
     def __init__(self, arr):
         self.crossings = {c.id: c for c in arr.crossings}
         self.edges = {e.id: e for e in arr.edges}
         self.curves = {c.id: c for c in arr.curves}
         self.faces = {f.id: f for f in arr.faces}
-        self._origins = {}  # new face -> the face it was made in
+        self._origins = {fid: fid for fid in self.faces}
         self._counter = 0
 
     def fresh(self, prefix):
         while True:
             self._counter += 1
             candidate = f"{prefix}{self._counter}"
-            if (candidate not in self.edges and candidate not in self.faces
+            if (candidate not in self.edges and candidate not in self._origins
                     and candidate not in self.crossings and candidate not in self.curves):
                 return candidate
 
@@ -354,7 +354,7 @@ class ArrangementBuilder:
         self.faces[inner_id] = Face(inner_id, (((edge_id, inner_side),),),
                                     label=label)
         host = self.faces[host_face]
-        self._origins[inner_id] = host_face
+        self._origins[inner_id] = self._origins[host_face]
         self.faces[host_face] = replace(
             host, contours=host.contours + (((edge_id, host_side),),))
         return inner_id
@@ -431,8 +431,10 @@ class ArrangementBuilder:
         # from the crossed edge's left, the route leaves on ray 1 and arrives
         # on ray 3, and from its right the other way round
         out_rays = []
+        touched = set()
         for i, (xid, seg_in, seg_out) in enumerate(splits):
             sides = (self.edges[seg_in].left, self.edges[seg_in].right)
+            touched.update(sides)
             from_face = self._resolve_side(runs[i - 1][0], sides)
             to_face = self._resolve_side(runs[i][0], sides)
             if from_face == to_face:
@@ -455,7 +457,7 @@ class ArrangementBuilder:
             self.edges[reid] = ArrEdge(reid, curve_id, ends, None, None)
         self.curves[curve_id] = Curve(curve_id, source, tuple(route_edge_ids))
 
-        self._resplit_faces(route_edge_ids, runs)
+        self._resplit_faces(route_edge_ids, touched, runs)
         return [xid for xid, _, _ in splits]
 
     def _resolve_side(self, declared_face, sides):
@@ -470,25 +472,16 @@ class ArrangementBuilder:
                         f"face {declared_face} not adjacent to crossed edge")
 
     def origin(self, fid):
-        """The face of the builder's input arrangement that face `fid` lies
-        in: a face split off by a route, or a circle's inner face, lies in
-        the face it came from."""
-        while fid in self._origins:
-            fid = self._origins[fid]
-        return fid
+        """The face of the builder's input arrangement that face `fid`, any
+        face the builder has held, lies in: a face split off by a route, or
+        a circle's inner face, lies where the face it came from lies."""
+        return self._origins[fid]
 
-    def _resplit_faces(self, route_edge_ids, runs):
-        """Retrace every contour of the faces the route runs through, and
-        reassemble those faces from the traced cycles."""
+    def _resplit_faces(self, route_edge_ids, touched_faces, runs):
+        """Retrace every contour of the faces the route runs through, the
+        two sides of each crossed edge, and reassemble those faces from the
+        traced cycles."""
         route_set = set(route_edge_ids)
-        touched_faces = set()
-        for reid in route_edge_ids:
-            # the faces the route runs through, via its crossings' seg edges
-            xa, _ = self.edges[reid].ends[0]
-            for eid, _ in self.crossings[xa].order:
-                if eid not in route_set:
-                    touched_faces.add(self.edges[eid].left)
-                    touched_faces.add(self.edges[eid].right)
         holes_decl = {}
         for face, holes in runs:
             if holes is not None:
@@ -541,15 +534,9 @@ class ArrangementBuilder:
             hole_cycles = [c for c in face_cycles
                            if not any(eid in route_set for eid, _ in c)]
 
-            if len(route_cycles) <= 1:
-                # nothing split off (route merged contours, or face only
-                # touched through shared crossings); face keeps its identity
-                self.faces[fid] = replace(
-                    face, contours=tuple(route_cycles + hole_cycles))
-                for cycle in route_cycles:
-                    self._set_route_sides(cycle, fid)
-                continue
-
+            # a closed route's chords join the face's contours with even degree
+            if len(route_cycles) < 2:
+                raise PlanError("RouteShape", f"route does not split face {fid}")
             if face.unbounded:
                 raise PlanError("UnsupportedRoute", "chord through the unbounded face")
             if hole_cycles and len(route_cycles) != 2:
@@ -563,7 +550,7 @@ class ArrangementBuilder:
             new_ids = []
             for cycle in sorted(route_cycles, key=min):
                 new_id = self.fresh("f_")
-                self._origins[new_id] = fid
+                self._origins[new_id] = self._origins[fid]
                 self.faces[new_id] = replace(face, id=new_id, contours=(cycle,))
                 new_ids.append(new_id)
                 self._set_route_sides(cycle, new_id)

@@ -618,9 +618,11 @@ def parse_plan(text):
             route_runs[cid] = {}
         elif tag == "IMAGERUN":
             _shape(tokens, lineno, "IMAGERUN _ _ face _", more=True)
+            holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
+            if holes not in (None, "left", "right"):
+                raise ParseError(f"line {lineno}: expected left or right, got {holes!r}")
             if cid not in route_runs:
                 raise ParseError(f"line {lineno}: IMAGERUN before IMAGEROUTE {cid}")
-            holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
             _put_indexed(route_runs[cid], tokens[2], lineno, (tokens[4], holes))
         elif tag == "DISK":
             _shape(tokens, lineno, "DISK _ faces", more=True)

@@ -17,6 +17,8 @@ Families and what each case contributes:
 * round       -- 100 random round maps (seed 7)
 * surgered    -- 200 random surgery outputs (seed 7)
 * plans       -- 1200 random surgery plans on random round maps (seed 7)
+* iterated    -- 40 runs of 5 surgeries in turn, each on the last output,
+                 from towers of 3..8 circles (seeds 0..39)
 
 A polyhedron contributes its validation report, and when valid its
 characteristic, `z2_homology`, emitted .spoly text, the closed-surface
@@ -26,7 +28,8 @@ search at bound 10**6 (`examined`, `truncated` and each selection's
 and on a fresh copy.  A born map adds its validation report and emitted
 .arr text.  A plan contributes its `check_attachment_hypotheses` report
 and then the born map `attach_surface` makes, or the code of the error
-it raises.
+it raises.  An iterated run contributes the born map of each step, and
+the code of the error that ends it early, if one does.
 """
 
 import argparse
@@ -85,12 +88,9 @@ def plan_record(plan):
 
 
 def towers():
-    from spineforge.core import BOUNDARY, TRIPLE
-    from spineforge.gallery import RoundCircle, RoundSpec, round_reeb
+    from randgen import tower_map
     for n in range(4, 65):
-        circles = tuple(RoundCircle(BOUNDARY if k == 0 else TRIPLE, k + 1, k,
-                                    pos=0) for k in reversed(range(n)))
-        yield born_record(round_reeb(RoundSpec(circles, name=f"tower{n}")))
+        yield born_record(tower_map(n))
 
 
 def gallery():
@@ -139,9 +139,21 @@ def plans():
         yield plan_record(plan)
 
 
+def iterated():
+    from randgen import random_iterated_map, tower_map
+    from spineforge.errors import SpineForgeError
+    for seed in range(40):
+        rng = random.Random(seed)
+        try:
+            for _, born in random_iterated_map(rng, tower_map(rng.randint(3, 8)), 5):
+                yield born_record(born)
+        except SpineForgeError as exc:
+            yield [type(exc).__name__, getattr(exc, "code", None)]
+
+
 FAMILIES = (("towers", towers), ("gallery", gallery), ("fixtures", fixtures),
             ("round", round_maps), ("surgered", surgered_maps),
-            ("plans", plans))
+            ("plans", plans), ("iterated", iterated))
 
 
 def main(argv=None):

@@ -7,6 +7,7 @@ circles through a triple arc; crossing segments through non-disk sheets
 declare the trivial split (a disk cut off, no circuits carried over).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from spineforge.core import BOUNDARY, TRIPLE
@@ -55,6 +56,14 @@ def random_round_spec(rng, max_depth=6, name="rnd"):
 
 def random_round_map(rng, name="rnd"):
     return round_reeb(random_round_spec(rng, name=name))
+
+
+def tower_map(n):
+    """round_reeb of n concentric circles with counts n..0 from the center,
+    boundary outermost and triple otherwise: 2n-1 sheets."""
+    circles = tuple(RoundCircle(BOUNDARY if k == 0 else TRIPLE, k + 1, k, pos=0)
+                    for k in reversed(range(n)))
+    return round_reeb(RoundSpec(circles, name=f"tower{n}"))
 
 
 def random_interior_plan(rng, born, n_circles=None, name="rnd_plan"):
@@ -183,3 +192,33 @@ def random_surgered_maps(rng, count, name="rsurg"):
             or random_interior_plan(rng, born)
         out.append(attach_surface(plan))
     return out
+
+
+def _suffixed(plan, suffix):
+    """`plan` with `suffix` appended to its patch id, its circle ids and the
+    circle ids its crossing-free images nest in."""
+    circles = []
+    for circle in plan.circles:
+        image = circle.image
+        if isinstance(image, ImageCircle) and image.inside is not None:
+            image = replace(image, inside=image.inside + suffix)
+        circles.append(replace(circle, id=circle.id + suffix, image=image))
+    patch = replace(plan.patch, id=plan.patch.id + suffix)
+    return replace(plan, circles=tuple(circles), patch=patch)
+
+
+def random_iterated_map(rng, base, steps):
+    """Surgery applied `steps` times in turn, each step on the last one's
+    output, starting from `base`; yields (plan, output) for each step.
+
+    Step k draws a crossing plan with probability 1/2, and an interior plan
+    otherwise or when the map has no usable arc.  It suffixes the plan's
+    circle ids and patch id with `_k`, so no step reuses the name of a part
+    an earlier step made."""
+    born = base
+    for step in range(steps):
+        plan = (random_crossing_plan(rng, born) if rng.random() < 0.5
+                else None) or random_interior_plan(rng, born)
+        plan = _suffixed(plan, f"_{step}")
+        born = attach_surface(plan)
+        yield plan, born

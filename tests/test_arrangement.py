@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spineforge import formats
 from spineforge.arrangement import (ArrangementBuilder, ArrEdge, Crossing,
                                     Curve, CurveArrangement, Face,
                                     validate_arrangement, winding_numbers)
@@ -9,7 +10,7 @@ from spineforge.core import ValidationReport, Violation
 from spineforge.errors import InvalidArrangement, PlanError
 from spineforge.gallery import build_base_example
 
-from conftest import empty_arrangement
+from conftest import empty_arrangement, repo_path
 from randgen import random_surgered_maps
 
 
@@ -232,3 +233,35 @@ def test_insert_route_refusals(curve_id, crossings, runs, code, message):
         builder.insert_route(curve_id, crossings, runs, ("aux", curve_id))
     assert caught.value.code == code
     assert str(caught.value) == message
+
+
+def test_a_route_finds_a_face_split_earlier_by_its_origin():
+    # route B names r1, which route A split: it matches the piece of r1
+    # beside e_c2 through that piece's origin
+    builder = ArrangementBuilder(build_base_example().arrangement)
+    builder.insert_route("A", (("e_c1", Fraction(1, 4)), ("e_c1", Fraction(3, 4))),
+                         (("r0", None), ("r1", "right")), ("aux", "A"))
+    assert "r1" not in builder.faces
+    builder.insert_route("B", (("e_c2", Fraction(1, 4)), ("e_c2", Fraction(3, 4))),
+                         (("r1", "left"), ("r2", "right")), ("aux", "B"))
+    arr = builder.freeze()
+    assert validate_arrangement(arr).ok
+    assert len(arr.faces) == 11
+    origins = [builder.origin(face.id) for face in arr.faces]
+    assert [origins.count(fid) for fid in ("r0", "r1", "r2")] == [2, 3, 2]
+
+
+def test_a_route_that_leaves_a_face_unsplit_is_refused():
+    # f_8 is a disk whose contour meets e_1 at 1/10, 2/10 and then e_3 at
+    # 2/10, 1/10; its two chords, e_1@2/10 to e_3@1/10 and e_3@2/10 to
+    # e_1@1/10, would cross inside it, and the face assembled from them
+    # anyway breaks Euler's formula
+    with open(repo_path("fixtures", "crossed.arr")) as handle:
+        arr, _ = formats.parse_arr(handle.read())
+    builder = ArrangementBuilder(arr)
+    crossings = tuple((eid, Fraction(k, 10)) for eid in ("e_1", "e_3") for k in (1, 2))
+    runs = tuple((fid, "left") for fid in ("f_7", "f_8", "f_10", "f_8"))
+    with pytest.raises(PlanError) as caught:
+        builder.insert_route("x", crossings, runs, ("aux", "x"))
+    assert caught.value.code == "RouteShape"
+    assert str(caught.value) == "route does not split face f_8"

@@ -342,6 +342,7 @@ MALFORMED_PLAN_RECORDS = [
     "SEG inner_cut 0 sheet o_floor sidegenus",
     "EVENT inner_cut 0 arc a pos 1/0 slotin 0 slotout 1",
     "IMAGEROUTE inner_cut cross e_1",
+    "IMAGERUN inner_cut 0 face r2 holes up",
     "PATCH orientable genus 0 boundaries",
     "WITNESS nesting inner_cut:-:+ surface orientable genus 0",
 ]
@@ -404,6 +405,17 @@ def test_second_image_of_a_circle_is_a_parse_error(first, second):
             f"CIRCLE xa patchdir +\n{first}\n{second}\n")
     with pytest.raises(formats.ParseError,
                        match="^line 5: second image record for circle xa$"):
+        formats.parse_plan(text)
+
+
+def test_hole_side_other_than_left_or_right_is_a_parse_error():
+    # read as given, it would pass the plan checks and fail only when
+    # surgery looks for the piece of the split face on that side
+    text = ("PLAN p\nPATCH orientable genus 0 boundaries 1 id p\n"
+            "CIRCLE xa patchdir +\nIMAGEROUTE xa cross e_c1@1/3 e_c1@2/3\n"
+            "IMAGERUN xa 0 face r1 holes up\n")
+    with pytest.raises(formats.ParseError,
+                       match="^line 5: expected left or right, got 'up'$"):
         formats.parse_plan(text)
 
 

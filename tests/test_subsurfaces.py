@@ -14,10 +14,9 @@ import pytest
 from spineforge.core import SheetSpec, SimplePolyhedron
 from spineforge.errors import SelectionNotClosed, SelectionNotConnected
 from spineforge.formats import parse_spoly
-from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
-                                build_closed_sheet, build_sphere_fixture,
-                                build_surgered_example, build_theta,
-                                round_reeb)
+from spineforge.gallery import (build_base_example, build_closed_sheet,
+                                build_sphere_fixture, build_surgered_example,
+                                build_theta)
 from spineforge.homology import gf2_rank, z2_homology
 from spineforge.obstruction import s3_obstruction
 from spineforge.subsurfaces import (_Index, _annotated, _index,
@@ -28,7 +27,7 @@ from spineforge.subsurfaces import (_Index, _annotated, _index,
                                     surface_orientability)
 
 from conftest import repo_path
-from randgen import random_round_map, random_surgered_maps
+from randgen import random_round_map, random_surgered_maps, tower_map
 
 
 def brute_force_selections(poly):
@@ -252,11 +251,9 @@ def test_orientability_matches_exhaustive_enumeration(rng):
 
 
 def tower(n):
-    """round_reeb of n concentric circles with counts n..0 from the center,
-    boundary outermost: 2n-1 sheets, n(n-1)/2 closed selections."""
-    circles = tuple(RoundCircle("boundary" if k == 0 else "triple", k + 1, k)
-                    for k in reversed(range(n)))
-    return round_reeb(RoundSpec(circles, name=f"tower{n}")).polyhedron
+    """The polyhedron of `tower_map(n)`: 2n-1 sheets, n(n-1)/2 closed
+    selections."""
+    return tower_map(n).polyhedron
 
 
 def test_selections_come_in_order_of_size_then_of_sorted_sheet_ids(rng):

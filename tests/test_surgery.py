@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -23,7 +27,8 @@ from spineforge.surgery import (ImageCircle, ImageRoute, PlanCircle,
                                 normalized_plan, _Chord, _cut_sheet)
 
 from conftest import repo_path
-from randgen import random_crossing_plan, random_interior_plan, random_round_map
+from randgen import (random_crossing_plan, random_interior_plan,
+                     random_iterated_map, random_round_map, tower_map)
 
 
 def test_klein_plan_passes_hypotheses():
@@ -600,12 +605,12 @@ def test_contour_walk_stops_on_inconsistent_crossing_rays(monkeypatch):
     # start, and must fail past its bound instead of running forever
     resplit = ArrangementBuilder._resplit_faces
 
-    def corrupted(self, route_edge_ids, face_runs):
+    def corrupted(self, route_edge_ids, *rest):
         xid, _ = self.edges[route_edge_ids[0]].ends[0]
         order = self.crossings[xid].order
         self.crossings[xid] = replace(self.crossings[xid],
                                       order=(order[0], order[0]) + order[2:])
-        return resplit(self, route_edge_ids, face_runs)
+        return resplit(self, route_edge_ids, *rest)
 
     monkeypatch.setattr(ArrangementBuilder, "_resplit_faces", corrupted)
     with pytest.raises(RuntimeError, match="does not close"):
@@ -666,3 +671,46 @@ def test_crossing_fixtures_regenerate_bit_identically():
                              ("arr", formats.emit_arr(born))):
             with open(repo_path("fixtures", f"{name}.{suffix}")) as handle:
                 assert handle.read() == text, f"{name}.{suffix}"
+
+
+SEED_41_STEPS = """
+import random
+from randgen import random_iterated_map, tower_map
+rng = random.Random(41)
+for plan, born in random_iterated_map(rng, tower_map(rng.randint(3, 8)), 3):
+    print(sum(len(c.events) for c in plan.circles))
+"""
+
+
+def test_iterated_surgery_through_a_minted_face_stops():
+    # step 2 routes through faces that earlier steps named f_<k>; a builder
+    # that names a piece of a split face like the face itself made its
+    # origin chain a loop, and attach_surface never returned
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [repo_path("src"), repo_path("tests"),
+                      os.environ.get("PYTHONPATH")])))
+    try:
+        result = subprocess.run([sys.executable, "-c", SEED_41_STEPS],
+                                capture_output=True, text=True, env=env,
+                                timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("three steps of iterated surgery did not stop within 20 s")
+    assert result.returncode == 0, result.stderr
+    events = [int(line) for line in result.stdout.splitlines()]
+    assert len(events) == 3 and events[2] > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_iterated_surgery_outputs_validate_add_chi_and_round_trip(seed):
+    rng = random.Random(seed)
+    born = tower_map(rng.randint(3, 8))
+    for step, (plan, out) in enumerate(random_iterated_map(rng, born, 12)):
+        assert plan.base is born
+        assert validate_born_map(out).ok and validate_polyhedron(out.polyhedron).ok
+        assert euler_characteristic(out.polyhedron) == \
+            euler_characteristic(born.polyhedron) + plan.patch.euler, step
+        poly = formats.parse_spoly(formats.emit_spoly(out.polyhedron))
+        arr, data = formats.parse_arr(formats.emit_arr(out))
+        assert poly == out.polyhedron and arr == out.arrangement, step
+        assert formats.assemble_born_map(poly, arr, data) == out, step
+        born = out
