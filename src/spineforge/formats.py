@@ -490,8 +490,11 @@ def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
             out.append(f"IMAGEROUTE {cid} cross {crosses}")
             for i, (fid, holes) in enumerate(image.runs):
                 line = f"IMAGERUN {cid} {i} face {_word(fid, 'face id')}"
-                if holes:
-                    line += f" holes {_word(holes, 'holes side')}"
+                if holes is not None:
+                    if holes not in ("left", "right"):
+                        raise EmitError(f"cannot write holes side {holes!r}: "
+                                        f"it is neither left nor right")
+                    line += f" holes {holes}"
                 out.append(line)
     for disk in plan.disks:
         out.append(f"DISK {_word(disk.circle, 'circle id')} faces "

@@ -13,6 +13,10 @@ The cell structure refines the incidence data directly:
 
 Over GF(2) the handle and crosscap letters cancel in the boundary, so the
 boundary of a sheet cell is the mod-2 sum of the arcs its circuits traverse.
+
+`cellulate` builds this structure explicitly, with named cells.
+`z2_homology` reads the same boundary maps straight from the polyhedron as
+integer bitmask rows, one bit per cell, and takes their ranks over GF(2).
 """
 
 from __future__ import annotations
@@ -125,30 +129,48 @@ def gf2_rank(rows):
 
 
 def z2_homology(poly):
-    """Mod-2 Betti numbers (b0, b1, b2) of the cell structure."""
-    complex_ = cellulate(poly)
-    zero_index = {cid: i for i, cid in enumerate(complex_.zero_cells)}
-    one_index = {cid: i for i, cid in enumerate(complex_.one_cells)}
+    """Mod-2 Betti numbers (b0, b1, b2) of the cell structure that
+    cellulate builds explicitly, from its counts (c0, c1, c2) and the
+    ranks over GF(2) of its boundary maps.
 
-    d1 = []
-    for cid in complex_.one_cells:
-        a, b = complex_.one_cell_ends[cid]
-        row = 0
-        row ^= 1 << zero_index[a]
-        row ^= 1 << zero_index[b]
-        d1.append(row)
-
+    The boundary maps are integer bitmask rows built from poly.arcs and the
+    circuits, without naming a cell.  In a row of d1, the 0-cells are bits:
+    the vertices, then the auxiliary point of each closed arc, then the
+    sheet hubs.  An open arc's row holds its two ends, a connector's its hub
+    and its circuit's start point; a loop or a closed arc bounds nothing,
+    so its row is zero and only counts.  In a row of d2, one per sheet, the
+    arcs are bits, in poly.arcs order, and a sheet's row is the XOR of the
+    arcs its traversals cross.
+    """
+    require_valid(poly)
+    point = {vertex.id: 1 << k for k, vertex in enumerate(poly.vertices)}
+    c0 = len(point)
+    arc_bit, ends, d1 = {}, {}, []
+    for a, arc in enumerate(poly.arcs):
+        arc_bit[arc.id] = 1 << a
+        if arc.closed:  # both ends at its auxiliary point
+            ends[arc.id] = (1 << c0, 1 << c0)
+            c0 += 1
+        else:
+            (v, _), (w, _) = arc.endpoints
+            ends[arc.id] = (point[v], point[w])
+            d1.append(point[v] ^ point[w])
+    c1 = len(poly.arcs)
     d2 = []
-    for cid in complex_.two_cells:
+    for sheet in poly.sheets:
+        hub = 1 << c0
+        c0 += 1
+        c1 += sheet.genus * (2 if sheet.orientable else 1)
         row = 0
-        for one_cell in complex_.two_cell_boundary[cid]:
-            row ^= 1 << one_index[one_cell]
+        for circuit in sheet.circuits:
+            # the connector to where the circuit's first traversal begins
+            c1 += 1
+            first = circuit[0]
+            d1.append(hub ^ ends[first.arc][first.direction < 0])
+            for trav in circuit:
+                row ^= arc_bit[trav.arc]
         d2.append(row)
-
-    c0, c1, c2 = complex_.counts
+    c2 = len(d2)
     r1 = gf2_rank(d1)
     r2 = gf2_rank(d2)
-    b0 = c0 - r1
-    b1 = (c1 - r1) - r2
-    b2 = c2 - r2
-    return (b0, b1, b2)
+    return (c0 - r1, c1 - r1 - r2, c2 - r2)

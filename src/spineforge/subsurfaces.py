@@ -286,17 +286,21 @@ def _walk(index, bound):
     and `flat` is cleared when one fails (or the sheet is non-orientable).
 
     A frame is a state to try: the parent's `inc`, `neg`, `flat` and
-    `opened`, and the sheet to include.
-    Backtracking pops the next frame, so nothing is undone by hand.
+    `opened`, and the sheet to include.  Once an include picks the open
+    arc's completers, the walk goes on in place with the one that would
+    pop first, the smallest id, and pushes the others; it pops a frame
+    only when a state fails, closes or has no completer.  Backtracking
+    pops the next frame, so nothing is undone by hand.
     """
     _, nonorientable, single, odd, arcs_of = index
+    many = len(nonorientable) + 1  # more completers than any arc has
 
     results, examined, truncated = [], 0, False
     for seed in reversed(range(len(index.order))):
         taken = -1 << seed + 1  # the earlier seeds
-        stack = [(0, 0, True, 0, seed)]
-        while stack:
-            inc, neg, flat, opened, i = stack.pop()
+        stack = []
+        inc, neg, flat, opened, i = 0, 0, True, 0, seed
+        while True:
             examined += 1
             if examined > bound:
                 truncated = True
@@ -325,27 +329,37 @@ def _walk(index, bound):
                     neg |= bit
                 flat = flat and not bad
                 opened ^= odd[i]
-                if not opened:
+                if opened:
+                    # the open arc with the fewest completers, taking the
+                    # first with at most one at once
+                    rest, avoid, fewest, least = opened, taken | inc, 0, many
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        can = single[low.bit_length() - 1] & ~avoid
+                        count = can.bit_count()
+                        if count < least:
+                            fewest, least = can, count
+                            if count <= 1:
+                                break
+                    if fewest:
+                        # go on with the smallest id, the highest bit, and
+                        # push the rest from the bottom, so the next smallest
+                        # pops first
+                        i = fewest.bit_length() - 1
+                        fewest ^= 1 << i
+                        while fewest:
+                            low = fewest & -fewest
+                            stack.append((inc, neg, flat, opened,
+                                          low.bit_length() - 1))
+                            fewest ^= low
+                        continue
+                else:
                     # every arc the selection touches carries 0 or 2 wings
                     results.append((inc.bit_count(), -inc, flat))
-                    continue
-                # the open arc with the fewest completers, taking the first
-                # with at most one at once
-                rest, avoid, fewest = opened, taken | inc, None
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    can = single[low.bit_length() - 1] & ~avoid
-                    if fewest is None or can.bit_count() < fewest.bit_count():
-                        fewest = can
-                        if can.bit_count() <= 1:
-                            break
-                # pushed from the bottom, so the smallest id pops first
-                while fewest:
-                    low = fewest & -fewest
-                    stack.append((inc, neg, flat, opened,
-                                  low.bit_length() - 1))
-                    fewest ^= low
+            if not stack:
+                break
+            inc, neg, flat, opened, i = stack.pop()
         if truncated:
             break
 

@@ -203,6 +203,10 @@ def check_attachment_hypotheses(plan):
             v.append(Violation("ImageCorrespondence", circle.id,
                                "route shape does not match the events"))
             continue
+        # a run's holes lie left or right of the route, or it has none
+        v.extend(Violation("HoleSide", circle.id, f"run {i}: holes {holes!r}")
+                 for i, (_, holes) in enumerate(circle.image.runs)
+                 if holes not in (None, "left", "right"))
         # an unknown sheet would also mismatch its events' wings
         unknown = [seg.sheet for seg in circle.segments
                    if seg.sheet not in poly._sheet_by_id]

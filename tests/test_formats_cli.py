@@ -179,6 +179,19 @@ def test_values_that_read_back_are_written():
     assert files == ("a:b.spoly", "a@b.arr")
 
 
+def test_hole_side_other_than_left_or_right_is_an_emit_error():
+    # parse_plan reads only left or right after `holes`, so `holes up` was
+    # written and then refused on reading
+    from test_violation_codes import seeded_crossing_plan
+    with pytest.raises(EmitError, match="^cannot write holes side 'up': "
+                                        "it is neither left nor right$"):
+        formats.emit_plan(seeded_crossing_plan("up"))
+    for holes in (None, "left", "right"):
+        plan = seeded_crossing_plan(holes)
+        parsed, _ = formats.parse_plan(formats.emit_plan(plan))
+        assert replace(parsed, base=None) == replace(plan, base=None)
+
+
 def test_cli_surgery_on_a_circle_id_with_a_colon(tmp_path, monkeypatch):
     # the ids surgery mints from it hold the colon in the first field of
     # their tokens, so its output reads back

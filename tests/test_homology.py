@@ -1,10 +1,23 @@
-from spineforge.core import euler_characteristic
-from spineforge.gallery import (build_base_example, build_closed_sheet,
-                                build_sphere_fixture, build_surgered_example,
-                                build_theta)
-from spineforge.homology import cellulate, gf2_rank, z2_homology
+from dataclasses import replace
+from functools import reduce
+from operator import xor
+from pathlib import Path
 
-from randgen import random_crossing_plan, random_interior_plan, random_round_map
+from spineforge import formats
+from spineforge.core import (BOUNDARY, TRIPLE, BranchArc, SheetSpec,
+                             SimplePolyhedron, WingTraversal,
+                             euler_characteristic)
+from spineforge.gallery import (BASE_SPEC, build_base_example,
+                                build_closed_sheet, build_sphere_fixture,
+                                build_surgered_example, build_theta,
+                                klein_plan, relocation_plan, round_reeb)
+from spineforge.homology import cellulate, gf2_rank, z2_homology
+from spineforge.surgery import attach_surface, relocate_and_attach
+
+from conftest import repo_path
+from randgen import (random_crossing_plan, random_interior_plan,
+                     random_iterated_map, random_round_map,
+                     random_surgered_maps, tower_map)
 
 
 # -- independent oracle: simplicial mod-2 homology over explicit simplex
@@ -182,3 +195,114 @@ def test_gf2_rank_matches_the_size_of_the_row_span(rng):
         assert 2 ** rank == len(span)
         kinds.add(rank == len(rows))
     assert kinds == {True, False}
+
+
+# -- oracle for z2_homology: the boundary maps of cellulate's named cells ---
+
+def cell_complex_betti(poly):
+    """(b0, b1, b2) of cellulate(poly), with one row per 1-cell built from
+    its one_cell_ends and one row per 2-cell from its two_cell_boundary."""
+    complex_ = cellulate(poly)
+    zero = {cid: 1 << i for i, cid in enumerate(complex_.zero_cells)}
+    one = {cid: 1 << i for i, cid in enumerate(complex_.one_cells)}
+    d1 = [zero[a] ^ zero[b] for a, b in
+          (complex_.one_cell_ends[cid] for cid in complex_.one_cells)]
+    d2 = [reduce(xor, map(one.get, complex_.two_cell_boundary[face]), 0)
+          for face in complex_.two_cells]
+    r1, r2 = gf2_rank(d1), gf2_rank(d2)
+    c0, c1, c2 = complex_.counts
+    assert complex_.counts == (len(zero), len(one), len(d2))
+    return (c0 - r1, c1 - r1 - r2, c2 - r2)
+
+
+def renamed(poly, prefix):
+    """`poly` with `prefix` put before every sheet, arc and vertex id."""
+    def arc_end(end):
+        return (prefix + end[0], end[1])
+    sheets = tuple(replace(s, id=prefix + s.id, circuits=tuple(
+        tuple(replace(t, arc=prefix + t.arc) for t in circuit)
+        for circuit in s.circuits)) for s in poly.sheets)
+    arcs = tuple(replace(a, id=prefix + a.id, endpoints=None if a.closed
+                         else tuple(map(arc_end, a.endpoints)))
+                 for a in poly.arcs)
+    vertices = tuple(replace(v, id=prefix + v.id,
+                             ends=tuple(map(arc_end, v.ends)))
+                     for v in poly.vertices)
+    return SimplePolyhedron(sheets, arcs, vertices, name=prefix + poly.name)
+
+
+def disjoint_union(*polys):
+    """The polyhedra side by side, the k-th one's ids prefixed `u<k>_`."""
+    parts = [renamed(poly, f"u{k}_") for k, poly in enumerate(polys)]
+    return SimplePolyhedron(*(sum((getattr(p, field) for p in parts), ())
+                              for field in ("sheets", "arcs", "vertices")),
+                            name="union")
+
+
+def along_circles(arcs, *sheets):
+    """Sheets whose circuits each run once along a closed circle: `arcs`
+    maps each circle id to its kind, and a sheet is given as
+    (id, ((circle, slot, direction), ...)), one circuit per run."""
+    return SimplePolyhedron(
+        tuple(SheetSpec(sid, True, 0, tuple((WingTraversal(*run),)
+                                            for run in runs))
+              for sid, runs in sheets),
+        tuple(BranchArc(aid, kind) for aid, kind in arcs.items()), (),
+        name="along_circles")
+
+
+# an annulus `a` whose two circuits run along c0: they cancel in its
+# boundary, so it closes into a torus or a Klein bottle; a disk or an
+# annulus to a boundary circle c1 takes the third wing
+PINCHED = [along_circles({"c0": TRIPLE}, ("w", (("c0", 0, 1),)),
+                         ("a", (("c0", 1, 1), ("c0", 2, direction))))
+           for direction in (1, -1)]
+COLLARED = along_circles({"c0": TRIPLE, "c1": BOUNDARY},
+                         ("w", (("c0", 0, 1), ("c1", 0, 1))),
+                         ("a", (("c0", 1, 1), ("c0", 2, -1))))
+
+
+def test_sheet_running_along_one_arc_twice():
+    # the torus or Klein bottle with a disk on c0: c0 bounds, the other
+    # generator of H1 stays, and the closed surface is the one 2-cycle
+    assert [z2_homology(poly) for poly in PINCHED] == [(1, 1, 1)] * 2
+    # the collar retracts onto the torus
+    assert z2_homology(COLLARED) == (1, 2, 1)
+
+
+def test_homology_from_integer_rows_matches_the_cell_complex(rng):
+    cases = [build_theta(), build_sphere_fixture().polyhedron,
+             build_base_example().polyhedron,
+             build_surgered_example().polyhedron,
+             round_reeb(BASE_SPEC).polyhedron,
+             attach_surface(klein_plan()).polyhedron,
+             relocate_and_attach(relocation_plan()).polyhedron]
+    cases += [build_closed_sheet(genus) for genus in range(4)]
+    cases += [build_closed_sheet(k, orientable=False) for k in range(1, 4)]
+    # three traversals of c0 leave one in the pair of pants' boundary
+    cases += PINCHED + [COLLARED, along_circles(
+        {"c0": TRIPLE}, ("p", (("c0", 0, 1), ("c0", 1, 1), ("c0", 2, -1))))]
+    cases += [formats.parse_spoly(path.read_text()) for path in
+              sorted(Path(repo_path("fixtures")).glob("*.spoly"))]
+    cases += [tower_map(n).polyhedron for n in range(1, 41)]
+    cases += [random_round_map(rng, name=f"z{i}").polyhedron
+              for i in range(40)]
+    cases += [born.polyhedron for born in random_surgered_maps(rng, 40)]
+    for _ in range(6):
+        cases += [born.polyhedron for _, born in random_iterated_map(
+            rng, tower_map(rng.randint(3, 8)), 6)]
+    # the surgered example has branch vertices, whose ids are renamed too
+    two_towers = disjoint_union(tower_map(3).polyhedron,
+                                tower_map(5).polyhedron)
+    cases += [two_towers, disjoint_union(cases[3], tower_map(4).polyhedron),
+              disjoint_union(*cases[:3])]
+    # random round maps may be disconnected too (b0 up to 4 at seed 0)
+    components = set()
+    for poly in cases:
+        betti = z2_homology(poly)
+        assert betti == cell_complex_betti(poly), poly.name
+        b0, b1, b2 = betti
+        assert b0 - b1 + b2 == euler_characteristic(poly)
+        components.add(b0)
+    assert {1, 2, 3} <= components
+    assert z2_homology(two_towers) == (2, 0, 6)

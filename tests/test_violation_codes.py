@@ -6,6 +6,7 @@ codes may come with it) and must not raise.  The surgery-plan cases also
 check what `attach_surface` or `normalized_plan` raises.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -19,11 +20,12 @@ from spineforge.core import (SWAP, EndRoles, SheetSpec, WingTraversal,
 from spineforge.errors import InvalidArrangement, PlanError
 from spineforge.gallery import (build_sphere_fixture, build_theta, klein_plan,
                                 relocation_plan)
-from spineforge.surgery import (PlanCircle, PlanEvent, PlanSegment,
-                                attach_surface, check_attachment_hypotheses,
-                                normalized_plan)
+from spineforge.surgery import (ImageRoute, PlanCircle, PlanEvent,
+                                PlanSegment, attach_surface,
+                                check_attachment_hypotheses, normalized_plan)
 
 from conftest import empty_arrangement
+from randgen import random_crossing_plan, random_round_map
 from test_surgery import crossing_plan_on_two_circles
 
 
@@ -286,6 +288,20 @@ def xa_image(**changes):
     return xa_with(image=replace(image, **changes))
 
 
+def seeded_crossing_plan(holes):
+    """The first crossing plan the seed-3 generator draws, one route with
+    two runs, with every run's hole side set to `holes`."""
+    rng = random.Random(3)
+    plan = None
+    while plan is None:
+        plan = random_crossing_plan(rng, random_round_map(rng))
+    return replace(plan, circles=tuple(
+        replace(c, image=replace(c.image, runs=tuple(
+            (face, holes) for face, _ in c.image.runs)))
+        if isinstance(c.image, ImageRoute) else c
+        for c in plan.circles))
+
+
 def base_with(plan, **changes):
     return replace(plan, base=replace(plan.base, **changes))
 
@@ -368,6 +384,11 @@ PLAN_CASES = {
         lambda: xa_image(runs=(("r1", "right"), ("r_out", None))),
         ["RouteFaceMismatch", "RouteFaceMismatch", "RouteOverEmptyFace"],
         "RouteOverEmptyFace(xa): r_out"),
+    # holes lie left or right of a route: any other side used to pass the
+    # check and fail in the builder as "hole side does not touch the route"
+    "HoleSide": (
+        lambda: seeded_crossing_plan("up"), ["HoleSide", "HoleSide"],
+        "HoleSide(w0): run 0: holes 'up'"),
     "UnknownFace:crossing-free": (
         lambda: klein_with(image=replace(klein_plan().circles[0].image,
                                          face="zz")),
