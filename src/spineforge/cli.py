@@ -104,10 +104,13 @@ def _valid_polyhedron(path):
     return poly
 
 
-def _write_pair(prefix, born):
-    """Write `born` to prefix.spoly and prefix.arr; returns the two paths."""
-    return (_write_atomic(prefix + ".spoly", formats.emit_spoly(born.polyhedron)),
-            _write_atomic(prefix + ".arr", formats.emit_arr(born)))
+def _write_pair(prefix, born, extra=()):
+    """Write `born` to prefix.spoly and prefix.arr, then each (path, text)
+    of `extra`; returns the paths.  Every text is emitted before the first
+    write, so an EmitError leaves no file behind."""
+    texts = ((prefix + ".spoly", formats.emit_spoly(born.polyhedron)),
+             (prefix + ".arr", formats.emit_arr(born)), *extra)
+    return [_write_atomic(path, text) for path, text in texts]
 
 
 def _load_born(spoly_path, arr_path):
@@ -197,11 +200,13 @@ def cmd_graph(args):
         disks.append(DiskInP(id=f"disk_{circle.id}", boundary_circle=circle.id,
                              sheets=sheets, arcs=arcs))
     graphs = [build_graph(born, d) for d in disks]
-    paths = []
-    for graph in graphs:
-        path = f"{args.output}_{graph.disk}.dot"
+    paths = [f"{args.output}_{graph.disk}.dot" for graph in graphs]
+    for graph, path in zip(graphs, paths):
+        if any(sep and sep in graph.disk for sep in (os.sep, os.altsep)):
+            raise _FileAccessError(f"cannot write {path}: disk id "
+                                   f"{graph.disk} holds a path separator")
+    for graph, path in zip(graphs, paths):
         _write_atomic(path, graph_to_dot(graph))
-        paths.append(path)
     index = maximal_graph(graphs)
     print(f"maximal graph: {'absent' if index is None else graphs[index].disk}")
     print("wrote " + " ".join(paths))
@@ -215,14 +220,14 @@ def cmd_example(args):
     else:
         born = build_surgered_example()
         prefix = args.output or "surgered"
-    written = list(_write_pair(prefix, born))
+    extra = ()
     if args.which == "base":
-        plan_path = _write_atomic(
-            prefix + "_klein.plan",
-            formats.emit_plan(klein_plan(born), prefix + ".spoly",
-                              prefix + ".arr"))
-        written.append(plan_path)
-    print("wrote " + " ".join(written))
+        # the plan names its base beside it, as _load_plan reads it
+        name = os.path.basename(prefix)
+        extra = ((prefix + "_klein.plan",
+                  formats.emit_plan(klein_plan(born), name + ".spoly",
+                                    name + ".arr")),)
+    print("wrote " + " ".join(_write_pair(prefix, born, extra)))
     return 0
 
 

@@ -218,6 +218,50 @@ def continue_at_vertex(vertex, port_in, slot_in):
     raise ValueError(f"slot {slot_in} not present at vertex {vertex.id} port {port_in}")
 
 
+def next_run(arc_by_id, vertex_by_id, arc, slot, direction):
+    """The run (arc id, slot, direction) a boundary circuit takes after
+    running wing `slot` of arc `arc` in `direction`.
+
+    A closed arc keeps the run, its slots 1 and 2 exchanged under swap
+    monodromy; an open arc's far end passes the wing on through
+    continue_at_vertex, onto the arc end at the port it leaves by."""
+    record = arc_by_id[arc]
+    if record.endpoints is None:
+        if slot and record.monodromy == SWAP:
+            slot = 3 - slot
+        return arc, slot, direction
+    vid, port = record.endpoints[direction > 0]
+    vertex = vertex_by_id[vid]
+    port_out, slot_out = continue_at_vertex(vertex, port, slot)
+    arc_out, end_out = vertex.ends[port_out]
+    return arc_out, slot_out, 1 if end_out == 0 else -1
+
+
+def circuits_through(arc_by_id, vertex_by_id, starts):
+    """The boundary circuits through the WingTraversals `starts`, each
+    walked by next_run from the first start on it until it comes back, as
+    a tuple of WingTraversals; in the order of those starts.
+
+    Raises ValueError when a walk reaches a run that an earlier step has
+    run, not its start: the successor map is then not a permutation, and
+    the walk would not end."""
+    seen, circuits = set(), []
+    for start in starts:
+        run = first = (start.arc, start.slot, start.direction)
+        walk = []
+        while run not in seen:
+            seen.add(run)
+            walk.append(run)
+            run = next_run(arc_by_id, vertex_by_id, *run)
+        if run != first:
+            raise ValueError(f"run {run[0]}:{run[1]}:{run[2]:+d} is reached "
+                             f"twice on the walk from {start.arc}:"
+                             f"{start.slot}:{start.direction:+d}")
+        if walk:
+            circuits.append(tuple(WingTraversal(*r) for r in walk))
+    return circuits
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -345,26 +389,14 @@ def _check_polyhedron(poly):
         return ValidationReport.failed(v), wings
 
     # circuit continuity under the continuation table: each traversal must
-    # be followed by the one its arc's far end forces, compared as
-    # (arc, slot, direction)
+    # be followed by the run next_run gives, compared as (arc, slot,
+    # direction)
     for sheet in poly.sheets:
         for ci, circuit in enumerate(sheet.circuits):
             last = len(circuit) - 1
             for pos, trav in enumerate(circuit):
-                arc = arc_by_id[trav.arc]
-                slot, direction = trav.slot, trav.direction
-                if arc.endpoints is None:
-                    # around a closed circle; swap monodromy exchanges
-                    # slots 1 and 2
-                    if slot and arc.monodromy == SWAP:
-                        slot = 3 - slot
-                    expected = (arc.id, slot, direction)
-                else:
-                    vid, port = arc.endpoints[direction > 0]
-                    vertex = vertex_by_id[vid]
-                    port_out, slot_out = continue_at_vertex(vertex, port, slot)
-                    arc_out, end_out = vertex.ends[port_out]
-                    expected = (arc_out, slot_out, 1 if end_out == 0 else -1)
+                expected = next_run(arc_by_id, vertex_by_id, trav.arc,
+                                    trav.slot, trav.direction)
                 actual = circuit[pos + 1 if pos < last else 0]
                 if (actual.arc, actual.slot, actual.direction) != expected:
                     v.append(Violation("CircuitContinuity", sheet.id,

@@ -253,12 +253,18 @@ def disk_obstruction_report(born, disks, surgered, bound=100000, closed_submanif
                              verdict=verdict, truncated=truncated)
 
 
+def _dot_string(text):
+    """`text` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(graph):
-    lines = [f'graph "{graph.disk}" {{']
+    lines = [f"graph {_dot_string(graph.disk)} {{"]
     for vertex in graph.vertices:
-        lines.append(f'  "{vertex}";')
+        lines.append(f"  {_dot_string(vertex)};")
     for edge in graph.edges:
-        lines.append(f'  "{edge.sheet_a}" -- "{edge.sheet_b}" '
-                     f'[label="{edge.arc}"];')
+        lines.append(f"  {_dot_string(edge.sheet_a)} -- "
+                     f"{_dot_string(edge.sheet_b)} "
+                     f"[label={_dot_string(edge.arc)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,12 +2,15 @@
 
 A surgery plan names disjoint circles embedded in the polyhedron, each as a
 cyclic itinerary of sheet segments and transverse branch crossings, plus a
-connected patch surface glued along all of them.  Attaching the patch cuts
-every visited sheet along its segments, turns each circle into new triple
-branch (one arc per segment), turns each branch crossing into a new vertex
-whose free wings are the uncut old wing and the patch, and adds the patch
-as one new sheet.  Fiber counts grow by the winding number of the oriented
-image curves, which is the covering multiplicity of the immersed patch.
+connected patch surface glued along all of them.  Attaching the patch turns
+every circle into new triple branch (one arc per segment) and every branch
+crossing into a new vertex whose free wings are the uncut old wing and the
+patch, and adds the patch as one new sheet.  The output's arcs and vertices
+are built first.  A sheet cut along segments then falls into pieces whose
+boundary circuits are the output's continuation circuits through the runs
+of the sheet's own circuits (core.circuits_through).  Fiber counts grow by
+the winding number of the oriented image curves, which is the covering
+multiplicity of the immersed patch.
 
 Supported itineraries: circles without crossings bound disks inside a
 single sheet; circles with crossings run through disk sheets (any number
@@ -25,7 +28,7 @@ from .arrangement import ArrangementBuilder, winding_numbers
 from .bornmap import BornMap, StrandAssignment, require_valid_born_map, validate_born_map
 from .core import (TRIPLE, TRIVIAL, BranchArc, EndRoles, SheetSpec,
                    SimplePolyhedron, ValidationReport, VertexSpec, Violation,
-                   WingTraversal, slot_count)
+                   WingTraversal, circuits_through, slot_count)
 from .errors import (ContainmentViolated, NoEmptyRegion, PatchNotOrientable,
                      PlanError, UnsupportedItinerary, WitnessMismatch)
 
@@ -378,119 +381,59 @@ class _ArcSplits:
 # sheet cutting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Chord:
-    t_arc: str             # the new triple arc along the chord
-    p: tuple               # (arc, slot) of the wing the chord leaves
-    q: tuple               # (arc, slot) of the wing the chord reaches
-    p_vertex: str
-    q_vertex: str
-    side_genus: int | None
-    side_circuits: tuple | None
-
-
-def _expand_circuit(splits, circuit, marks_by_wing):
-    """Circuit atoms: ('trav', WingTraversal) and ('mark', chord, end).
-
-    `marks_by_wing` maps (arc, slot) -> {new vertex id: (chord, end)}; a
-    wing passes every other new vertex as its free wing."""
-    atoms = []
+def _runs(splits, circuit):
+    """The runs of a base circuit on the output's arcs: a traversal of a
+    crossed arc becomes traversals of its sub-arcs, in its direction."""
     for trav in circuit:
         subs = splits.sub_arcs.get(trav.arc)
         if subs is None:
-            atoms.append(("trav", trav))
-            continue
-        marks = marks_by_wing.get((trav.arc, trav.slot), {})
-        pieces = []
-        for sub, _, end in subs:
-            pieces.append(("trav", WingTraversal(sub, trav.slot, trav.direction)))
-            if end in marks:
-                pieces.append(("mark",) + marks[end])
-        atoms.extend(pieces if trav.direction > 0 else reversed(pieces))
-    return atoms
+            yield trav
+        else:
+            for sub, _, _ in subs[::trav.direction]:
+                yield WingTraversal(sub, trav.slot, trav.direction)
 
 
-def _cut_sheet(splits, sheet, chords):
-    """Cut one sheet along its chords; returns its pieces, a list of
-    (piece_id, circuits, genus) -- all orientable.
+def _cut_sheet(splits, arc_by_id, vertex_by_id, sheet, chords):
+    """Cut one sheet along its chords, (new arc id, PlanSegment) pairs;
+    returns its pieces, a list of (piece_id, circuits, genus) -- all
+    orientable.
 
-    The piece crossing a chord backward (its minus side) runs the chord's
-    new arc backward on slot 1, and the piece on its plus side runs it
-    forward on slot 2; one piece may hold both when the chord does not
-    separate the sheet."""
-    marks_by_wing = {}
-    for chord in chords:
-        for end, wing, vid in (("p", chord.p, chord.p_vertex),
-                               ("q", chord.q, chord.q_vertex)):
-            marks_by_wing.setdefault(wing, {})[vid] = (chord, end)
-
-    circuits_atoms = [_expand_circuit(splits, c, marks_by_wing)
-                      for c in sheet.circuits]
-
-    # locate every mark: (circuit index, atom index)
-    mark_pos = {}
-    for ci, atoms in enumerate(circuits_atoms):
-        for ai, atom in enumerate(atoms):
-            if atom[0] == "mark":
-                mark_pos[(atom[1].t_arc, atom[2])] = (ci, ai)
-
-    untouched = [ci for ci, atoms in enumerate(circuits_atoms)
-                 if not any(a[0] == "mark" for a in atoms)]
-    used = set()
-    cycles = []          # the circuits through chords, in walk order
-    minus_cycle = {}     # new arc id -> index of the cycle on its minus side
-
-    for ci, atoms in enumerate(circuits_atoms):
-        if ci in untouched:
-            continue
-        for ai, atom in enumerate(atoms):
-            if atom[0] != "trav" or (ci, ai) in used:
-                continue
-            items = []
-            cur = (ci, ai)
-            while cur not in used:
-                used.add(cur)
-                cci, cai = cur
-                current = circuits_atoms[cci][cai]
-                if current[0] == "trav":
-                    items.append(current[1])
-                    cur = (cci, (cai + 1) % len(circuits_atoms[cci]))
-                    continue
-                chord, end = current[1], current[2]
-                if end == "q":
-                    items.append(WingTraversal(chord.t_arc, 1, -1))
-                    minus_cycle[chord.t_arc] = len(cycles)
-                    mci, mai = mark_pos[(chord.t_arc, "p")]
-                else:
-                    items.append(WingTraversal(chord.t_arc, 2, 1))
-                    mci, mai = mark_pos[(chord.t_arc, "q")]
-                cur = (mci, (mai + 1) % len(circuits_atoms[mci]))
-            cycles.append(tuple(items))
+    The pieces' circuits are the output's continuation circuits through
+    the runs of the sheet's circuits, read from the output's arc and vertex
+    tables by circuits_through.  A circuit running along a chord's new arc
+    bounds a piece; the others are the sheet's untouched circuits.  The
+    piece crossing a chord backward (its minus side) runs the chord's new
+    arc backward on slot 1, and the piece on its plus side runs it forward
+    on slot 2; one piece holds both when the chord does not separate the
+    sheet."""
+    runs = [tuple(_runs(splits, circuit)) for circuit in sheet.circuits]
+    base_index = {circuit[0]: ci for ci, circuit in enumerate(runs)}
+    chord_arcs = {t_arc for t_arc, _ in chords}
+    cycles, untouched = [], []   # untouched: (base circuit index, circuit)
+    for circuit in circuits_through(arc_by_id, vertex_by_id,
+                                    (run for circuit in runs for run in circuit)):
+        if any(trav.arc in chord_arcs for trav in circuit):
+            cycles.append(circuit)
+        else:
+            untouched.append((base_index[circuit[0]], circuit))
 
     if _is_disk(sheet):
-        return [(f"{sheet.id}.p{k}", (items,), 0)
-                for k, items in enumerate(cycles)]
+        return [(f"{sheet.id}.p{k}", (cycle,), 0)
+                for k, cycle in enumerate(cycles)]
     # exactly one chord (validated); one or two cycles
-    chord, = chords
+    (t_arc, seg), = chords
     if len(cycles) == 1:
-        circuits = (cycles[0],) + tuple(
-            _plain_circuit(circuits_atoms[ci]) for ci in untouched)
-        return [(f"{sheet.id}.p0", circuits, sheet.genus)]
-    side_genus = chord.side_genus or 0
-    side_set = set(chord.side_circuits or ())
-    minus = minus_cycle[chord.t_arc]
-    minus_circuits = (cycles[minus],) + tuple(
-        _plain_circuit(circuits_atoms[ci]) for ci in untouched
-        if ci in side_set)
-    plus_circuits = (cycles[1 - minus],) + tuple(
-        _plain_circuit(circuits_atoms[ci]) for ci in untouched
-        if ci not in side_set)
-    return [(f"{sheet.id}.p0", minus_circuits, side_genus),
-            (f"{sheet.id}.p1", plus_circuits, sheet.genus - side_genus)]
-
-
-def _plain_circuit(atoms):
-    return tuple(a[1] for a in atoms if a[0] == "trav")
+        return [(f"{sheet.id}.p0", (cycles[0], *(c for _, c in untouched)),
+                 sheet.genus)]
+    side_genus = seg.side_genus or 0
+    side_set = set(seg.side_circuits or ())
+    minus, plus = (cycles if WingTraversal(t_arc, 1, -1) in cycles[0]
+                   else cycles[::-1])
+    return [(f"{sheet.id}.p0",
+             (minus, *(c for ci, c in untouched if ci in side_set)), side_genus),
+            (f"{sheet.id}.p1",
+             (plus, *(c for ci, c in untouched if ci not in side_set)),
+             sheet.genus - side_genus)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +462,16 @@ def _insert_images(builder, circles):
             route_crossings[circle.id] = builder.insert_route(
                 curve_id, image.crossings, image.runs, source)
     return route_crossings
+
+
+def _claim_ids(ids, parts):
+    """Add the ids of `parts` to the set `ids`; a repeat raises PlanError
+    IdCollision naming it."""
+    for part in parts:
+        if part.id in ids:
+            raise PlanError("IdCollision",
+                            f"two parts of the output are named {part.id}")
+        ids.add(part.id)
 
 
 def attach_surface(plan):
@@ -556,12 +509,7 @@ def attach_surface(plan):
                                     for i in range(k)[::sign]))
         vids = [_vertex_name(circle.id, i) for i in range(k)]
         for i, (event, seg) in enumerate(zip(circle.events, circle.segments)):
-            prev_event = circle.events[i - 1]
-            chords_by_sheet.setdefault(seg.sheet, []).append(_Chord(
-                t_arc=names[i], p=(prev_event.arc, prev_event.slot_out),
-                q=(event.arc, event.slot_in),
-                p_vertex=vids[i - 1], q_vertex=vids[i],
-                side_genus=seg.side_genus, side_circuits=seg.side_circuits))
+            chords_by_sheet.setdefault(seg.sheet, []).append((names[i], seg))
             circle_arcs.append(BranchArc(
                 names[i], TRIPLE, ((vids[i - 1], 3), (vids[i], 1)), TRIVIAL))
             ends = ((splits.arriving[vids[i]], 1), (names[i], 1),
@@ -580,30 +528,6 @@ def attach_surface(plan):
                 EndRoles(free=0, lq=lq_out, rq=3 - lq_out),
             )
             circle_vertices.append(VertexSpec(vids[i], ends, roles))
-
-    # --- build new sheets ---------------------------------------------------
-    new_sheets = []
-    for sheet in poly.sheets:
-        if sheet.id in chords_by_sheet:
-            for pid, circuits, genus in _cut_sheet(splits, sheet,
-                                                   chords_by_sheet[sheet.id]):
-                new_sheets.append(SheetSpec(pid, True, genus, tuple(circuits)))
-            continue
-        circuits = [_plain_circuit(_expand_circuit(splits, circuit, {}))
-                    for circuit in sheet.circuits]
-        for t_arc, disk in interior_by_sheet.get(sheet.id, ()):
-            circuits.append((WingTraversal(t_arc, 2, -1),))
-            new_sheets.append(SheetSpec(disk, True, 0,
-                                        ((WingTraversal(t_arc, 1, 1),),)))
-        new_sheets.append(replace(sheet, circuits=tuple(circuits)))
-
-    # patch sheet
-    patch_id = plan.patch.id
-    existing = {s.id for s in new_sheets}
-    while patch_id in existing:
-        patch_id += "_"
-    new_sheets.append(SheetSpec(patch_id, plan.patch.orientable,
-                                plan.patch.genus, tuple(patch_circuits)))
 
     # --- build new arcs and vertices ---------------------------------------
     new_arcs = []
@@ -633,13 +557,36 @@ def attach_surface(plan):
     new_vertices.extend(circle_vertices)
 
     # a new name may meet a part the output keeps, or a patch id an arc or
-    # vertex id
+    # vertex id; the sheets are cut on tables whose ids are unique
     ids = set()
-    for part in (*new_sheets, *new_arcs, *new_vertices):
-        if part.id in ids:
-            raise PlanError("IdCollision",
-                            f"two parts of the output are named {part.id}")
-        ids.add(part.id)
+    _claim_ids(ids, (*new_arcs, *new_vertices))
+
+    # --- build new sheets on the output's tables ----------------------------
+    arc_by_id = {arc.id: arc for arc in new_arcs}
+    vertex_by_id = {vertex.id: vertex for vertex in new_vertices}
+    new_sheets = []
+    for sheet in poly.sheets:
+        if sheet.id in chords_by_sheet:
+            for pid, circuits, genus in _cut_sheet(
+                    splits, arc_by_id, vertex_by_id, sheet,
+                    chords_by_sheet[sheet.id]):
+                new_sheets.append(SheetSpec(pid, True, genus, tuple(circuits)))
+            continue
+        circuits = [tuple(_runs(splits, circuit)) for circuit in sheet.circuits]
+        for t_arc, disk in interior_by_sheet.get(sheet.id, ()):
+            circuits.append((WingTraversal(t_arc, 2, -1),))
+            new_sheets.append(SheetSpec(disk, True, 0,
+                                        ((WingTraversal(t_arc, 1, 1),),)))
+        new_sheets.append(replace(sheet, circuits=tuple(circuits)))
+
+    # patch sheet
+    patch_id = plan.patch.id
+    existing = {s.id for s in new_sheets}
+    while patch_id in existing:
+        patch_id += "_"
+    new_sheets.append(SheetSpec(patch_id, plan.patch.orientable,
+                                plan.patch.genus, tuple(patch_circuits)))
+    _claim_ids(ids, new_sheets)
 
     new_poly = SimplePolyhedron(tuple(new_sheets), tuple(new_arcs),
                                 tuple(new_vertices),

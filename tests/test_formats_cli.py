@@ -18,7 +18,7 @@ from spineforge.errors import EmitError, SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta, klein_plan, relocation_plan)
 from spineforge.render import render_svg
-from spineforge.surgery import ImageRoute
+from spineforge.surgery import ImageRoute, attach_surface
 
 from conftest import repo_path
 
@@ -626,6 +626,74 @@ def test_cli_pipeline(tmp_path, monkeypatch):
                  "-o", "out.svg"]) == 0
     assert main(["graph", "roundmap_klein.plan", "-o", "g"]) == 0
     assert os.path.exists("g_disk_outer_cut.dot")
+
+
+def test_cli_graph_refuses_a_disk_id_that_leaves_the_prefix_directory(
+        tmp_path, monkeypatch, capsys):
+    # the DOT path of circle /../../escaped would lie two levels up
+    work = tmp_path / "top" / "sub"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main(["example", "base", "-o", "rm"]) == 0
+    plan = Path("rm_klein.plan").read_text()
+    assert "outer_cut" in plan
+    Path("rm_klein.plan").write_text(plan.replace("outer_cut", "/../../escaped"))
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert main(["graph", "rm_klein.plan", "-o", "g"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot write g_disk_/../../escaped.dot: ")
+    # no file is written, the other disk's graph included
+    assert sorted(os.listdir()) == before
+    assert os.listdir(tmp_path) == ["top"]
+    assert os.listdir(tmp_path / "top") == ["sub"]
+
+
+def test_cli_graph_quotes_a_sheet_id_holding_a_quote(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "base", "-o", "rm"]) == 0
+    for name in ("rm.spoly", "rm_klein.plan"):
+        text = Path(name).read_text()
+        assert "i_band" in text
+        Path(name).write_text(text.replace("i_band", 'i"band'))
+    assert main(["graph", "rm_klein.plan", "-o", "g"]) == 0
+    dot = Path("g_disk_outer_cut.dot").read_text()
+    assert '  "i\\"band";\n' in dot
+    assert '"i"band"' not in dot
+
+
+def test_cli_example_plan_names_its_base_beside_it(tmp_path, monkeypatch,
+                                                   capsys):
+    # the plan reads its base beside itself, so the prefix's directory is
+    # not part of the names it holds
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    base = os.path.join("sub", "rm")
+    assert main(["example", "base", "-o", base]) == 0
+    assert "BASE rm.spoly rm.arr\n" in Path(base + "_klein.plan").read_text()
+    capsys.readouterr()
+    assert main(["surgery", base + "_klein.plan",
+                 "-o", os.path.join("sub", "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert Path("sub", "out.spoly").read_text() == formats.emit_spoly(
+        attach_surface(klein_plan()).polyhedron)
+    assert sorted(os.listdir("sub")) == ["out.arr", "out.spoly", "rm.arr",
+                                         "rm.spoly", "rm_klein.plan"]
+
+
+def test_cli_example_whose_base_name_cannot_be_emitted_writes_no_file(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "base", "-o", "a b"]) == 1
+    assert capsys.readouterr().err == (
+        "EmitError: cannot write base file name 'a b.spoly': "
+        "it holds whitespace\n")
+    assert os.listdir() == []
+    # a directory holding whitespace is not a base name
+    Path("c d").mkdir()
+    assert main(["example", "base", "-o", os.path.join("c d", "rm")]) == 0
+    assert sorted(os.listdir("c d")) == ["rm.arr", "rm.spoly", "rm_klein.plan"]
 
 
 def crossing_plan_files(rng):

@@ -345,3 +345,15 @@ def test_graph_dot_export():
     assert dot.startswith('graph "d"')
     assert '"i_band" -- "i_floor"' in dot
     assert 'label="c8"' in dot
+
+
+def test_graph_dot_escapes_backslashes_and_quotes():
+    graph = IncidenceGraph(disk='d"1', vertices=('i"band', "o\\floor"),
+                           edges=(GraphEdge('c"8', 'i"band', 0,
+                                            "o\\floor", 1),))
+    assert graph_to_dot(graph) == (
+        'graph "d\\"1" {\n'
+        '  "i\\"band";\n'
+        '  "o\\\\floor";\n'
+        '  "i\\"band" -- "o\\\\floor" [label="c\\"8"];\n'
+        '}\n')

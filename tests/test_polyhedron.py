@@ -7,7 +7,8 @@ from spineforge import formats
 from spineforge.core import (BOUNDARY, SWAP, TRIPLE, TRIVIAL, BranchArc,
                              EndRoles, SheetSpec, SimplePolyhedron,
                              VertexSpec, Violation, WingTraversal,
-                             continue_at_vertex, euler_characteristic,
+                             circuits_through, continue_at_vertex,
+                             euler_characteristic,
                              is_normal, strand_circles, validate_polyhedron)
 from spineforge.errors import InvalidPolyhedron
 from spineforge.gallery import (build_base_example, build_closed_sheet,
@@ -15,7 +16,8 @@ from spineforge.gallery import (build_base_example, build_closed_sheet,
                                 build_theta)
 
 from conftest import repo_path
-from randgen import random_round_map, random_surgered_maps
+from randgen import (random_iterated_map, random_round_map,
+                     random_surgered_maps, tower_map)
 
 
 def test_closed_genus2_sheet_is_valid_and_normal():
@@ -194,6 +196,51 @@ def test_circuit_continuity_matches_the_reference_rule(rng):
                 broken["closed" if mutant.arc(aid).closed else "open"] += 1
     # breaks after closed circles and after arcs that end at vertices
     assert broken["closed"] and broken["open"]
+
+
+def test_walk_from_a_circuit_start_gives_back_the_circuit(rng):
+    polys = [build_theta(), build_closed_sheet(2),
+             build_closed_sheet(1, orientable=False),
+             build_base_example().polyhedron,
+             build_surgered_example().polyhedron,
+             build_sphere_fixture().polyhedron]
+    for name in ("roundmap", "surgered", "crossed", "crossed_twice"):
+        polys.append(formats.parse_spoly(
+            Path(repo_path("fixtures", f"{name}.spoly")).read_text()))
+    for seed in range(4):
+        polys += [born.polyhedron for _, born in random_iterated_map(
+            rng, tower_map(3 + seed), 6)]
+    vertices = 0
+    for poly in polys:
+        assert validate_polyhedron(poly).ok
+        tables = (poly._arc_by_id, poly._vertex_by_id)
+        circuits = [c for sheet in poly.sheets for c in sheet.circuits]
+        for circuit in circuits:
+            assert circuits_through(*tables, [circuit[0]]) == [circuit]
+            # a walk begins at its start
+            last = circuit[-1:] + circuit[:-1]
+            assert circuits_through(*tables, [circuit[-1]]) == [last]
+        # every traversal lies on one circuit, which its first one starts
+        assert circuits_through(
+            *tables, [t for c in circuits for t in c]) == circuits
+        vertices += len(poly.vertices)
+    assert vertices
+
+
+def test_walk_on_a_successor_map_that_is_no_permutation_raises():
+    # b leaves port 3 and a port 2 of the figure-eight vertex v
+    arcs = {"a": BranchArc("a", TRIPLE, (("v", 2), ("v", 0))),
+            "b": BranchArc("b", TRIPLE, (("v", 3), ("v", 1)))}
+    ends = (("a", 1), ("b", 1), ("a", 0), ("b", 0))
+    roles = (EndRoles(0, 1, 2),) * 4
+    start = WingTraversal("b", 0, 1)
+    assert circuits_through(arcs, {"v": VertexSpec("v", ends, roles)},
+                            [start]) == [(start,)]
+    # with port 3 naming a's end 0 too, (b, 0, +) and (a, 0, +) both go on
+    # to (a, 0, +), so the walk from (b, 0, +) never comes back
+    broken = VertexSpec("v", ends[:3] + (("a", 0),), roles)
+    with pytest.raises(ValueError, match=r"run a:0:\+1 is reached twice"):
+        circuits_through(arcs, {"v": broken}, [start])
 
 
 def test_base_example_validates_with_six_circles():

@@ -334,9 +334,9 @@ def test_search_cut_at_every_bound_is_a_prefix_of_the_full_walk(rng):
                  for poly in [born.polyhedron
                               for born in random_surgered_maps(rng, 60)]]
     # surgery on surgery outputs stacks chords, vertices and non-orientable
-    # patches: the deepest of four steps the walk finishes in 300 states
-    # (at seeds 0 to 5, 124 to 241 states after one to four steps)
-    iterated = [(born.polyhedron, find_closed_surfaces(born.polyhedron, 300))
+    # patches: the deepest of four steps the walk finishes in 1000 states
+    # (at seeds 0, 1 and 2, 640, 361 and 471 states)
+    iterated = [(born.polyhedron, find_closed_surfaces(born.polyhedron, 1000))
                 for _, born in random_iterated_map(
                     rng, tower_map(rng.randint(3, 8)), 4)]
     cases = [(tower(6), find_closed_surfaces(tower(6), 10 ** 6)),
@@ -351,11 +351,16 @@ def test_search_cut_at_every_bound_is_a_prefix_of_the_full_walk(rng):
                  key=lambda run: run[1].examined)]
     for poly, full in cases:
         assert full.examined > 10 and not full.truncated
+        # a selection's arc slots and characteristic follow from its sheets
+        # (test_search_annotation_matches_make_selection), so its key and
+        # orientability stand for it; the last bound compares in full
+        orientable = {s.key(): s.orientable for s in full.selections}
         for bound in range(1, full.examined + 1):
             cut = find_closed_surfaces(poly, bound)
             assert cut.examined == min(bound + 1, full.examined)
             assert cut.truncated == (bound < full.examined)
-            assert all(s in full.selections for s in cut.selections)
+            assert all(orientable.get(s.key()) == s.orientable
+                       for s in cut.selections)
         assert cut.selections == full.selections
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from spineforge import formats
 from spineforge.arrangement import ArrangementBuilder
-from spineforge.core import (SheetSpec, WingTraversal, euler_characteristic,
+from spineforge.core import (TRIPLE, BOUNDARY, BranchArc, EndRoles, SheetSpec,
+                             VertexSpec, WingTraversal, euler_characteristic,
                              is_normal, strand_circles, validate_polyhedron)
 from spineforge.homology import z2_homology
 from spineforge.bornmap import validate_born_map
@@ -24,7 +25,7 @@ from spineforge.surgery import (ImageCircle, ImageRoute, PlanCircle,
                                 PlanEvent, PlanSegment, SurfacePatch,
                                 SurgeryPlan, relocate_and_attach, attach_surface,
                                 check_attachment_hypotheses, normalize_into_disk,
-                                normalized_plan, _Chord, _cut_sheet)
+                                normalized_plan, _cut_sheet)
 
 from conftest import repo_path
 from randgen import (random_crossing_plan, random_interior_plan,
@@ -120,6 +121,26 @@ def test_minted_name_on_an_untouched_sheet_is_an_id_collision():
         attach_surface(plan)
     assert caught.value.code == "IdCollision"
     assert str(caught.value) == "two parts of the output are named t_xa.0"
+
+
+def test_a_second_surgery_reusing_a_circle_id_is_an_id_collision(rng):
+    # both plans name their circle w0, so the second mints t_w0.0 and
+    # v_w0_0 again; the sheets are cut on the output's arc and vertex
+    # tables, which are checked for repeats first
+    seconds = []
+    for trial in range(200):
+        born = random_round_map(rng, name=f"rc{trial}")
+        first = random_crossing_plan(rng, born)
+        second = first and random_crossing_plan(rng, attach_surface(first))
+        if second:
+            assert [c.id for c in second.circles] == ["w0"]
+            seconds.append(second)
+    assert len(seconds) >= 20
+    for plan in seconds:
+        with pytest.raises(PlanError) as caught:
+            attach_surface(plan)
+        assert caught.value.code == "IdCollision"
+        assert str(caught.value) == "two parts of the output are named t_w0.0"
 
 
 def test_patch_named_like_a_sheet_gets_an_underscore():
@@ -329,13 +350,31 @@ def test_non_separating_chord_keeps_the_other_circuits_on_its_one_piece():
     sheet = SheetSpec("s", True, 0, ((WingTraversal("a", 0, 1),),
                                      (WingTraversal("b", 0, 1),),
                                      (WingTraversal("c", 0, 1),)))
+    # circle x crosses a at va (event 0, into s on slot 0) and b at vb
+    # (event 1, out of s on slot 0); its new arc t runs from va to vb
+    # through s, and t_0 from vb back to va through the sheet on slot 1,
+    # which s does not see.  The tables are those attach_surface builds:
+    # lq of a new arc's end is 2 where the sheet runs the crossed wing
+    # forward, as s and the other sheet run a and b
     splits = SimpleNamespace(sub_arcs={"a": [("a.0", "va", "va")],
                                        "b": [("b.0", "vb", "vb")]})
-    chord = _Chord("t", p=("a", 0), q=("b", 0), p_vertex="va",
-                   q_vertex="vb", side_genus=None, side_circuits=None)
+    arcs = [BranchArc("a.0", TRIPLE, (("va", 2), ("va", 0))),
+            BranchArc("b.0", TRIPLE, (("vb", 2), ("vb", 0))),
+            BranchArc("t", TRIPLE, (("va", 3), ("vb", 1))),
+            BranchArc("t_0", TRIPLE, (("vb", 3), ("va", 1))),
+            BranchArc("c", BOUNDARY)]
+    vertices = [
+        VertexSpec("va", (("a.0", 1), ("t_0", 1), ("a.0", 0), ("t", 0)),
+                   (EndRoles(free=2, lq=1, rq=0), EndRoles(free=0, lq=2, rq=1),
+                    EndRoles(free=2, lq=0, rq=1), EndRoles(free=0, lq=2, rq=1))),
+        VertexSpec("vb", (("b.0", 1), ("t", 1), ("b.0", 0), ("t_0", 0)),
+                   (EndRoles(free=2, lq=0, rq=1), EndRoles(free=0, lq=2, rq=1),
+                    EndRoles(free=2, lq=1, rq=0), EndRoles(free=0, lq=2, rq=1)))]
     merged = (WingTraversal("a.0", 0, 1), WingTraversal("t", 2, 1),
               WingTraversal("b.0", 0, 1), WingTraversal("t", 1, -1))
-    assert _cut_sheet(splits, sheet, [chord]) == \
+    assert _cut_sheet(splits, {a.id: a for a in arcs},
+                      {v.id: v for v in vertices}, sheet,
+                      [("t", PlanSegment("s"))]) == \
         [("s.p0", (merged, (WingTraversal("c", 0, 1),)), 0)]
 
 
