@@ -40,19 +40,17 @@ def _template(template):
                              if at and word != "_")
 
 
-def _shape(tokens, lineno, template, more=False):
+def _shape(tokens, template, more=False):
     """Checks a record against a template such as ``"COUNT _ _"``: the
     record's length and the keyword at every position that is not ``_``.
     With ``more``, tokens after the template are allowed."""
     size, keywords = _template(template)
-    if len(tokens) != size and (len(tokens) < size or not more):
-        raise ParseError(f"line {lineno}: bad {tokens[0]} record")
-    for at, word in keywords:
-        if tokens[at] != word:
-            raise ParseError(f"line {lineno}: bad {tokens[0]} record")
+    if len(tokens) != size and (len(tokens) < size or not more) or \
+            any(tokens[at] != word for at, word in keywords):
+        raise ParseError(f"bad {tokens[0]} record")
 
 
-def _options(tokens, lineno, tag, arity):
+def _options(tokens, tag, arity):
     """Keyword fields after a record's fixed part.  ``arity`` gives each
     keyword's number of values; a keyword maps to True, to its one value,
     or to the tuple of its values."""
@@ -61,7 +59,7 @@ def _options(tokens, lineno, tag, arity):
     while at < len(tokens):
         key = tokens[at]
         if key not in arity or at + 1 + arity[key] > len(tokens):
-            raise ParseError(f"line {lineno}: bad {tag} field {key!r}")
+            raise ParseError(f"bad {tag} field {key!r}")
         end = at + 1 + arity[key]
         values = tokens[at + 1:end]
         options[key] = tuple(values) if len(values) > 1 else \
@@ -70,12 +68,12 @@ def _options(tokens, lineno, tag, arity):
     return options
 
 
-def _fields(token, count, lineno):
+def _fields(token, count):
     """The ``count`` fields of a reference such as ``arc:slot:+``; only the
     last ``count - 1`` colons separate, so the id may contain colons."""
     fields = token.rsplit(":", count - 1)
     if len(fields) != count:
-        raise ParseError(f"line {lineno}: expected {count} fields separated "
+        raise ParseError(f"expected {count} fields separated "
                          f"by ':', got {token!r}")
     return fields
 
@@ -83,42 +81,41 @@ def _fields(token, count, lineno):
 _SIGNS = {"+": 1, "-": -1}
 
 
-def _sign(token, lineno):
+def _sign(token):
     if token in _SIGNS:
         return _SIGNS[token]
-    raise ParseError(f"line {lineno}: expected + or -, got {token!r}")
+    raise ParseError(f"expected + or -, got {token!r}")
 
 
-def _orientable(token, lineno):
+def _orientable(token):
     if token not in ("orientable", "nonorientable"):
-        raise ParseError(f"line {lineno}: expected orientable or "
-                         f"nonorientable, got {token!r}")
+        raise ParseError(f"expected orientable or nonorientable, got {token!r}")
     return token == "orientable"
 
 
-def _number(kind, what, token, lineno):
+def _number(kind, what, token):
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"line {lineno}: expected {what}, got {token!r}") from None
+        raise ParseError(f"expected {what}, got {token!r}")
 
 
-def _int(token, lineno):
-    return _number(int, "an integer", token, lineno)
+def _int(token):
+    return _number(int, "an integer", token)
 
 
-def _fraction(token, lineno):
-    return _number(Fraction, "a fraction", token, lineno)
+def _fraction(token):
+    return _number(Fraction, "a fraction", token)
 
 
-def _end(token, lineno):
+def _end(token):
     """An ``id:n`` reference to a numbered end or slot."""
-    name, number = _fields(token, 2, lineno)
-    return name, _int(number, lineno)
+    name, number = _fields(token, 2)
+    return name, _int(number)
 
 
-def _floats(values, lineno):
-    return tuple(_number(float, "a number", x, lineno) for x in values)
+def _floats(values):
+    return tuple(_number(float, "a number", x) for x in values)
 
 
 def _sign_str(value):
@@ -155,19 +152,19 @@ def _header(keyword, name, what):
     return f"{keyword} {_word(name, what)}" if name else keyword
 
 
-def _name(tokens, lineno):
+def _name(tokens):
     """The name a ``POLY``, ``NAME`` or ``PLAN`` record gives: one token,
     or "" for the bare keyword."""
     if len(tokens) > 2:
-        raise ParseError(f"line {lineno}: bad {tokens[0]} record")
+        raise ParseError(f"bad {tokens[0]} record")
     return tokens[1] if len(tokens) > 1 else ""
 
 
-def _once(seen, tokens, lineno):
+def _once(seen, tokens):
     """Marks a record that a file holds at most once, such as ``POLY``; a
     second one is a ParseError, not an overwrite."""
     if tokens[0] in seen:
-        raise ParseError(f"line {lineno}: repeated {tokens[0]} record")
+        raise ParseError(f"repeated {tokens[0]} record")
     seen.add(tokens[0])
 
 
@@ -212,52 +209,51 @@ def parse_spoly(text):
     vertices = []
     seen = set()
     for lineno, tokens in _records(text):
-        tag = tokens[0]
-        if tag == "CIRCUIT":
-            if len(tokens) < 3:
-                _shape(tokens, lineno, "CIRCUIT _ _", more=True)
-            sid = tokens[1]
-            if sid not in circuits:
-                raise ParseError(f"line {lineno}: CIRCUIT before SHEET {sid}")
-            travs = []
-            for token in tokens[2:]:
-                try:
-                    arc, slot, d = token.rsplit(":", 2)
-                    trav = WingTraversal(arc, int(slot), _SIGNS[d])
-                except (ValueError, KeyError):
-                    trav = None
-                if trav is None:
-                    # the checked readers raise the ParseError, outside the
-                    # handler so that it chains to no other exception
-                    arc, slot, d = _fields(token, 3, lineno)
-                    trav = WingTraversal(arc, _int(slot, lineno), _sign(d, lineno))
-                travs.append(trav)
-            circuits[sid].append(tuple(travs))
-        elif tag == "SHEET":
-            if len(tokens) != 4:
-                _shape(tokens, lineno, "SHEET _ _ _")
-            sheets.append((tokens[1], _orientable(tokens[2], lineno),
-                           _int(tokens[3], lineno)))
-            circuits.setdefault(tokens[1], [])
-        elif tag == "ARC":
-            if tokens[3:4] == ["ends"]:
-                _shape(tokens, lineno, "ARC _ _ ends _ _ monodromy _")
-                endpoints = (_end(tokens[4], lineno), _end(tokens[5], lineno))
+        try:
+            tag = tokens[0]
+            if tag == "CIRCUIT":
+                if len(tokens) < 3:
+                    _shape(tokens, "CIRCUIT _ _", more=True)
+                sid = tokens[1]
+                if sid not in circuits:
+                    raise ParseError(f"CIRCUIT before SHEET {sid}")
+                travs = []
+                for token in tokens[2:]:
+                    try:
+                        arc, slot, d = token.rsplit(":", 2)
+                        travs.append(WingTraversal(arc, int(slot), _SIGNS[d]))
+                    except (ValueError, KeyError):
+                        # the checked readers raise the ParseError
+                        arc, slot, d = _fields(token, 3)
+                        travs.append(WingTraversal(arc, _int(slot), _sign(d)))
+                circuits[sid].append(tuple(travs))
+            elif tag == "SHEET":
+                if len(tokens) != 4:
+                    _shape(tokens, "SHEET _ _ _")
+                sheets.append((tokens[1], _orientable(tokens[2]),
+                               _int(tokens[3])))
+                circuits.setdefault(tokens[1], [])
+            elif tag == "ARC":
+                if tokens[3:4] == ["ends"]:
+                    _shape(tokens, "ARC _ _ ends _ _ monodromy _")
+                    endpoints = (_end(tokens[4]), _end(tokens[5]))
+                else:
+                    _shape(tokens, "ARC _ _ closed monodromy _")
+                    endpoints = None
+                arcs.append(BranchArc(tokens[1], tokens[2], endpoints, tokens[-1]))
+            elif tag == "VERTEX":
+                _shape(tokens, "VERTEX _ ends _ _ _ _ roles _ _ _ _")
+                ends = [_end(token) for token in tokens[3:7]]
+                roles = [EndRoles(*(_int(f) for f in _fields(token, 3)))
+                         for token in tokens[8:12]]
+                vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
+            elif tag == "POLY":
+                _once(seen, tokens)
+                name = _name(tokens)
             else:
-                _shape(tokens, lineno, "ARC _ _ closed monodromy _")
-                endpoints = None
-            arcs.append(BranchArc(tokens[1], tokens[2], endpoints, tokens[-1]))
-        elif tag == "VERTEX":
-            _shape(tokens, lineno, "VERTEX _ ends _ _ _ _ roles _ _ _ _")
-            ends = [_end(token, lineno) for token in tokens[3:7]]
-            roles = [EndRoles(*(_int(f, lineno) for f in _fields(token, 3, lineno)))
-                     for token in tokens[8:12]]
-            vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
-        elif tag == "POLY":
-            _once(seen, tokens, lineno)
-            name = _name(tokens, lineno)
-        else:
-            raise ParseError(f"line {lineno}: unknown record {tag!r}")
+                raise ParseError(f"unknown record {tag!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     sheet_specs = tuple(
         SheetSpec(sid, orientable, genus, tuple(circuits[sid]))
         for sid, orientable, genus in sheets)
@@ -331,11 +327,11 @@ def emit_arr(born):
     return "\n".join(out) + "\n"
 
 
-def _put(table, tokens, lineno, value):
+def _put(table, tokens, value):
     """Store the value of record `tokens` under its key, tokens[1]; a
     second record for the same key is a ParseError, not an overwrite."""
     if tokens[1] in table:
-        raise ParseError(f"line {lineno}: repeated {tokens[0]} {tokens[1]}")
+        raise ParseError(f"repeated {tokens[0]} {tokens[1]}")
     table[tokens[1]] = value
 
 
@@ -356,78 +352,81 @@ def parse_arr(text):
     name = ""
     seen = set()
     for lineno, tokens in _records(text):
-        tag = tokens[0]
-        if tag == "NAME":
-            _once(seen, tokens, lineno)
-            name = _name(tokens, lineno)
-        elif tag == "CROSSING":
-            _shape(tokens, lineno, "CROSSING _ _ _ _ _")
-            rays = tuple(_end(token, lineno) for token in tokens[2:])
-            crossings.append(Crossing(tokens[1], rays))
-        elif tag == "EDGE":
-            if tokens[4:5] == ["ends"]:
-                _shape(tokens, lineno, "EDGE _ curve _ ends _ _ left _ right _")
-                ends = (_end(tokens[5], lineno), _end(tokens[6], lineno))
+        try:
+            tag = tokens[0]
+            if tag == "NAME":
+                _once(seen, tokens)
+                name = _name(tokens)
+            elif tag == "CROSSING":
+                _shape(tokens, "CROSSING _ _ _ _ _")
+                rays = tuple(_end(token) for token in tokens[2:])
+                crossings.append(Crossing(tokens[1], rays))
+            elif tag == "EDGE":
+                if tokens[4:5] == ["ends"]:
+                    _shape(tokens, "EDGE _ curve _ ends _ _ left _ right _")
+                    ends = (_end(tokens[5]), _end(tokens[6]))
+                else:
+                    _shape(tokens, "EDGE _ curve _ closed left _ right _")
+                    ends = None
+                edges.append(ArrEdge(tokens[1], tokens[3], ends,
+                                     tokens[-3], tokens[-1]))
+            elif tag == "CURVE":
+                _shape(tokens, "CURVE _ source _ edges", more=True)
+                kind, _, label = tokens[3].partition(":")
+                edge_ids = tokens[5:]
+                draw = None
+                if "draw" in edge_ids:
+                    at = edge_ids.index("draw")
+                    options = _options(edge_ids[at:], tag, {"draw": 3})
+                    draw = _floats(options["draw"])
+                    edge_ids = edge_ids[:at]
+                curves.append(Curve(tokens[1], (kind, label), tuple(edge_ids), draw))
+            elif tag == "FACE":
+                _shape(tokens, "FACE _", more=True)
+                options = _options(tokens[2:], tag,
+                                   {"unbounded": 0, "label": 1, "draw": 2})
+                draw = _floats(options["draw"]) if "draw" in options else None
+                faces.append((tokens[1], "unbounded" in options,
+                              options.get("label", ""), draw))
+                contours.setdefault(tokens[1], [])
+            elif tag == "CONTOUR":
+                _shape(tokens, "CONTOUR _", more=True)
+                fid = tokens[1]
+                if fid not in contours:
+                    raise ParseError(f"CONTOUR before FACE {fid}")
+                sides = []
+                for token in tokens[2:]:
+                    eid, d = _fields(token, 2)
+                    sides.append((eid, _sign(d)))
+                contours[fid].append(tuple(sides))
+            elif tag == "COUNT":
+                _shape(tokens, "COUNT _ _")
+                _put(counts, tokens, _int(tokens[2]))
+            elif tag == "ASSIGN":
+                _shape(tokens, "ASSIGN _ curve _ dir _ heavy _")
+                _put(assignments, tokens, StrandAssignment(
+                    curve=tokens[3], direction=_sign(tokens[5]),
+                    heavy=tokens[7], wing_sides=()))
+            elif tag == "WINGSIDE":
+                _shape(tokens, "WINGSIDE _", more=True)
+                key = tokens[1]
+                if key not in assignments:
+                    raise ParseError(f"WINGSIDE before ASSIGN {key}")
+                if (tag, key) in seen:
+                    raise ParseError(f"repeated WINGSIDE {key}")
+                seen.add((tag, key))
+                sides = []
+                for token in tokens[2:]:
+                    aid, slot, side = _fields(token, 3)
+                    sides.append(((aid, _int(slot)), side))
+                assignments[key] = replace(assignments[key], wing_sides=tuple(sides))
+            elif tag == "VERTEXMAP":
+                _shape(tokens, "VERTEXMAP _ _")
+                _put(vertexmap, tokens, tokens[2])
             else:
-                _shape(tokens, lineno, "EDGE _ curve _ closed left _ right _")
-                ends = None
-            edges.append(ArrEdge(tokens[1], tokens[3], ends, tokens[-3],
-                                 tokens[-1]))
-        elif tag == "CURVE":
-            _shape(tokens, lineno, "CURVE _ source _ edges", more=True)
-            kind, _, label = tokens[3].partition(":")
-            edge_ids = tokens[5:]
-            draw = None
-            if "draw" in edge_ids:
-                at = edge_ids.index("draw")
-                options = _options(edge_ids[at:], lineno, tag, {"draw": 3})
-                draw = _floats(options["draw"], lineno)
-                edge_ids = edge_ids[:at]
-            curves.append(Curve(tokens[1], (kind, label), tuple(edge_ids), draw))
-        elif tag == "FACE":
-            _shape(tokens, lineno, "FACE _", more=True)
-            options = _options(tokens[2:], lineno, tag,
-                               {"unbounded": 0, "label": 1, "draw": 2})
-            draw = _floats(options["draw"], lineno) if "draw" in options else None
-            faces.append((tokens[1], "unbounded" in options,
-                          options.get("label", ""), draw))
-            contours.setdefault(tokens[1], [])
-        elif tag == "CONTOUR":
-            _shape(tokens, lineno, "CONTOUR _", more=True)
-            fid = tokens[1]
-            if fid not in contours:
-                raise ParseError(f"line {lineno}: CONTOUR before FACE {fid}")
-            sides = []
-            for token in tokens[2:]:
-                eid, d = _fields(token, 2, lineno)
-                sides.append((eid, _sign(d, lineno)))
-            contours[fid].append(tuple(sides))
-        elif tag == "COUNT":
-            _shape(tokens, lineno, "COUNT _ _")
-            _put(counts, tokens, lineno, _int(tokens[2], lineno))
-        elif tag == "ASSIGN":
-            _shape(tokens, lineno, "ASSIGN _ curve _ dir _ heavy _")
-            _put(assignments, tokens, lineno, StrandAssignment(
-                curve=tokens[3], direction=_sign(tokens[5], lineno),
-                heavy=tokens[7], wing_sides=()))
-        elif tag == "WINGSIDE":
-            _shape(tokens, lineno, "WINGSIDE _", more=True)
-            key = tokens[1]
-            if key not in assignments:
-                raise ParseError(f"line {lineno}: WINGSIDE before ASSIGN {key}")
-            if (tag, key) in seen:
-                raise ParseError(f"line {lineno}: repeated WINGSIDE {key}")
-            seen.add((tag, key))
-            sides = []
-            for token in tokens[2:]:
-                aid, slot, side = _fields(token, 3, lineno)
-                sides.append(((aid, _int(slot, lineno)), side))
-            assignments[key] = replace(assignments[key], wing_sides=tuple(sides))
-        elif tag == "VERTEXMAP":
-            _shape(tokens, lineno, "VERTEXMAP _ _")
-            _put(vertexmap, tokens, lineno, tokens[2])
-        else:
-            raise ParseError(f"line {lineno}: unknown record {tag!r}")
+                raise ParseError(f"unknown record {tag!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     face_specs = tuple(Face(fid, tuple(contours[fid]), unbounded, label, draw)
                        for fid, unbounded, label, draw in faces)
     arr = CurveArrangement(tuple(crossings), tuple(edges), tuple(curves),
@@ -519,11 +518,11 @@ def _parent(parent):
     return _word(parent, "witness parent", ":") if parent else "-"
 
 
-def _put_indexed(table, token, lineno, value):
+def _put_indexed(table, token, value):
     """Stores a numbered record such as ``SEG <circle> <index> ...``."""
-    index = _int(token, lineno)
+    index = _int(token)
     if index in table:
-        raise ParseError(f"line {lineno}: duplicate index {index}")
+        raise ParseError(f"duplicate index {index}")
     table[index] = value
 
 
@@ -552,102 +551,103 @@ def parse_plan(text):
     witness = None
     seen = set()
     for lineno, tokens in _records(text):
-        tag = tokens[0]
-        cid = tokens[1] if len(tokens) > 1 else None
-        if tag in _CIRCLE_PARTS and cid not in patch_dirs:
-            raise ParseError(f"line {lineno}: {tag} names no earlier CIRCLE")
-        if tag in _SINGLE_RECORDS:
-            _once(seen, tokens, lineno)
-        if tag in ("IMAGECIRCLE", "IMAGEROUTE") and cid in images:
-            raise ParseError(f"line {lineno}: second image record for "
-                             f"circle {cid}")
-        if tag == "PLAN":
-            name = _name(tokens, lineno)
-        elif tag == "BASE":
-            _shape(tokens, lineno, "BASE _ _")
-            base_files = (tokens[1], tokens[2])
-        elif tag == "PATCH":
-            _shape(tokens, lineno, "PATCH _ genus _ boundaries _ id _")
-            patch = SurfacePatch(
-                orientable=_orientable(tokens[1], lineno),
-                genus=_int(tokens[3], lineno),
-                boundaries=_int(tokens[5], lineno), id=tokens[7])
-        elif tag == "CIRCLE":
-            _shape(tokens, lineno, "CIRCLE _ patchdir _")
-            if cid in patch_dirs:
-                raise ParseError(f"line {lineno}: duplicate CIRCLE {cid}")
-            order.append(cid)
-            patch_dirs[cid] = _sign(tokens[3], lineno)
-            segments[cid] = {}
-            events[cid] = {}
-        elif tag == "SEG":
-            _shape(tokens, lineno, "SEG _ _ sheet _", more=True)
-            options = _options(tokens[5:], lineno, tag,
-                               {"sidegenus": 1, "sidecircuits": 1})
-            side_genus = None
-            if "sidegenus" in options:
-                side_genus = _int(options["sidegenus"], lineno)
-            side_circuits = None
-            if "sidecircuits" in options:
-                listed = options["sidecircuits"]
-                side_circuits = () if listed == "-" else \
-                    tuple(_int(x, lineno) for x in listed.split(","))
-            _put_indexed(segments[cid], tokens[2], lineno,
-                         PlanSegment(tokens[4], side_genus, side_circuits))
-        elif tag == "EVENT":
-            _shape(tokens, lineno, "EVENT _ _ arc _ pos _ slotin _ slotout _")
-            _put_indexed(events[cid], tokens[2], lineno, PlanEvent(
-                arc=tokens[4], position=_fraction(tokens[6], lineno),
-                slot_in=_int(tokens[8], lineno),
-                slot_out=_int(tokens[10], lineno)))
-        elif tag == "IMAGECIRCLE":
-            _shape(tokens, lineno, "IMAGECIRCLE _ face _", more=True)
-            options = _options(tokens[4:], lineno, tag,
-                               {"inside": 1, "orient": 1, "label": 1, "draw": 3})
-            orient = _sign(options["orient"], lineno) if "orient" in options else 1
-            draw = _floats(options["draw"], lineno) if "draw" in options else None
-            images[cid] = ImageCircle(tokens[3], options.get("inside"), orient,
-                                      options.get("label", ""), draw)
-        elif tag == "IMAGEROUTE":
-            _shape(tokens, lineno, "IMAGEROUTE _ cross", more=True)
-            crossings = []
-            for token in tokens[3:]:
-                eid, at, pos = token.partition("@")
-                if not at:
-                    raise ParseError(f"line {lineno}: expected edge@position, "
-                                     f"got {token!r}")
-                crossings.append((eid, _fraction(pos, lineno)))
-            images[cid] = tuple(crossings)
-            route_runs[cid] = {}
-        elif tag == "IMAGERUN":
-            _shape(tokens, lineno, "IMAGERUN _ _ face _", more=True)
-            holes = _options(tokens[5:], lineno, tag, {"holes": 1}).get("holes")
-            if holes not in (None, "left", "right"):
-                raise ParseError(f"line {lineno}: expected left or right, got {holes!r}")
-            if cid not in route_runs:
-                raise ParseError(f"line {lineno}: IMAGERUN before IMAGEROUTE {cid}")
-            _put_indexed(route_runs[cid], tokens[2], lineno, (tokens[4], holes))
-        elif tag == "DISK":
-            _shape(tokens, lineno, "DISK _ faces", more=True)
-            _put(disks, tokens, lineno, DiskRegion(cid, tuple(tokens[3:])))
-        elif tag == "WITNESS":
-            at = len(tokens) - 6
-            if at < 2:
-                raise ParseError(f"line {lineno}: bad WITNESS record")
-            _shape(tokens[:2] + tokens[at:], lineno,
-                   "WITNESS nesting surface _ genus _ boundaries _")
-            nesting = []
-            for token in tokens[2:at]:
-                circle, parent, orient = _fields(token, 3, lineno)
-                nesting.append((circle, None if parent == "-" else parent,
-                                _sign(orient, lineno)))
-            witness = RelocationWitness(
-                nesting=tuple(nesting),
-                surface_orientable=_orientable(tokens[at + 1], lineno),
-                surface_genus=_int(tokens[at + 3], lineno),
-                surface_boundaries=_int(tokens[at + 5], lineno))
-        else:
-            raise ParseError(f"line {lineno}: unknown record {tag!r}")
+        try:
+            tag = tokens[0]
+            cid = tokens[1] if len(tokens) > 1 else None
+            if tag in _CIRCLE_PARTS and cid not in patch_dirs:
+                raise ParseError(f"{tag} names no earlier CIRCLE")
+            if tag in _SINGLE_RECORDS:
+                _once(seen, tokens)
+            if tag in ("IMAGECIRCLE", "IMAGEROUTE") and cid in images:
+                raise ParseError(f"second image record for circle {cid}")
+            if tag == "PLAN":
+                name = _name(tokens)
+            elif tag == "BASE":
+                _shape(tokens, "BASE _ _")
+                base_files = (tokens[1], tokens[2])
+            elif tag == "PATCH":
+                _shape(tokens, "PATCH _ genus _ boundaries _ id _")
+                patch = SurfacePatch(
+                    orientable=_orientable(tokens[1]),
+                    genus=_int(tokens[3]),
+                    boundaries=_int(tokens[5]), id=tokens[7])
+            elif tag == "CIRCLE":
+                _shape(tokens, "CIRCLE _ patchdir _")
+                if cid in patch_dirs:
+                    raise ParseError(f"duplicate CIRCLE {cid}")
+                order.append(cid)
+                patch_dirs[cid] = _sign(tokens[3])
+                segments[cid] = {}
+                events[cid] = {}
+            elif tag == "SEG":
+                _shape(tokens, "SEG _ _ sheet _", more=True)
+                options = _options(tokens[5:], tag,
+                                   {"sidegenus": 1, "sidecircuits": 1})
+                side_genus = None
+                if "sidegenus" in options:
+                    side_genus = _int(options["sidegenus"])
+                side_circuits = None
+                if "sidecircuits" in options:
+                    listed = options["sidecircuits"]
+                    side_circuits = () if listed == "-" else \
+                        tuple(_int(x) for x in listed.split(","))
+                _put_indexed(segments[cid], tokens[2],
+                             PlanSegment(tokens[4], side_genus, side_circuits))
+            elif tag == "EVENT":
+                _shape(tokens, "EVENT _ _ arc _ pos _ slotin _ slotout _")
+                _put_indexed(events[cid], tokens[2], PlanEvent(
+                    arc=tokens[4], position=_fraction(tokens[6]),
+                    slot_in=_int(tokens[8]), slot_out=_int(tokens[10])))
+            elif tag == "IMAGECIRCLE":
+                _shape(tokens, "IMAGECIRCLE _ face _", more=True)
+                options = _options(tokens[4:], tag, {"inside": 1, "orient": 1,
+                                                     "label": 1, "draw": 3})
+                orient = _sign(options["orient"]) if "orient" in options else 1
+                draw = _floats(options["draw"]) if "draw" in options else None
+                images[cid] = ImageCircle(tokens[3], options.get("inside"),
+                                          orient, options.get("label", ""), draw)
+            elif tag == "IMAGEROUTE":
+                _shape(tokens, "IMAGEROUTE _ cross", more=True)
+                crossings = []
+                for token in tokens[3:]:
+                    eid, at, pos = token.partition("@")
+                    if not at:
+                        raise ParseError(
+                            f"expected edge@position, got {token!r}")
+                    crossings.append((eid, _fraction(pos)))
+                images[cid] = tuple(crossings)
+                route_runs[cid] = {}
+            elif tag == "IMAGERUN":
+                _shape(tokens, "IMAGERUN _ _ face _", more=True)
+                holes = _options(tokens[5:], tag, {"holes": 1}).get("holes")
+                if holes not in (None, "left", "right"):
+                    raise ParseError(f"expected left or right, got {holes!r}")
+                if cid not in route_runs:
+                    raise ParseError(f"IMAGERUN before IMAGEROUTE {cid}")
+                _put_indexed(route_runs[cid], tokens[2], (tokens[4], holes))
+            elif tag == "DISK":
+                _shape(tokens, "DISK _ faces", more=True)
+                _put(disks, tokens, DiskRegion(cid, tuple(tokens[3:])))
+            elif tag == "WITNESS":
+                at = len(tokens) - 6
+                if at < 2:
+                    raise ParseError("bad WITNESS record")
+                _shape(tokens[:2] + tokens[at:],
+                       "WITNESS nesting surface _ genus _ boundaries _")
+                nesting = []
+                for token in tokens[2:at]:
+                    circle, parent, orient = _fields(token, 3)
+                    nesting.append((circle, None if parent == "-" else parent,
+                                    _sign(orient)))
+                witness = RelocationWitness(
+                    nesting=tuple(nesting),
+                    surface_orientable=_orientable(tokens[at + 1]),
+                    surface_genus=_int(tokens[at + 3]),
+                    surface_boundaries=_int(tokens[at + 5]))
+            else:
+                raise ParseError(f"unknown record {tag!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if patch is None:
         raise ParseError("plan has no PATCH record")
     circles = []
