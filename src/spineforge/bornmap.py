@@ -15,6 +15,7 @@ face always has count 0: the polyhedron is compact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,9 @@ from .arrangement import face_depths, validate_arrangement
 from .core import (TRIPLE, ValidationReport, Violation, is_normal, slot_count,
                    validate_polyhedron)
 from .errors import DimensionTooLow, InvalidBornMap
+
+
+SIDES = ("L", "R")
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,12 @@ def validate_born_map(born):
             if source != ("branch", key):
                 v.append(Violation("SourceTag", assignment.curve,
                                    f"expected branch:{key}, found {source}"))
+        if assignment.direction not in (1, -1):
+            v.append(Violation("SignRange", key,
+                               f"direction {assignment.direction}"))
+        if assignment.heavy not in SIDES:
+            v.append(Violation("HeavySide", key,
+                               f"heavy {assignment.heavy!r} is neither L nor R"))
 
     missing = [f.id for f in arr.faces if f.id not in born.fiber_counts]
     if missing:
@@ -148,8 +158,8 @@ def validate_born_map(born):
             if abs(left - right) != 1:
                 v.append(Violation("CrossingRule", edge.id,
                                    f"counts {left}|{right}"))
-            else:
-                heavy = heavy_of.get(edge.curve)
+            elif heavy_of.get(edge.curve) in SIDES:
+                heavy = heavy_of[edge.curve]
                 heavy_count = left if heavy == "L" else right
                 light_count = right if heavy == "L" else left
                 if heavy_count != light_count + 1:
@@ -175,6 +185,13 @@ def validate_born_map(born):
                 v.append(Violation("WingSides", arc_id,
                                    f"slot {repeated[0]} listed twice"))
                 continue
+            odd = [slot for slot, side in sides.items() if side not in SIDES]
+            if odd:
+                v.append(Violation("WingSides", arc_id, f"slot {odd[0]}: side "
+                                   f"{sides[odd[0]]!r} is neither L nor R"))
+                continue
+            if assignment.heavy not in SIDES:
+                continue  # reported as HeavySide above
             n_heavy = sum(side == assignment.heavy for side in sides.values())
             want = 2 if arc.kind == TRIPLE else 1
             if n_heavy != want:
@@ -229,14 +246,19 @@ def require_valid_born_map(born):
 
 
 def region_counts(born):
-    """Counts keyed by face label (falling back to face id), in a stable
-    nesting-depth order."""
+    """Counts in a stable nesting-depth order, keyed by face label, or by
+    face id when the label is empty or is another face's label or id (a
+    face split by surgery passes its label to every piece)."""
     require_valid_born_map(born)
     arr = born.arrangement
     depth = face_depths(arr)
-    ordered = sorted(arr.faces,
-                     key=lambda f: (-depth.get(f.id, 0), f.label or f.id))
-    return {f.label or f.id: born.fiber_counts[f.id] for f in ordered}
+    names = Counter(f.label for f in arr.faces if f.label)
+    names.update(f.id for f in arr.faces)
+
+    def key(f):
+        return f.label if names[f.label] == 1 else f.id
+    ordered = sorted(arr.faces, key=lambda f: (-depth.get(f.id, 0), key(f)))
+    return {key(f): born.fiber_counts[f.id] for f in ordered}
 
 
 def realizability_certificate(born, dimension):

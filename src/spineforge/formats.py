@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
-from .bornmap import BornMap, StrandAssignment
+from .bornmap import SIDES, BornMap, StrandAssignment
 from .core import (BranchArc, EndRoles, SheetSpec, SimplePolyhedron,
                    VertexSpec, WingTraversal)
 from .errors import EmitError, ParseError
@@ -85,6 +85,12 @@ def _sign(token):
     if token in _SIGNS:
         return _SIGNS[token]
     raise ParseError(f"expected + or -, got {token!r}")
+
+
+def _side(token):
+    if token not in SIDES:
+        raise ParseError(f"expected L or R, got {token!r}")
+    return token
 
 
 def _orientable(token):
@@ -316,15 +322,26 @@ def emit_arr(born):
     for key in sorted(born.assignments):
         a = born.assignments[key]
         key = _word(key, "strand key")
+        if a.direction not in (1, -1):
+            raise EmitError(f"cannot write direction {a.direction!r}: it is "
+                            f"neither +1 nor -1")
         out.append(f"ASSIGN {key} curve {_word(a.curve, 'curve id')} "
-                   f"dir {_sign_str(a.direction)} heavy {a.heavy}")
-        sides = " ".join(f"{_word(aid, 'arc id')}:{slot}:{side}"
+                   f"dir {_sign_str(a.direction)} "
+                   f"heavy {_written_side(a.heavy, 'heavy side')}")
+        sides = " ".join(f"{_word(aid, 'arc id')}:{slot}:"
+                         f"{_written_side(side, 'wing side')}"
                          for (aid, slot), side in a.wing_sides)
         out.append(f"WINGSIDE {key} {sides}")
     for vid in sorted(born.vertex_crossings):
         out.append(f"VERTEXMAP {_word(vid, 'vertex id')} "
                    f"{_word(born.vertex_crossings[vid], 'crossing id')}")
     return "\n".join(out) + "\n"
+
+
+def _written_side(side, what):
+    if side not in SIDES:
+        raise EmitError(f"cannot write {what} {side!r}: it is neither L nor R")
+    return side
 
 
 def _put(table, tokens, value):
@@ -406,7 +423,7 @@ def parse_arr(text):
                 _shape(tokens, "ASSIGN _ curve _ dir _ heavy _")
                 _put(assignments, tokens, StrandAssignment(
                     curve=tokens[3], direction=_sign(tokens[5]),
-                    heavy=tokens[7], wing_sides=()))
+                    heavy=_side(tokens[7]), wing_sides=()))
             elif tag == "WINGSIDE":
                 _shape(tokens, "WINGSIDE _", more=True)
                 key = tokens[1]
@@ -418,7 +435,7 @@ def parse_arr(text):
                 sides = []
                 for token in tokens[2:]:
                     aid, slot, side = _fields(token, 3)
-                    sides.append(((aid, _int(slot)), side))
+                    sides.append(((aid, _int(slot)), _side(side)))
                 assignments[key] = replace(assignments[key], wing_sides=tuple(sides))
             elif tag == "VERTEXMAP":
                 _shape(tokens, "VERTEXMAP _ _")

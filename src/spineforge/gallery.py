@@ -35,7 +35,9 @@ class RoundCircle:
     inside: int        # fiber count just inside this circle
     outside: int       # fiber count just outside
     pos: int = 0       # stack index of the merge/split/start/end event
-    radius: float | None = None  # decorative only
+    # names the circle's arc c<radius> and places it in drawings; by
+    # default the circle's 1-based index
+    radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,21 @@ def _check_round_spec(spec):
             raise PlanError("CountRule", f"circles {i},{i + 1}: count chain broken")
     if circles and circles[-1].outside != 0:
         raise PlanError("CountRule", "outermost outside count must be 0")
+    first = {}
+    for i, r in enumerate(_radii(circles)):
+        arc_id = _arc_id(i, r)
+        if first.setdefault(arc_id, i) != i:
+            raise PlanError("DuplicateId", f"circles {first[arc_id]} and {i} "
+                            f"both name arc {arc_id}")
+
+
+def _radii(circles):
+    return [c.radius if c.radius is not None else i + 1
+            for i, c in enumerate(circles)]
+
+
+def _arc_id(i, radius):
+    return f"c{radius:g}" if isinstance(radius, (int, float)) else f"c{i}"
 
 
 def round_reeb(spec):
@@ -62,10 +79,8 @@ def round_reeb(spec):
     _check_round_spec(spec)
     circles = spec.circles
     n = len(circles)
-    radii = [c.radius if c.radius is not None else i + 1
-             for i, c in enumerate(circles)]
-    arc_ids = [f"c{r:g}" if isinstance(r, (int, float)) else f"c{i}"
-               for i, r in enumerate(radii)]
+    radii = _radii(circles)
+    arc_ids = [_arc_id(i, r) for i, r in enumerate(radii)]
 
     # fiber lines are numbered in creation order; each is born (arc, slot)
     # on a circle, or at the center when it has no birth, and dies on one

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +9,7 @@ from spineforge.bornmap import (realizability_certificate, region_counts,
 from spineforge.errors import DimensionTooLow, InvalidBornMap
 from spineforge.gallery import (build_base_example, build_sphere_fixture,
                                 build_surgered_example)
+from spineforge.surgery import attach_surface
 
 from randgen import random_crossing_plan, random_interior_plan, random_round_map
 
@@ -30,6 +33,29 @@ def test_surgered_example_counts():
     assert counts["ring<1"] == 4
     assert counts["ring<2"] == 5
     assert counts["2<r<8"] == 4
+
+
+def test_region_counts_key_every_face_after_route_surgery():
+    # a face split by a route passes its label to every piece, which used
+    # to collapse the pieces into one key
+    rng = random.Random(7)
+    shared = 0
+    for _ in range(200):
+        born = random_round_map(rng)
+        plan = random_crossing_plan(rng, born)
+        if plan is None:
+            continue
+        out = attach_surface(plan)
+        counts = region_counts(out)
+        faces = out.arrangement.faces
+        labels = Counter(f.label for f in faces)
+        assert len(counts) == len(faces)
+        for face in faces:
+            key = face.label if face.label and labels[face.label] == 1 \
+                else face.id
+            assert counts[key] == out.fiber_counts[face.id]
+            shared += labels[face.label] > 1
+    assert shared
 
 
 def test_count_jump_of_two_is_caught():

@@ -103,6 +103,12 @@ def with_first_record(born, field, **change):
                                                 **change))
 
 
+def with_assignment(born, key, **change):
+    """`born` with the strand assignment of `key` changed."""
+    changed = replace(born.assignments[key], **change)
+    return replace(born, assignments={**born.assignments, key: changed})
+
+
 UNWRITABLE = [
     ("spoly name #", lambda: formats.emit_spoly(replace(build_theta(),
                                                         name="a#b")),
@@ -148,6 +154,19 @@ UNWRITABLE = [
     ("base file space", lambda: formats.emit_plan(relocation_plan(),
                                                   "my base.spoly"),
      "base file name 'my base.spoly': it holds whitespace"),
+    # `dir` reads + or -, `heavy` and wing sides L or R
+    ("direction 0", lambda: formats.emit_arr(with_assignment(
+        build_base_example(), "c1", direction=0)),
+     "direction 0: it is neither +1 nor -1"),
+    ("heavy X", lambda: formats.emit_arr(with_assignment(
+        build_base_example(), "c1", heavy="X")),
+     "heavy side 'X': it is neither L nor R"),
+    ("heavy L R", lambda: formats.emit_arr(with_assignment(
+        build_base_example(), "c1", heavy="L R")),
+     "heavy side 'L R': it is neither L nor R"),
+    ("wing side L R", lambda: formats.emit_arr(with_assignment(
+        build_base_example(), "c1", wing_sides=((("c1", 0), "L R"),))),
+     "wing side 'L R': it is neither L nor R"),
 ]
 
 
@@ -750,6 +769,51 @@ def test_cli_validate_rejects_a_wing_listed_twice(tmp_path, monkeypatch,
     capsys.readouterr()
     assert main(["validate", "roundmap.spoly", "twice.arr"]) == 1
     assert "WingSides(c1): slot 2 listed twice" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record, changed, message", [
+    ("WINGSIDE c1 c1:0:R c1:1:R c1:2:L", "WINGSIDE c1 c1:0:R c1:1:R c1:2:Q",
+     "line 41: expected L or R, got 'Q'"),
+    ("ASSIGN c1 curve im_c1 dir + heavy R", "ASSIGN c1 curve im_c1 dir + heavy X",
+     "line 40: expected L or R, got 'X'"),
+])
+def test_cli_validate_refuses_a_side_other_than_l_or_r(
+        record, changed, message, tmp_path, monkeypatch, capsys):
+    # such a side used to be read, and the map validated or was reported
+    # as a wing count on the heavy side
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = Path("roundmap.arr").read_text()
+    assert record + "\n" in text
+    Path("side.arr").write_text(text.replace(record + "\n", changed + "\n"))
+    with pytest.raises(formats.ParseError, match=f"^{message}$"):
+        formats.parse_arr(Path("side.arr").read_text())
+    capsys.readouterr()
+    assert main(["validate", "roundmap.spoly", "side.arr"]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_one_token_edits_of_fixture_records_name_their_line_or_a_later_one():
+    # an edit cannot break the records before it; a later record, such as
+    # a CIRCUIT of a SHEET whose id the edit changed, may be the one named
+    for name in sorted(os.listdir(repo_path("fixtures"))):
+        parse = FUZZ_COMMANDS[os.path.splitext(name)[1]][0]
+        lines = Path(repo_path("fixtures", name)).read_text().splitlines()
+        for at, line in enumerate(lines):
+            tokens = line.split()
+            edits = [lines[:at + 1] + lines[at:]]
+            for i in range(len(tokens)):
+                for token in ([], ["Q"], ["x:y"], ["-1"]):
+                    edited = " ".join(tokens[:i] + token + tokens[i + 1:])
+                    edits.append(lines[:at] + [edited] + lines[at + 1:])
+            for edit in edits:
+                try:
+                    parse("\n".join(edit) + "\n")
+                except formats.ParseError as exc:
+                    if str(exc) == "plan has no PATCH record":
+                        continue
+                    named = re.match(r"line (\d+): ", str(exc))
+                    assert named and int(named[1]) > at, (name, at, str(exc))
 
 
 def test_cli_validate_rejects_broken_file(tmp_path, monkeypatch):

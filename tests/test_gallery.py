@@ -80,6 +80,22 @@ def test_round_reeb_rejects_event_positions_off_the_stack(circles, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("circles, message", [
+    ((RoundCircle("triple", 1, 2, radius=2), RoundCircle("triple", 2, 1),
+      RoundCircle("boundary", 1, 0)), "circles 0 and 1 both name arc c2"),
+    # c<radius> keeps six significant digits
+    ((RoundCircle("boundary", 0, 1, radius=1.0000001),
+      RoundCircle("boundary", 1, 0, radius=1.0000002)),
+     "circles 0 and 1 both name arc c1"),
+])
+def test_round_reeb_refuses_two_circles_naming_one_arc(circles, message):
+    # the map used to be built, and failed validation with DuplicateId
+    with pytest.raises(PlanError) as info:
+        round_reeb(RoundSpec(circles=circles, name="bad"))
+    assert info.value.code == "DuplicateId"
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("circle, message", [
     (RoundCircle("triple", -1, 0), "circle 0: negative count"),
     (RoundCircle("boundary", 2, 1), "outermost outside count must be 0"),

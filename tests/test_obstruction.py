@@ -1,12 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from spineforge.errors import (DiskBranchHypothesisFailed, NoMaximalGraph,
                                NonOrientableSheetMeetsDisk, PlanError,
                                SeedNotInGraph)
-from spineforge.gallery import (build_base_example, build_surgered_example,
-                                build_theta)
+from spineforge.core import BOUNDARY, TRIPLE, SheetSpec
+from spineforge.gallery import (RoundCircle, RoundSpec, build_base_example,
+                                build_surgered_example, build_theta,
+                                round_reeb)
 from spineforge.obstruction import (DiskInP, EmbeddingWitness, GraphEdge,
                                     IncidenceGraph, build_graph,
                                     disk_obstruction_report, graph_to_dot,
@@ -49,6 +52,22 @@ def test_disk_arc_entry_off_its_sheets_adds_no_edge():
     assert graph.edges == ()
 
 
+def test_disk_wing_pair_inside_one_sheet_adds_no_edge():
+    # a two-circle round map whose two center disks, the wings 0 and 1 of
+    # c1, are joined into one annulus sheet: the pair is a loop at it
+    born = round_reeb(RoundSpec((RoundCircle(TRIPLE, 2, 1),
+                                 RoundCircle(BOUNDARY, 1, 0))))
+    poly = born.polyhedron
+    s0, s1, s2 = poly.sheets
+    joined = SheetSpec("s01", True, 0, s0.circuits + s1.circuits)
+    born = replace(born, polyhedron=replace(poly, sheets=(joined, s2)))
+    disk = DiskInP(id="d", boundary_circle="x", sheets=("s01", "s2"),
+                   arcs=(("c1", 0, 1, False), ("c1", 1, 2, False)))
+    graph = build_graph(born, disk)
+    assert graph.vertices == ("s01", "s2")
+    assert graph.edges == (GraphEdge("c1", "s01", 1, "s2", 2),)
+
+
 @pytest.mark.parametrize("sheets, arcs, code", [
     (("i_band", "nope"), (), "UnknownSheet"),
     (("i_band", "i_floor"), (("zz", 0, 1, False),), "UnknownArc"),
@@ -67,7 +86,6 @@ def test_nonorientable_hypothesis_error():
     # fake a non-orientable sheet id by patching the disk onto the Klein
     # carrier: use the surgered map with a disk meeting the patch sheet
     # (orientable), then check the explicit error with a doctored sheet list
-    from dataclasses import replace
     poly = surgered.polyhedron
     sheets = tuple(
         replace(s, orientable=False, genus=1) if s.id == "patch" else s
@@ -231,6 +249,8 @@ def test_seed_not_in_graph():
     graph = build_graph(born, example_disks()[0])
     with pytest.raises(SeedNotInGraph):
         orient_sheets(born, graph, ("rim_in", 1))
+    with pytest.raises(ValueError, match="^seed sign must be"):
+        orient_sheets(born, graph, ("o_floor", 0))
 
 
 def test_heegaard_target_formula():
@@ -246,6 +266,17 @@ def test_heegaard_target_twisted_flags():
                              twisted=(True, False, True))
     assert target.summands == (True, False, True)
     assert "twisted" in target.describe()
+
+
+@pytest.mark.parametrize("genus, circles, twisted, message", [
+    (-1, 1, None, "Heegaard genus must be non-negative"),
+    (0, 0, None, "need at least one circle"),
+    (0, 3, (True,), "need one twisted flag per summand"),
+])
+def test_heegaard_target_rejects_bad_arguments(genus, circles, twisted,
+                                               message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        heegaard_target(EmbeddingWitness(genus), circles, twisted=twisted)
 
 
 def test_heegaard_disk_hypothesis():

@@ -321,6 +321,10 @@ def test_vertex_continuation_is_an_involution():
             nxt = (port + 1) % 4
             assert continue_at_vertex(vertex, port, roles.lq) == \
                 (nxt, vertex.roles[nxt].rq)
+        # a port holds slots 0, 1 and 2 only
+        with pytest.raises(ValueError, match=f"^slot 3 not present at "
+                           f"vertex {vertex.id} port 1$"):
+            continue_at_vertex(vertex, 1, 3)
 
 
 def test_operations_reject_invalid_input():

@@ -523,6 +523,10 @@ def test_unread_selection_matches_make_selection():
             made = make_selection(poly, selection.sheets)
             assert repr(again) == repr(made)
             assert selection == made
+            # a searched selection derives only its three unset fields
+            with pytest.raises(AttributeError, match="^'SurfaceSelection' "
+                               "object has no attribute 'genus'$"):
+                selection.genus
 
 
 def test_unread_selections_read_from_many_threads_agree():

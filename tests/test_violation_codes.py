@@ -202,6 +202,11 @@ BORN_MAP_CASES = {
     # the last entry alone would be valid
     "WingSides:slot 0 listed twice": lambda: assigned(
         "c2", wing_sides=((("c2", 0), "R"), (("c2", 0), "L"))),
+    # values set in code: the .arr format reads only +/- and L/R
+    "SignRange:direction 0": lambda: assigned("c2", direction=0),
+    "HeavySide:heavy 'X' is neither L nor R": lambda: assigned("c2", heavy="X"),
+    "WingSides:slot 0: side 'Q' is neither L nor R": lambda: assigned(
+        "c2", wing_sides=((("c2", 0), "Q"),)),
     "VertexMap:domain mismatch": lambda: born_with(
         vertex_crossings={"v_xa_0": "x_5"}),
     "VertexMap:not a bijection": lambda: born_with(
@@ -244,7 +249,13 @@ def test_every_born_map_violation_is_reported(case):
     (validate_born_map, BORN_MAP_CASES["ClosedSheet"], ["ClosedSheet"]),
     (validate_born_map, BORN_MAP_CASES["CornerRule"],
      ["CrossingRule", "HeavySide", "CornerRule", "CornerRule"]),
-], ids=["ArcEndReused", "VertexEndKind", "ClosedSheet", "CornerRule"])
+    # not a count of wings on the heavy side, nor a count jump on an edge
+    (validate_born_map,
+     BORN_MAP_CASES["HeavySide:heavy 'X' is neither L nor R"], ["HeavySide"]),
+    (validate_born_map, BORN_MAP_CASES["SignRange:direction 0"],
+     ["SignRange"]),
+], ids=["ArcEndReused", "VertexEndKind", "ClosedSheet", "CornerRule",
+        "HeavySide", "SignRange"])
 def test_the_codes_that_come_together(validate, case, codes):
     assert [v.code for v in validate(case()).violations] == codes
 
