@@ -11,6 +11,7 @@ import functools
 import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
 from .bornmap import SIDES, BornMap, StrandAssignment
@@ -36,17 +37,17 @@ def _records(text):
 @functools.cache
 def _template(template):
     words = template.split()
-    return len(words), tuple((at, word) for at, word in enumerate(words)
-                             if at and word != "_")
+    keywords = itemgetter(*(at for at, word in enumerate(words) if word != "_"))
+    return len(words), keywords, keywords(words)
 
 
 def _shape(tokens, template, more=False):
     """Checks a record against a template such as ``"COUNT _ _"``: the
     record's length and the keyword at every position that is not ``_``.
     With ``more``, tokens after the template are allowed."""
-    size, keywords = _template(template)
+    size, keywords, expected = _template(template)
     if len(tokens) != size and (len(tokens) < size or not more) or \
-            any(tokens[at] != word for at, word in keywords):
+            keywords(tokens) != expected:
         raise ParseError(f"bad {tokens[0]} record")
 
 
@@ -585,8 +586,7 @@ def parse_plan(text):
             elif tag == "PATCH":
                 _shape(tokens, "PATCH _ genus _ boundaries _ id _")
                 patch = SurfacePatch(
-                    orientable=_orientable(tokens[1]),
-                    genus=_int(tokens[3]),
+                    orientable=_orientable(tokens[1]), genus=_int(tokens[3]),
                     boundaries=_int(tokens[5]), id=tokens[7])
             elif tag == "CIRCLE":
                 _shape(tokens, "CIRCLE _ patchdir _")
