@@ -1,20 +1,21 @@
 """Line-oriented text formats: .spoly, .arr (with born-map data), .plan.
 
 All three are whitespace-delimited with one record per line and ``#``
-comments.  Parsing preserves record order, so emit/parse round-trips are
-exact on the in-memory values.
+comments.  Each record's layout is stated once, as a template that both
+writes and reads the record.  The kind of each field pairs a reader with
+a writer that raises EmitError for any value the reader would not give
+back equal, so emit/parse round-trips are exact on the in-memory values.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import re
 from dataclasses import replace
 from fractions import Fraction
-from operator import itemgetter
 
 from .arrangement import ArrEdge, Crossing, Curve, CurveArrangement, Face
-from .bornmap import SIDES, BornMap, StrandAssignment
+from .bornmap import BornMap, StrandAssignment
 from .core import (BranchArc, EndRoles, SheetSpec, SimplePolyhedron,
                    VertexSpec, WingTraversal)
 from .errors import EmitError, ParseError
@@ -34,137 +35,304 @@ def _records(text):
             yield lineno, tokens
 
 
-@functools.cache
-def _template(template):
-    words = template.split()
-    keywords = itemgetter(*(at for at, word in enumerate(words) if word != "_"))
-    return len(words), keywords, keywords(words)
+# ---------------------------------------------------------------------------
+# field kinds: (reader, writer) pairs.  A reader takes a token.  A writer
+# takes a value and its field's name, and raises EmitError for a value that
+# the reader would not give back.
+# ---------------------------------------------------------------------------
+
+def _kind(read, what, text=None, reason=None):
+    """The kind of the tokens read(token) reads; text(value) writes one."""
+    def get(token):
+        try:
+            return read(token)
+        except (ValueError, ZeroDivisionError, KeyError):
+            raise ParseError(f"expected {what}, got {token!r}") from None
+
+    def put(value, name):
+        try:
+            token = text(value)
+            if get(token) == value:
+                return token
+        except (ParseError, KeyError, TypeError):  # TypeError: unhashable
+            pass
+        raise EmitError(f"cannot write {name} {value!r}: {reason}")
+    return get, put
 
 
-def _shape(tokens, template, more=False):
-    """Checks a record against a template such as ``"COUNT _ _"``: the
-    record's length and the keyword at every position that is not ``_``.
-    With ``more``, tokens after the template are allowed."""
-    size, keywords, expected = _template(template)
-    if len(tokens) != size and (len(tokens) < size or not more) or \
-            keywords(tokens) != expected:
-        raise ParseError(f"bad {tokens[0]} record")
-
-
-def _options(tokens, tag, arity):
-    """Keyword fields after a record's fixed part.  ``arity`` gives each
-    keyword's number of values; a keyword maps to True, to its one value,
-    or to the tuple of its values."""
-    options = {}
-    at = 0
-    while at < len(tokens):
-        key = tokens[at]
-        if key not in arity or at + 1 + arity[key] > len(tokens):
-            raise ParseError(f"bad {tag} field {key!r}")
-        end = at + 1 + arity[key]
-        values = tokens[at + 1:end]
-        options[key] = tuple(values) if len(values) > 1 else \
-            values[0] if values else True
-        at = end
-    return options
-
-
-def _fields(token, count):
-    """The ``count`` fields of a reference such as ``arc:slot:+``; only the
-    last ``count - 1`` colons separate, so the id may contain colons."""
-    fields = token.rsplit(":", count - 1)
-    if len(fields) != count:
-        raise ParseError(f"expected {count} fields separated "
-                         f"by ':', got {token!r}")
-    return fields
-
-
-_SIGNS = {"+": 1, "-": -1}
-
-
-def _sign(token):
-    if token in _SIGNS:
-        return _SIGNS[token]
-    raise ParseError(f"expected + or -, got {token!r}")
-
-
-def _side(token):
-    if token not in SIDES:
-        raise ParseError(f"expected L or R, got {token!r}")
-    return token
-
-
-def _orientable(token):
-    if token not in ("orientable", "nonorientable"):
-        raise ParseError(f"expected orientable or nonorientable, got {token!r}")
-    return token == "orientable"
-
-
-def _number(kind, what, token):
-    try:
-        return kind(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected {what}, got {token!r}")
-
-
-def _int(token):
-    return _number(int, "an integer", token)
-
-
-def _fraction(token):
-    return _number(Fraction, "a fraction", token)
-
-
-def _end(token):
-    """An ``id:n`` reference to a numbered end or slot."""
-    name, number = _fields(token, 2)
-    return name, _int(number)
-
-
-def _floats(values):
-    return tuple(_number(float, "a number", x) for x in values)
-
-
-def _sign_str(value):
-    return "+" if value > 0 else "-"
+def _among(values, expected, reason):
+    """The kind of a token that `values` maps to what it reads as."""
+    return _kind(values.__getitem__, expected, {
+        value: token for token, value in values.items()}.__getitem__, reason)
 
 
 _UNREADABLE = re.compile(r"[\s#]")
 
 
-def _word(value, what, avoid=""):
-    """`value`, a name or id, as an emitter writes it: a whole token, or a
-    field of a token that the parser splits at the characters in `avoid`.
-    Raises EmitError naming the value when the parser would not read it
-    back as it is: an empty value, whitespace, ``#`` (a comment) or one of
-    `avoid`."""
-    text = str(value)
-    found = _UNREADABLE.search(text)
-    if text and not found and not (avoid and any(c in text for c in avoid)):
-        return text
-    if not text:
-        reason = "it is empty"
-    elif found:
-        reason = ("it holds '#', which starts a comment" if found[0] == "#"
-                  else "it holds whitespace")
-    else:
-        reason = (f"it holds {next(c for c in avoid if c in text)!r}, which "
-                  f"separates the fields of its token")
-    raise EmitError(f"cannot write {what} {text!r}: {reason}")
+def _word(value, name):
+    """A name or id, written as it is when it is a string that is not empty
+    and holds no whitespace and no ``#``, which starts a comment."""
+    if type(value) is str and value and not _UNREADABLE.search(value):
+        return value
+    reason = ("it is not a string" if not isinstance(value, str) else
+              "it is empty" if not value else
+              "it holds '#', which starts a comment" if "#" in value else
+              "it holds whitespace")
+    raise EmitError(f"cannot write {name} {value!r}: {reason}")
 
 
-def _header(keyword, name, what):
-    """A ``POLY``, ``NAME`` or ``PLAN`` record: the bare keyword for an
-    empty name."""
-    return f"{keyword} {_word(name, what)}" if name else keyword
+def _tuple(value, count, name):
+    if type(value) is not tuple or len(value) != count:
+        raise EmitError(f"cannot write {name} {value!r}: it is not a tuple "
+                        f"of {count} values")
+    return value
 
 
-def _name(tokens):
-    """The name a ``POLY``, ``NAME`` or ``PLAN`` record gives: one token,
-    or "" for the bare keyword."""
-    if len(tokens) > 2:
-        raise ParseError(f"bad {tokens[0]} record")
-    return tokens[1] if len(tokens) > 1 else ""
+def _kinds(names):
+    return [(*_FIELDS.get(name, _WORD), name) for name in names]
+
+
+def _joined(notation, make=None, first=False, miss=None):
+    """The kind of a token of fields, such as ``<arc id>:<slot>:<direction>``,
+    read as make(*fields) or as their tuple.  It splits at its last
+    separators, so that only its first field may hold one, or with `first`
+    at its first, so that only its last may; `miss` names it if it must."""
+    names = re.findall(r"<([^>]*)>", notation)
+    sep, kinds = notation[notation.index(">") + 1], _kinds(names)
+
+    def read(token):
+        fields = token.split(sep, 1) if first else \
+            token.rsplit(sep, len(names) - 1)
+        if first and not miss and len(fields) == 1:
+            fields.append("")          # no separator: an empty last field
+        if len(fields) != len(names):
+            raise ParseError(f"expected {miss}, got {token!r}" if miss else
+                             f"expected {len(names)} fields separated by "
+                             f"{sep!r}, got {token!r}")
+        fields = [get(field) for (get, _, _), field in zip(kinds, fields)]
+        return make(*fields) if make else tuple(fields)
+
+    def write(value, name):
+        if make and type(value) is not make:
+            raise EmitError(f"cannot write {name} {value!r}: it is not a "
+                            f"{make.__name__}")
+        fields = _values(value) if make else _tuple(value, len(names), name)
+        tokens = [put(field, name) for (_, put, name), field
+                  in zip(kinds, fields)]
+        for at, token in enumerate(tokens):
+            if sep in token and at != (len(names) - 1 if first else 0):
+                raise EmitError(f"cannot write {names[at]} {fields[at]!r}: "
+                                f"it holds {sep!r}, which separates the "
+                                f"fields of its token")
+        return sep.join(tokens)
+    return read, write
+
+
+_WORD = (str, _word)
+_INT = _kind(int, "an integer", str, "it is not an integer")
+_SIGNS = {"+": 1, "-": -1}
+_SIGN = _among(_SIGNS, "+ or -", "it is neither +1 nor -1")
+_SIDE = _among({"L": "L", "R": "R"}, "L or R", "it is neither L nor R")
+_FLOAT = _kind(float, "a number", repr,
+               "it does not read back as the same number")
+
+# the kind of each template field that is no word, by its name there and
+# in EmitError
+_FIELDS = {
+    **dict.fromkeys(("genus", "side genus", "boundaries", "slot", "end",
+                     "port", "fiber count"), _INT),
+    **dict.fromkeys(("direction", "contour direction", "patch direction",
+                     "orient"), _SIGN),
+    "heavy side": _SIDE, "wing side": _SIDE,
+    "orientability": _among({"orientable": True, "nonorientable": False},
+                            "orientable or nonorientable",
+                            "it is neither True nor False"),
+    "holes side": _among({"left": "left", "right": "right"},
+                         "left or right", "it is neither left nor right"),
+    "coordinate": _FLOAT, "radius": _FLOAT,
+    "position": _kind(Fraction, "a fraction", str, "it is not a fraction"),
+    "witness parent": _kind(
+        lambda token: None if token == "-" else token, "", lambda parent:
+        "-" if parent is None else _word(parent, "witness parent"),
+        "it would read back as no parent"),
+    "side circuits": _kind(
+        lambda token: () if token == "-" else tuple(
+            _INT[0](x) for x in token.split(",")), "",
+        lambda circuits: ",".join(map(str, circuits)) or "-",
+        "it is not a tuple of integers"),
+    "index": (str, _INT[1]),       # _put_indexed reads it, after the rest
+}
+_TRAVERSAL = _joined("<arc id>:<slot>:<direction>", WingTraversal)
+_SIGN_TOKENS = {1: "+", -1: "-"}
+
+
+def _write_traversal(t, name):
+    try:    # fast path: an int slot and a direction of +1 or -1
+        return f"{_word(t.arc, 'arc id')}:{t.slot:d}:{_SIGN_TOKENS[t.direction]}"
+    except (AttributeError, ValueError, TypeError, KeyError):
+        return _TRAVERSAL[1](t, name)    # the checked writer decides
+
+
+_FIELDS.update({
+    "traversal": (_TRAVERSAL[0], _write_traversal),
+    "arc end": _joined("<vertex id>:<port>"),
+    "vertex end": _joined("<arc id>:<end>"),
+    "roles": _joined("<slot>:<slot>:<slot>", EndRoles),
+    "ray": _joined("<edge id>:<end>"),
+    "edge end": _joined("<crossing id>:<port>"),
+    "curve source": _joined("<curve source kind>:<curve source label>",
+                            first=True),
+    "contour side": _joined("<edge id>:<contour direction>"),
+    "wing": _joined("<arc id>:<slot>:<wing side>"),
+    "route crossing": _joined("<edge id>@<position>", first=True,
+                              miss="edge@position"),
+    "nesting": _joined("<circle id>:<witness parent>:<orient>"),
+})
+
+# what a reader gives for a field that a record leaves out, when not None
+_ABSENT = {"polyhedron name": "", "map name": "", "plan name": "",
+           "face label": "", "image label": "", "orient": 1}
+
+
+# ---------------------------------------------------------------------------
+# record layouts
+# ---------------------------------------------------------------------------
+
+_UNIT = re.compile(
+    r"\[[^\]]*\]|<[^>]*>(?: \.\.\.)?|[^\s<\[]+(?: <[^>]*>(?! \.\.\.))*")
+_WORDS = re.compile(r"<[^>]*>|[^\s\[\]]+")
+
+
+def _repeat(tag, name, least, keys):
+    """(reader, writer) of ``<f> ...`` (least 1) or ``[<f> ...]``, read as
+    a tuple; an f that would read back as one of the `keys` is refused."""
+    (get, put, _), = _kinds([name])
+
+    def write(items, name, owner):
+        if len(items) < least:
+            raise EmitError(f"cannot write {tag} with no {name}")
+        line = " " + " ".join([put(item, name) for item in items])
+        for item in items if keys else ():
+            if item in keys:
+                raise EmitError(f"cannot write {name} {item!r} of "
+                                f"{tag.lower()} {owner!r}: it would read back "
+                                f"as the {item} keyword")
+        return line
+    return (lambda tokens: tuple([get(token) for token in tokens])), write
+
+
+def _either(tag, first, second, names, omit=True):
+    """(reader, writer) of a field of two shapes: the tokens `first`, read
+    as _ABSENT has the field (or False for no fields), or the tokens
+    `second` and fields `names`, read as their tuple, as its value for one
+    field and as True for none.  With `omit`, that is written as `first`."""
+    kinds = _kinds(names)
+    absent = _ABSENT.get(names[0]) if names else False
+
+    def read(tokens):
+        if tokens == first:
+            return absent
+        if len(tokens) != len(second) + len(kinds) or \
+                tokens[:len(second)] != second:
+            raise ParseError(f"bad {tag} record")
+        got = [get(token) for (get, _, _), token
+               in zip(kinds, tokens[len(second):])]
+        return got[0] if len(got) == 1 else tuple(got) if got else True
+
+    def write(value, name, owner=None):
+        if omit and value == absent:
+            return " ".join(["", *first])
+        if not kinds and value != True:  # noqa: E712, as 1 reads back so
+            raise EmitError(f"cannot write {name} {value!r}: it is neither "
+                            f"True nor False")
+        fields = (value,) if len(kinds) == 1 else \
+            _tuple(value, len(kinds), name) if kinds else ()
+        return " ".join(["", *second, *[put(field, name) for (_, put, name),
+                                        field in zip(kinds, fields)]])
+    return read, write
+
+
+class _Layout:
+    """A record's layout, built once from a template such as ``"COUNT <face
+    id> <fiber count>"`` in the README's notation, its fields named as in
+    _FIELDS.  `read(tokens)` returns, and `emit(*values)` takes, one value
+    per field in order; `shape(tokens)` checks only length and keywords.
+    The three are compiled into the code a record would have by hand."""
+
+    def __init__(self, template):
+        words, span, self.options, self.arity = [], None, [], {}
+        for unit in _UNIT.findall(template):
+            names = [word.strip("<>") for word in _WORDS.findall(unit)]
+            if "..." in unit:
+                least = int(unit[0] != "[")
+                span = (len(words), names[0], least,
+                        *_repeat(words[0], names[0], least, self.arity))
+            elif "|" in unit or unit[:2] == "[<":     # a|b <f> ..., or [<f>]
+                first, second = ([key] for key in names.pop(0).split("|")) \
+                    if "|" in unit else ([], [])
+                span = (len(words), names[-1], len(first),
+                        *_either(words[0], first, second, names))
+            elif unit[0] == "[" or self.options:
+                self.arity[names[0]] = len(names) - 1
+                self.options.append((names[0], *_either(
+                    words[0], [], names[:1], names[1:], unit[0] == "[")))
+            else:
+                words += _WORDS.findall(unit)
+        at, name, least, get, put = span or (len(words), None, 0, None, None)
+        self.tag = words[0]
+        scope = {"ParseError": ParseError, "arity": self.arity,
+                 "options": self._options}
+        guard = [f"len(tokens) {'<' if span or self.options else '!='} "
+                 f"{len(words) + least}"]
+        reads, values, line = [], [], [self.tag]
+
+        def bind(get, put, name, place=None, more=""):   # the value v<k>
+            k = len(values)
+            scope[f"g{k}"], scope[f"w{k}"], scope[f"n{k}"] = get, put, name
+            values.append(f"v{k}")
+            line.append(f"{{w{k}(v{k}, n{k}{more})}}")
+            if place:
+                reads.append(f"g{k}({place})")
+
+        def fixed(part, first):
+            for i, word in enumerate(part, first):
+                line.append(" ")
+                if word[0] == "<":
+                    bind(*_kinds([word[1:-1]])[0], f"tokens[{i}]")
+                else:
+                    guard.append(f"tokens[{i}] != {word!r}")
+                    line.append(word)
+        fixed(words[1:at], 1)        # the record loops dispatch on the tag
+        stop = f"len(tokens) - {len(words) - at}" if span else str(at)
+        if span and self.options:    # the span then ends at the first key
+            stop = (f"next((i for i in range({at}, len(tokens)) "
+                    f"if tokens[i] in arity), len(tokens))")
+        if span:                     # it and the keys write their own spaces
+            bind(get, put, name, f"tokens[{at}:stop]", ", v0")
+        fixed(words[at:], at - len(words))
+        for key, _, put in self.options:
+            bind(str, put, key)
+        if self.options:
+            reads.append("*options(tokens[stop:])")
+        check = (f"    if {' or '.join(guard)}:\n"
+                 f"        raise ParseError(f'bad {{tokens[0]}} record')\n")
+        exec(f"def shape(tokens):\n{check}"
+             f"def read(tokens):\n{check}    stop = {stop}\n"
+             f"    return [{', '.join(reads)}]\n"
+             f"def emit({', '.join(values)}):\n"
+             f"    return f{''.join(line)!r}\n", scope)
+        self.shape, self.read, self.emit = (scope["shape"], scope["read"],
+                                            scope["emit"])
+
+    def _options(self, tokens):
+        found, at = {}, 0
+        while at < len(tokens):
+            key = tokens[at]
+            end = at + 1 + self.arity.get(key, len(tokens))
+            if end > len(tokens):
+                raise ParseError(f"bad {self.tag} field {key!r}")
+            found[key], at = tokens[at:end], end
+        return [read(found.get(key, [])) for key, read, _ in self.options]
 
 
 def _once(seen, tokens):
@@ -175,36 +343,50 @@ def _once(seen, tokens):
     seen.add(tokens[0])
 
 
+def _put(table, tokens, value):
+    """Store the value of record `tokens` under its key, tokens[1]; a
+    second record for the same key is a ParseError, not an overwrite."""
+    if tokens[1] in table:
+        raise ParseError(f"repeated {tokens[0]} {tokens[1]}")
+    table[tokens[1]] = value
+
+
+def _values(record):
+    """The fields of a record value in order, as its template has them."""
+    return [getattr(record, field.name) for field in dataclasses.fields(record)]
+
+
+def _put_indexed(table, token, value):
+    """Stores a numbered record such as ``SEG <circle> <index> ...``."""
+    index = _INT[0](token)
+    if index in table:
+        raise ParseError(f"duplicate index {index}")
+    table[index] = value
+
+
 # ---------------------------------------------------------------------------
 # .spoly
 # ---------------------------------------------------------------------------
 
+_POLY = _Layout("POLY [<polyhedron name>]")
+_SHEET = _Layout("SHEET <sheet id> <orientability> <genus>")
+_CIRCUIT = _Layout("CIRCUIT <sheet id> <traversal> ...")
+_ARC = _Layout("ARC <arc id> <arc kind> closed|ends <arc end> <arc end> "
+               "monodromy <monodromy>")
+_VERTEX = _Layout("VERTEX <vertex id> ends <vertex end> <vertex end> "
+                  "<vertex end> <vertex end> roles <roles> <roles> <roles> "
+                  "<roles>")
+
+
 def emit_spoly(poly):
-    out = [_header("POLY", poly.name, "polyhedron name")]
+    out = [_POLY.emit(poly.name)]
     for sheet in poly.sheets:
-        sid = _word(sheet.id, "sheet id")
-        kind = "orientable" if sheet.orientable else "nonorientable"
-        out.append(f"SHEET {sid} {kind} {sheet.genus}")
-        for circuit in sheet.circuits:
-            travs = " ".join(
-                f"{_word(t.arc, 'arc id')}:{t.slot}:{_sign_str(t.direction)}"
-                for t in circuit)
-            out.append(f"CIRCUIT {sid} {travs}")
-    for arc in poly.arcs:
-        if arc.closed:
-            shape = "closed"
-        else:
-            (v0, p0), (v1, p1) = arc.endpoints
-            shape = (f"ends {_word(v0, 'vertex id')}:{p0} "
-                     f"{_word(v1, 'vertex id')}:{p1}")
-        out.append(f"ARC {_word(arc.id, 'arc id')} {arc.kind} {shape} "
-                   f"monodromy {arc.monodromy}")
-    for vertex in poly.vertices:
-        ends = " ".join(f"{_word(aid, 'arc id')}:{end}"
-                        for aid, end in vertex.ends)
-        roles = " ".join(f"{r.free}:{r.lq}:{r.rq}" for r in vertex.roles)
-        out.append(f"VERTEX {_word(vertex.id, 'vertex id')} ends {ends} "
-                   f"roles {roles}")
+        out.append(_SHEET.emit(sheet.id, sheet.orientable, sheet.genus))
+        out += [_CIRCUIT.emit(sheet.id, circuit) for circuit in sheet.circuits]
+    out += [_ARC.emit(arc.id, arc.kind, arc.endpoints, arc.monodromy)
+            for arc in poly.arcs]
+    out += [_VERTEX.emit(vertex.id, *vertex.ends, *vertex.roles)
+            for vertex in poly.vertices]
     return "\n".join(out) + "\n"
 
 
@@ -219,8 +401,7 @@ def parse_spoly(text):
         try:
             tag = tokens[0]
             if tag == "CIRCUIT":
-                if len(tokens) < 3:
-                    _shape(tokens, "CIRCUIT _ _", more=True)
+                _CIRCUIT.shape(tokens)
                 sid = tokens[1]
                 if sid not in circuits:
                     raise ParseError(f"CIRCUIT before SHEET {sid}")
@@ -230,33 +411,21 @@ def parse_spoly(text):
                         arc, slot, d = token.rsplit(":", 2)
                         travs.append(WingTraversal(arc, int(slot), _SIGNS[d]))
                     except (ValueError, KeyError):
-                        # the checked readers raise the ParseError
-                        arc, slot, d = _fields(token, 3)
-                        travs.append(WingTraversal(arc, _int(slot), _sign(d)))
+                        # the checked reader raises the ParseError
+                        travs.append(_TRAVERSAL[0](token))
                 circuits[sid].append(tuple(travs))
             elif tag == "SHEET":
-                if len(tokens) != 4:
-                    _shape(tokens, "SHEET _ _ _")
-                sheets.append((tokens[1], _orientable(tokens[2]),
-                               _int(tokens[3])))
+                sheets.append(_SHEET.read(tokens))
                 circuits.setdefault(tokens[1], [])
             elif tag == "ARC":
-                if tokens[3:4] == ["ends"]:
-                    _shape(tokens, "ARC _ _ ends _ _ monodromy _")
-                    endpoints = (_end(tokens[4]), _end(tokens[5]))
-                else:
-                    _shape(tokens, "ARC _ _ closed monodromy _")
-                    endpoints = None
-                arcs.append(BranchArc(tokens[1], tokens[2], endpoints, tokens[-1]))
+                arcs.append(BranchArc(*_ARC.read(tokens)))
             elif tag == "VERTEX":
-                _shape(tokens, "VERTEX _ ends _ _ _ _ roles _ _ _ _")
-                ends = [_end(token) for token in tokens[3:7]]
-                roles = [EndRoles(*(_int(f) for f in _fields(token, 3)))
-                         for token in tokens[8:12]]
-                vertices.append(VertexSpec(tokens[1], tuple(ends), tuple(roles)))
+                vid, *ends = _VERTEX.read(tokens)
+                vertices.append(VertexSpec(vid, tuple(ends[:4]),
+                                           tuple(ends[4:])))
             elif tag == "POLY":
                 _once(seen, tokens)
-                name = _name(tokens)
+                name = _POLY.read(tokens)[0]
             else:
                 raise ParseError(f"unknown record {tag!r}")
         except ParseError as exc:
@@ -271,86 +440,40 @@ def parse_spoly(text):
 # .arr (arrangement plus born-map data)
 # ---------------------------------------------------------------------------
 
+_NAME = _Layout("NAME [<map name>]")
+_CROSSING = _Layout("CROSSING <crossing id> <ray> <ray> <ray> <ray>")
+_EDGE = _Layout("EDGE <edge id> curve <curve id> closed|ends <edge end> "
+                "<edge end> left <face id> right <face id>")
+_CURVE = _Layout("CURVE <curve id> source <curve source> edges [<edge id> ...] "
+                 "[draw <coordinate> <coordinate> <radius>]")
+_FACE = _Layout("FACE <face id> [unbounded] [label <face label>] "
+                "[draw <coordinate> <coordinate>]")
+_CONTOUR = _Layout("CONTOUR <face id> [<contour side> ...]")
+_COUNT = _Layout("COUNT <face id> <fiber count>")
+_ASSIGN = _Layout("ASSIGN <strand key> curve <curve id> dir <direction> "
+                  "heavy <heavy side>")
+_WINGSIDE = _Layout("WINGSIDE <strand key> [<wing> ...]")
+_VERTEXMAP = _Layout("VERTEXMAP <vertex id> <crossing id>")
+
+
 def emit_arr(born):
     arr = born.arrangement
-    out = [_header("NAME", born.name, "map name")] if born.name else []
-    for crossing in arr.crossings:
-        rays = " ".join(f"{_word(eid, 'edge id')}:{end}"
-                        for eid, end in crossing.order)
-        out.append(f"CROSSING {_word(crossing.id, 'crossing id')} {rays}")
-    for edge in arr.edges:
-        if edge.closed:
-            shape = "closed"
-        else:
-            (x0, p0), (x1, p1) = edge.ends
-            shape = (f"ends {_word(x0, 'crossing id')}:{p0} "
-                     f"{_word(x1, 'crossing id')}:{p1}")
-        out.append(f"EDGE {_word(edge.id, 'edge id')} "
-                   f"curve {_word(edge.curve, 'curve id')} {shape} "
-                   f"left {_word(edge.left, 'face id')} "
-                   f"right {_word(edge.right, 'face id')}")
-    for curve in arr.curves:
-        # the parser splits the source at its first ':'
-        kind, label = curve.source
-        source = (f"{_word(kind, 'curve source kind', ':')}:"
-                  f"{_word(label, 'curve source label')}")
-        edges = [_word(eid, "edge id") for eid in curve.edges]
-        if "draw" in edges:
-            raise EmitError(f"cannot write edge id 'draw' of curve "
-                            f"{curve.id!r}: it would read back as the "
-                            f"draw keyword")
-        line = (f"CURVE {_word(curve.id, 'curve id')} source {source} "
-                f"edges " + " ".join(edges))
-        if curve.draw:
-            line += " draw " + " ".join(repr(x) for x in curve.draw)
-        out.append(line)
+    out = [_NAME.emit(born.name)] if born.name != "" else []
+    out += [_CROSSING.emit(crossing.id, *crossing.order)
+            for crossing in arr.crossings]
+    out += [_EDGE.emit(*_values(edge)) for edge in arr.edges]
+    out += [_CURVE.emit(*_values(curve)) for curve in arr.curves]
     for face in arr.faces:
-        fid = _word(face.id, "face id")
-        line = f"FACE {fid}"
-        if face.unbounded:
-            line += " unbounded"
-        if face.label:
-            line += f" label {_word(face.label, 'face label')}"
-        if face.draw:
-            line += " draw " + " ".join(repr(x) for x in face.draw)
-        out.append(line)
-        for contour in face.contours:
-            sides = " ".join(f"{_word(eid, 'edge id')}:{_sign_str(d)}"
-                             for eid, d in contour)
-            out.append(f"CONTOUR {fid} {sides}")
-    for fid in sorted(born.fiber_counts):
-        out.append(f"COUNT {_word(fid, 'face id')} {born.fiber_counts[fid]}")
-    for key in sorted(born.assignments):
-        a = born.assignments[key]
-        key = _word(key, "strand key")
-        if a.direction not in (1, -1):
-            raise EmitError(f"cannot write direction {a.direction!r}: it is "
-                            f"neither +1 nor -1")
-        out.append(f"ASSIGN {key} curve {_word(a.curve, 'curve id')} "
-                   f"dir {_sign_str(a.direction)} "
-                   f"heavy {_written_side(a.heavy, 'heavy side')}")
-        sides = " ".join(f"{_word(aid, 'arc id')}:{slot}:"
-                         f"{_written_side(side, 'wing side')}"
-                         for (aid, slot), side in a.wing_sides)
-        out.append(f"WINGSIDE {key} {sides}")
-    for vid in sorted(born.vertex_crossings):
-        out.append(f"VERTEXMAP {_word(vid, 'vertex id')} "
-                   f"{_word(born.vertex_crossings[vid], 'crossing id')}")
+        out.append(_FACE.emit(face.id, face.unbounded, face.label, face.draw))
+        out += [_CONTOUR.emit(face.id, contour) for contour in face.contours]
+    out += [_COUNT.emit(*item) for item in sorted(born.fiber_counts.items())]
+    for key, a in sorted(born.assignments.items()):
+        out += [_ASSIGN.emit(key, a.curve, a.direction, a.heavy),
+                _WINGSIDE.emit(key, [(aid, slot, side) for (aid, slot), side
+                                     in a.wing_sides])]
+    out += [_VERTEXMAP.emit(*item)
+            for item in sorted(born.vertex_crossings.items())]
     return "\n".join(out) + "\n"
-
-
-def _written_side(side, what):
-    if side not in SIDES:
-        raise EmitError(f"cannot write {what} {side!r}: it is neither L nor R")
-    return side
-
-
-def _put(table, tokens, value):
-    """Store the value of record `tokens` under its key, tokens[1]; a
-    second record for the same key is a ParseError, not an overwrite."""
-    if tokens[1] in table:
-        raise ParseError(f"repeated {tokens[0]} {tokens[1]}")
-    table[tokens[1]] = value
 
 
 def parse_arr(text):
@@ -364,83 +487,50 @@ def parse_arr(text):
     curves = []
     faces = []
     contours = {}
-    counts = {}
-    assignments = {}
-    vertexmap = {}
-    name = ""
+    born_data = {"counts": {}, "assignments": {}, "vertexmap": {}, "name": ""}
+    assignments = born_data["assignments"]
     seen = set()
     for lineno, tokens in _records(text):
         try:
             tag = tokens[0]
             if tag == "NAME":
                 _once(seen, tokens)
-                name = _name(tokens)
+                born_data["name"] = _NAME.read(tokens)[0]
             elif tag == "CROSSING":
-                _shape(tokens, "CROSSING _ _ _ _ _")
-                rays = tuple(_end(token) for token in tokens[2:])
-                crossings.append(Crossing(tokens[1], rays))
+                xid, *rays = _CROSSING.read(tokens)
+                crossings.append(Crossing(xid, tuple(rays)))
             elif tag == "EDGE":
-                if tokens[4:5] == ["ends"]:
-                    _shape(tokens, "EDGE _ curve _ ends _ _ left _ right _")
-                    ends = (_end(tokens[5]), _end(tokens[6]))
-                else:
-                    _shape(tokens, "EDGE _ curve _ closed left _ right _")
-                    ends = None
-                edges.append(ArrEdge(tokens[1], tokens[3], ends,
-                                     tokens[-3], tokens[-1]))
+                edges.append(ArrEdge(*_EDGE.read(tokens)))
             elif tag == "CURVE":
-                _shape(tokens, "CURVE _ source _ edges", more=True)
-                kind, _, label = tokens[3].partition(":")
-                edge_ids = tokens[5:]
-                draw = None
-                if "draw" in edge_ids:
-                    at = edge_ids.index("draw")
-                    options = _options(edge_ids[at:], tag, {"draw": 3})
-                    draw = _floats(options["draw"])
-                    edge_ids = edge_ids[:at]
-                curves.append(Curve(tokens[1], (kind, label), tuple(edge_ids), draw))
+                curves.append(Curve(*_CURVE.read(tokens)))
             elif tag == "FACE":
-                _shape(tokens, "FACE _", more=True)
-                options = _options(tokens[2:], tag,
-                                   {"unbounded": 0, "label": 1, "draw": 2})
-                draw = _floats(options["draw"]) if "draw" in options else None
-                faces.append((tokens[1], "unbounded" in options,
-                              options.get("label", ""), draw))
+                faces.append(_FACE.read(tokens))
                 contours.setdefault(tokens[1], [])
             elif tag == "CONTOUR":
-                _shape(tokens, "CONTOUR _", more=True)
-                fid = tokens[1]
-                if fid not in contours:
-                    raise ParseError(f"CONTOUR before FACE {fid}")
-                sides = []
-                for token in tokens[2:]:
-                    eid, d = _fields(token, 2)
-                    sides.append((eid, _sign(d)))
-                contours[fid].append(tuple(sides))
+                _CONTOUR.shape(tokens)
+                if tokens[1] not in contours:
+                    raise ParseError(f"CONTOUR before FACE {tokens[1]}")
+                fid, sides = _CONTOUR.read(tokens)
+                contours[fid].append(sides)
             elif tag == "COUNT":
-                _shape(tokens, "COUNT _ _")
-                _put(counts, tokens, _int(tokens[2]))
+                _put(born_data["counts"], tokens, _COUNT.read(tokens)[1])
             elif tag == "ASSIGN":
-                _shape(tokens, "ASSIGN _ curve _ dir _ heavy _")
-                _put(assignments, tokens, StrandAssignment(
-                    curve=tokens[3], direction=_sign(tokens[5]),
-                    heavy=_side(tokens[7]), wing_sides=()))
+                _put(assignments, tokens,
+                     StrandAssignment(*_ASSIGN.read(tokens)[1:], ()))
             elif tag == "WINGSIDE":
-                _shape(tokens, "WINGSIDE _", more=True)
+                _WINGSIDE.shape(tokens)
                 key = tokens[1]
                 if key not in assignments:
                     raise ParseError(f"WINGSIDE before ASSIGN {key}")
                 if (tag, key) in seen:
                     raise ParseError(f"repeated WINGSIDE {key}")
                 seen.add((tag, key))
-                sides = []
-                for token in tokens[2:]:
-                    aid, slot, side = _fields(token, 3)
-                    sides.append(((aid, _int(slot)), _side(side)))
-                assignments[key] = replace(assignments[key], wing_sides=tuple(sides))
+                sides = tuple(((aid, slot), side) for aid, slot, side
+                              in _WINGSIDE.read(tokens)[1])
+                assignments[key] = replace(assignments[key], wing_sides=sides)
             elif tag == "VERTEXMAP":
-                _shape(tokens, "VERTEXMAP _ _")
-                _put(vertexmap, tokens, tokens[2])
+                _put(born_data["vertexmap"], tokens,
+                     _VERTEXMAP.read(tokens)[1])
             else:
                 raise ParseError(f"unknown record {tag!r}")
         except ParseError as exc:
@@ -449,8 +539,6 @@ def parse_arr(text):
                        for fid, unbounded, label, draw in faces)
     arr = CurveArrangement(tuple(crossings), tuple(edges), tuple(curves),
                            face_specs)
-    born_data = {"counts": counts, "assignments": assignments,
-                 "vertexmap": vertexmap, "name": name}
     return arr, born_data
 
 
@@ -466,82 +554,47 @@ def assemble_born_map(poly, arr, born_data):
 # .plan
 # ---------------------------------------------------------------------------
 
+_PLAN = _Layout("PLAN [<plan name>]")
+_BASE = _Layout("BASE <base file name> <base file name>")
+_PATCH = _Layout("PATCH <orientability> genus <genus> boundaries <boundaries> "
+                 "id <patch id>")
+_CIRCLE = _Layout("CIRCLE <circle id> patchdir <patch direction>")
+_SEG = _Layout("SEG <circle id> <index> sheet <sheet id> "
+               "[sidegenus <side genus>] [sidecircuits <side circuits>]")
+_EVENT = _Layout("EVENT <circle id> <index> arc <arc id> pos <position> "
+                 "slotin <slot> slotout <slot>")
+_IMAGECIRCLE = _Layout("IMAGECIRCLE <circle id> face <face id> "
+                       "[inside <circle id>] orient <orient> "
+                       "[label <image label>] "
+                       "[draw <coordinate> <coordinate> <radius>]")
+_IMAGEROUTE = _Layout("IMAGEROUTE <circle id> cross [<route crossing> ...]")
+_IMAGERUN = _Layout("IMAGERUN <circle id> <index> face <face id> "
+                    "[holes <holes side>]")
+_DISK = _Layout("DISK <circle id> faces [<face id> ...]")
+_WITNESS = _Layout("WITNESS nesting [<nesting> ...] surface <orientability> "
+                   "genus <genus> boundaries <boundaries>")
+
+
 def emit_plan(plan, base_spoly="base.spoly", base_arr="base.arr"):
-    out = [_header("PLAN", plan.name, "plan name"),
-           f"BASE {_word(base_spoly, 'base file name')} "
-           f"{_word(base_arr, 'base file name')}"]
-    patch = plan.patch
-    kind = "orientable" if patch.orientable else "nonorientable"
-    out.append(f"PATCH {kind} genus {patch.genus} boundaries {patch.boundaries} "
-               f"id {_word(patch.id, 'patch id')}")
+    out = [_PLAN.emit(plan.name), _BASE.emit(base_spoly, base_arr),
+           _PATCH.emit(*_values(plan.patch))]
     for circle in plan.circles:
-        cid = _word(circle.id, "circle id")
-        out.append(f"CIRCLE {cid} patchdir {_sign_str(circle.patch_dir)}")
-        for i, seg in enumerate(circle.segments):
-            line = f"SEG {cid} {i} sheet {_word(seg.sheet, 'sheet id')}"
-            if seg.side_genus is not None:
-                line += f" sidegenus {seg.side_genus}"
-            if seg.side_circuits is not None:
-                listed = ",".join(str(x) for x in seg.side_circuits) or "-"
-                line += f" sidecircuits {listed}"
-            out.append(line)
-        for i, event in enumerate(circle.events):
-            out.append(f"EVENT {cid} {i} arc {_word(event.arc, 'arc id')} "
-                       f"pos {event.position} slotin {event.slot_in} "
-                       f"slotout {event.slot_out}")
-        image = circle.image
-        if isinstance(image, ImageCircle):
-            line = f"IMAGECIRCLE {cid} face {_word(image.face, 'face id')}"
-            if image.inside:
-                line += f" inside {_word(image.inside, 'circle id')}"
-            line += f" orient {_sign_str(image.orient)}"
-            if image.label:
-                line += f" label {_word(image.label, 'image label')}"
-            if image.draw:
-                line += " draw " + " ".join(repr(x) for x in image.draw)
-            out.append(line)
+        cid = circle.id
+        out.append(_CIRCLE.emit(cid, circle.patch_dir))
+        out += [_SEG.emit(cid, i, *_values(seg))
+                for i, seg in enumerate(circle.segments)]
+        out += [_EVENT.emit(cid, i, *_values(event))
+                for i, event in enumerate(circle.events)]
+        if isinstance(circle.image, ImageCircle):
+            out.append(_IMAGECIRCLE.emit(cid, *_values(circle.image)))
         else:
-            # the parser splits a crossing at its first '@'
-            crosses = " ".join(f"{_word(eid, 'edge id', '@')}@{pos}"
-                               for eid, pos in image.crossings)
-            out.append(f"IMAGEROUTE {cid} cross {crosses}")
-            for i, (fid, holes) in enumerate(image.runs):
-                line = f"IMAGERUN {cid} {i} face {_word(fid, 'face id')}"
-                if holes is not None:
-                    if holes not in ("left", "right"):
-                        raise EmitError(f"cannot write holes side {holes!r}: "
-                                        f"it is neither left nor right")
-                    line += f" holes {holes}"
-                out.append(line)
-    for disk in plan.disks:
-        out.append(f"DISK {_word(disk.circle, 'circle id')} faces "
-                   + " ".join(_word(fid, "face id") for fid in disk.faces))
+            out.append(_IMAGEROUTE.emit(cid, circle.image.crossings))
+            out += [_IMAGERUN.emit(cid, i, fid, holes)
+                    for i, (fid, holes) in enumerate(circle.image.runs)]
+    out += [_DISK.emit(*_values(disk)) for disk in plan.disks]
     if plan.witness:
-        w = plan.witness
-        nesting = " ".join(f"{_word(cid, 'circle id')}:{_parent(parent)}:"
-                           f"{_sign_str(orient)}"
-                           for cid, parent, orient in w.nesting)
-        kind = "orientable" if w.surface_orientable else "nonorientable"
-        out.append(f"WITNESS nesting {nesting} surface {kind} "
-                   f"genus {w.surface_genus} boundaries {w.surface_boundaries}")
+        out.append(_WITNESS.emit(*_values(plan.witness)))
     return "\n".join(out) + "\n"
-
-
-def _parent(parent):
-    """A witness parent as written: ``-`` for none.  The parser splits a
-    nesting at its last two colons, so the parent holds none."""
-    if parent == "-":
-        raise EmitError("cannot write witness parent '-': it would read "
-                        "back as no parent")
-    return _word(parent, "witness parent", ":") if parent else "-"
-
-
-def _put_indexed(table, token, value):
-    """Stores a numbered record such as ``SEG <circle> <index> ...``."""
-    index = _int(token)
-    if index in table:
-        raise ParseError(f"duplicate index {index}")
-    table[index] = value
 
 
 def _in_order(table):
@@ -550,23 +603,20 @@ def _in_order(table):
 
 _CIRCLE_PARTS = ("SEG", "EVENT", "IMAGECIRCLE", "IMAGEROUTE", "IMAGERUN",
                  "DISK")
-_SINGLE_RECORDS = ("PLAN", "BASE", "PATCH", "WITNESS")
+_SINGLES = {"PLAN": _PLAN, "BASE": _BASE, "PATCH": _PATCH,
+            "WITNESS": _WITNESS}
 
 
 def parse_plan(text):
     """Returns (SurgeryPlan, (base_spoly, base_arr)); the plan is built with
     base=None, and the caller supplies the base it loads from those files."""
-    name = ""
-    base_files = ("base.spoly", "base.arr")
-    patch = None
-    order = []
-    patch_dirs = {}
+    single = {}          # tag -> the values of a record held at most once
+    patch_dirs = {}      # circle id -> patch direction, in file order
     segments = {}
     events = {}
     images = {}          # circle id -> ImageCircle, or route crossings
     route_runs = {}      # circle id -> its IMAGERUN records, by index
     disks = {}
-    witness = None
     seen = set()
     for lineno, tokens in _records(text):
         try:
@@ -574,106 +624,53 @@ def parse_plan(text):
             cid = tokens[1] if len(tokens) > 1 else None
             if tag in _CIRCLE_PARTS and cid not in patch_dirs:
                 raise ParseError(f"{tag} names no earlier CIRCLE")
-            if tag in _SINGLE_RECORDS:
-                _once(seen, tokens)
             if tag in ("IMAGECIRCLE", "IMAGEROUTE") and cid in images:
                 raise ParseError(f"second image record for circle {cid}")
-            if tag == "PLAN":
-                name = _name(tokens)
-            elif tag == "BASE":
-                _shape(tokens, "BASE _ _")
-                base_files = (tokens[1], tokens[2])
-            elif tag == "PATCH":
-                _shape(tokens, "PATCH _ genus _ boundaries _ id _")
-                patch = SurfacePatch(
-                    orientable=_orientable(tokens[1]), genus=_int(tokens[3]),
-                    boundaries=_int(tokens[5]), id=tokens[7])
+            if tag in _SINGLES:
+                _once(seen, tokens)
+                single[tag] = _SINGLES[tag].read(tokens)
             elif tag == "CIRCLE":
-                _shape(tokens, "CIRCLE _ patchdir _")
+                _CIRCLE.shape(tokens)
                 if cid in patch_dirs:
                     raise ParseError(f"duplicate CIRCLE {cid}")
-                order.append(cid)
-                patch_dirs[cid] = _sign(tokens[3])
+                patch_dirs[cid] = _CIRCLE.read(tokens)[1]
                 segments[cid] = {}
                 events[cid] = {}
             elif tag == "SEG":
-                _shape(tokens, "SEG _ _ sheet _", more=True)
-                options = _options(tokens[5:], tag,
-                                   {"sidegenus": 1, "sidecircuits": 1})
-                side_genus = None
-                if "sidegenus" in options:
-                    side_genus = _int(options["sidegenus"])
-                side_circuits = None
-                if "sidecircuits" in options:
-                    listed = options["sidecircuits"]
-                    side_circuits = () if listed == "-" else \
-                        tuple(_int(x) for x in listed.split(","))
-                _put_indexed(segments[cid], tokens[2],
-                             PlanSegment(tokens[4], side_genus, side_circuits))
+                _, index, *fields = _SEG.read(tokens)
+                _put_indexed(segments[cid], index, PlanSegment(*fields))
             elif tag == "EVENT":
-                _shape(tokens, "EVENT _ _ arc _ pos _ slotin _ slotout _")
-                _put_indexed(events[cid], tokens[2], PlanEvent(
-                    arc=tokens[4], position=_fraction(tokens[6]),
-                    slot_in=_int(tokens[8]), slot_out=_int(tokens[10])))
+                _, index, *fields = _EVENT.read(tokens)
+                _put_indexed(events[cid], index, PlanEvent(*fields))
             elif tag == "IMAGECIRCLE":
-                _shape(tokens, "IMAGECIRCLE _ face _", more=True)
-                options = _options(tokens[4:], tag, {"inside": 1, "orient": 1,
-                                                     "label": 1, "draw": 3})
-                orient = _sign(options["orient"]) if "orient" in options else 1
-                draw = _floats(options["draw"]) if "draw" in options else None
-                images[cid] = ImageCircle(tokens[3], options.get("inside"),
-                                          orient, options.get("label", ""), draw)
+                images[cid] = ImageCircle(*_IMAGECIRCLE.read(tokens)[1:])
             elif tag == "IMAGEROUTE":
-                _shape(tokens, "IMAGEROUTE _ cross", more=True)
-                crossings = []
-                for token in tokens[3:]:
-                    eid, at, pos = token.partition("@")
-                    if not at:
-                        raise ParseError(
-                            f"expected edge@position, got {token!r}")
-                    crossings.append((eid, _fraction(pos)))
-                images[cid] = tuple(crossings)
+                images[cid] = _IMAGEROUTE.read(tokens)[1]
                 route_runs[cid] = {}
             elif tag == "IMAGERUN":
-                _shape(tokens, "IMAGERUN _ _ face _", more=True)
-                holes = _options(tokens[5:], tag, {"holes": 1}).get("holes")
-                if holes not in (None, "left", "right"):
-                    raise ParseError(f"expected left or right, got {holes!r}")
+                _, index, *run = _IMAGERUN.read(tokens)
                 if cid not in route_runs:
                     raise ParseError(f"IMAGERUN before IMAGEROUTE {cid}")
-                _put_indexed(route_runs[cid], tokens[2], (tokens[4], holes))
+                _put_indexed(route_runs[cid], index, tuple(run))
             elif tag == "DISK":
-                _shape(tokens, "DISK _ faces", more=True)
-                _put(disks, tokens, DiskRegion(cid, tuple(tokens[3:])))
-            elif tag == "WITNESS":
-                at = len(tokens) - 6
-                if at < 2:
-                    raise ParseError("bad WITNESS record")
-                _shape(tokens[:2] + tokens[at:],
-                       "WITNESS nesting surface _ genus _ boundaries _")
-                nesting = []
-                for token in tokens[2:at]:
-                    circle, parent, orient = _fields(token, 3)
-                    nesting.append((circle, None if parent == "-" else parent,
-                                    _sign(orient)))
-                witness = RelocationWitness(
-                    nesting=tuple(nesting),
-                    surface_orientable=_orientable(tokens[at + 1]),
-                    surface_genus=_int(tokens[at + 3]),
-                    surface_boundaries=_int(tokens[at + 5]))
+                _put(disks, tokens, DiskRegion(*_DISK.read(tokens)))
             else:
                 raise ParseError(f"unknown record {tag!r}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if patch is None:
+    if "PATCH" not in single:
         raise ParseError("plan has no PATCH record")
     circles = []
-    for cid in order:
+    for cid in patch_dirs:
         image = images.get(cid, ())
         if not isinstance(image, ImageCircle):
             image = ImageRoute(image, _in_order(route_runs.get(cid, {})))
         circles.append(PlanCircle(cid, _in_order(segments[cid]),
                                   _in_order(events[cid]), image, patch_dirs[cid]))
-    plan = SurgeryPlan(base=None, circles=tuple(circles), patch=patch,
-                       disks=tuple(disks.values()), witness=witness, name=name)
-    return plan, base_files
+    witness = single.get("WITNESS")
+    plan = SurgeryPlan(base=None, circles=tuple(circles),
+                       patch=SurfacePatch(*single["PATCH"]),
+                       disks=tuple(disks.values()),
+                       witness=witness and RelocationWitness(*witness),
+                       name=single.get("PLAN", [""])[0])
+    return plan, tuple(single.get("BASE", ("base.spoly", "base.arr")))

@@ -17,6 +17,7 @@ closed non-orientable subsurface (a Klein bottle) of characteristic 0.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 from .arrangement import ArrEdge, Curve, CurveArrangement, Face
@@ -35,8 +36,8 @@ class RoundCircle:
     inside: int        # fiber count just inside this circle
     outside: int       # fiber count just outside
     pos: int = 0       # stack index of the merge/split/start/end event
-    # names the circle's arc c<radius> and places it in drawings; by
-    # default the circle's 1-based index
+    # a real number that names the circle's arc c<radius> and places it in
+    # drawings; by default the circle's 1-based index
     radius: float | None = None
 
 
@@ -58,20 +59,21 @@ def _check_round_spec(spec):
     if circles and circles[-1].outside != 0:
         raise PlanError("CountRule", "outermost outside count must be 0")
     first = {}
-    for i, r in enumerate(_radii(circles)):
-        arc_id = _arc_id(i, r)
+    for i, text in enumerate(_radii(circles)[1]):
+        arc_id = f"c{text}"
         if first.setdefault(arc_id, i) != i:
             raise PlanError("DuplicateId", f"circles {first[arc_id]} and {i} "
                             f"both name arc {arc_id}")
 
 
 def _radii(circles):
-    return [c.radius if c.radius is not None else i + 1
-            for i, c in enumerate(circles)]
-
-
-def _arc_id(i, radius):
-    return f"c{radius:g}" if isinstance(radius, (int, float)) else f"c{i}"
+    radii = [c.radius if c.radius is not None else i + 1
+             for i, c in enumerate(circles)]
+    for i, radius in enumerate(radii):
+        if not isinstance(radius, numbers.Real):
+            raise PlanError("RadiusRule", f"circle {i}: radius {radius!r} is "
+                            f"not a real number")
+    return radii, [f"{float(radius):g}" for radius in radii]
 
 
 def round_reeb(spec):
@@ -79,8 +81,8 @@ def round_reeb(spec):
     _check_round_spec(spec)
     circles = spec.circles
     n = len(circles)
-    radii = _radii(circles)
-    arc_ids = [_arc_id(i, r) for i, r in enumerate(radii)]
+    radii, texts = _radii(circles)
+    arc_ids = [f"c{text}" for text in texts]
 
     # fiber lines are numbered in creation order; each is born (arc, slot)
     # on a circle, or at the center when it has no birth, and dies on one
@@ -158,13 +160,13 @@ def round_reeb(spec):
         if i > 0:
             contours.append(((f"e_{arc_ids[i - 1]}", -1),))
         if i == 0:
-            label = f"r<{radii[0]:g}" if n else "plane"
+            label = f"r<{texts[0]}" if n else "plane"
             anchor = (0.0, 0.0)
         elif i < n:
-            label = f"{radii[i - 1]:g}<r<{radii[i]:g}"
+            label = f"{texts[i - 1]}<r<{texts[i]}"
             anchor = ((radii[i - 1] + radii[i]) / 2.0, 0.0)
         else:
-            label = f"r>{radii[-1]:g}"
+            label = f"r>{texts[-1]}"
             anchor = (radii[-1] + 1.0, 0.0)
         faces.append(Face(fid, tuple(contours), unbounded=(i == n),
                           label=label, draw=anchor))

@@ -19,6 +19,10 @@ Families and what each case contributes:
 * plans       -- 1200 random surgery plans on random round maps (seed 7)
 * iterated    -- 40 runs of 5 surgeries in turn, each on the last output,
                  from towers of 3..8 circles (seeds 0..39)
+* parse       -- one-record edits of the fixtures and of the emitted
+                 relocation plan: each record line dropped or doubled, and
+                 each of its tokens dropped, doubled or replaced by one of
+                 SUBSTITUTES
 
 A polyhedron contributes its validation report, and when valid its
 characteristic, `z2_homology`, emitted .spoly text, the closed-surface
@@ -29,7 +33,9 @@ and on a fresh copy.  A born map adds its validation report and emitted
 .arr text.  A plan contributes its `check_attachment_hypotheses` report
 and then the born map `attach_surface` makes, or the code of the error
 it raises.  An iterated run contributes the born map of each step, and
-the code of the error that ends it early, if one does.
+the code of the error that ends it early, if one does.  An edited text
+contributes its `ParseError` message, or the repr of what its parser
+returns.
 """
 
 import argparse
@@ -41,6 +47,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDS = (10 ** 6, 5, 17)
+SUBSTITUTES = ("Q", "x:y", "-1", "1.5", "+", "nan", "#")
 
 
 def selection_record(sel):
@@ -151,9 +158,43 @@ def iterated():
             yield [type(exc).__name__, getattr(exc, "code", None)]
 
 
+def record_edits(lines):
+    """Each text that one edit of one record line of `lines` makes."""
+    for at, line in enumerate(lines):
+        tokens = line.split("#")[0].split()
+        if not tokens:
+            continue
+        before, after = lines[:at], lines[at + 1:]
+        yield before + after
+        yield before + [line, line] + after
+        for i, token in enumerate(tokens):
+            for edit in ([], [token, token], *([s] for s in SUBSTITUTES)):
+                edited = tokens[:i] + edit + tokens[i + 1:]
+                yield before + [" ".join(edited)] + after
+
+
+def parse_edits():
+    from spineforge import formats, gallery
+    from spineforge.errors import ParseError
+    parsers = {".spoly": formats.parse_spoly, ".arr": formats.parse_arr,
+               ".plan": formats.parse_plan}
+    root = os.path.join(HERE, "..", "fixtures")
+    texts = []           # (extension, text)
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name)) as handle:
+            texts.append((os.path.splitext(name)[1], handle.read()))
+    texts.append((".plan", formats.emit_plan(gallery.relocation_plan())))
+    for extension, text in texts:
+        for lines in record_edits(text.split("\n")):
+            try:
+                yield repr(parsers[extension]("\n".join(lines)))
+            except ParseError as exc:
+                yield str(exc)
+
+
 FAMILIES = (("towers", towers), ("gallery", gallery), ("fixtures", fixtures),
             ("round", round_maps), ("surgered", surgered_maps),
-            ("plans", plans), ("iterated", iterated))
+            ("plans", plans), ("iterated", iterated), ("parse", parse_edits))
 
 
 def main(argv=None):

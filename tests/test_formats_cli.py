@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import shutil
@@ -13,7 +14,7 @@ import pytest
 from spineforge import formats
 from spineforge.bornmap import validate_born_map
 from spineforge.cli import build_parser, main
-from spineforge.core import WingTraversal
+from spineforge.core import EndRoles, WingTraversal
 from spineforge.errors import EmitError, SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta, klein_plan, relocation_plan)
@@ -109,6 +110,27 @@ def with_assignment(born, key, **change):
     return replace(born, assignments={**born.assignments, key: changed})
 
 
+def with_count(born, count):
+    """`born` with the fiber count of its first face set to `count`."""
+    face = born.arrangement.faces[0].id
+    return replace(born, fiber_counts={**born.fiber_counts, face: count})
+
+
+def theta_with_traversal(**change):
+    """build_theta() with the first traversal of its first sheet changed."""
+    theta = build_theta()
+    (first, *rest), *circuits = theta.sheets[0].circuits
+    circuit = (replace(first, **change), *rest)
+    return with_first(theta, "sheets", circuits=(circuit, *circuits))
+
+
+def with_image(**change):
+    """klein_plan() with the image of its first circle changed."""
+    plan = klein_plan()
+    return with_first(plan, "circles",
+                      image=replace(plan.circles[0].image, **change))
+
+
 UNWRITABLE = [
     ("spoly name #", lambda: formats.emit_spoly(replace(build_theta(),
                                                         name="a#b")),
@@ -167,6 +189,65 @@ UNWRITABLE = [
     ("wing side L R", lambda: formats.emit_arr(with_assignment(
         build_base_example(), "c1", wing_sides=((("c1", 0), "L R"),))),
      "wing side 'L R': it is neither L nor R"),
+    # values that were written as lines the parsers refuse
+    ("arc kind space", lambda: formats.emit_spoly(with_first(
+        build_theta(), "arcs", kind="tri ple")),
+     "arc kind 'tri ple': it holds whitespace"),
+    ("monodromy space", lambda: formats.emit_spoly(with_first(
+        build_theta(), "arcs", monodromy="ab cd")),
+     "monodromy 'ab cd': it holds whitespace"),
+    ("sheet genus 1.5", lambda: formats.emit_spoly(with_first(
+        build_theta(), "sheets", genus=1.5)),
+     "genus 1.5: it is not an integer"),
+    ("sheet genus True", lambda: formats.emit_spoly(with_first(
+        build_theta(), "sheets", genus=True)),
+     "genus True: it is not an integer"),
+    ("traversal slot 1.0", lambda: formats.emit_spoly(
+        theta_with_traversal(slot=1.0)),
+     "slot 1.0: it is not an integer"),
+    ("count 1.5", lambda: formats.emit_arr(with_count(build_base_example(),
+                                                      1.5)),
+     "fiber count 1.5: it is not an integer"),
+    ("count True", lambda: formats.emit_arr(with_count(build_base_example(),
+                                                       True)),
+     "fiber count True: it is not an integer"),
+    ("patch genus 1.5", lambda: formats.emit_plan(replace(
+        relocation_plan(), patch=replace(relocation_plan().patch, genus=1.5))),
+     "genus 1.5: it is not an integer"),
+    ("face draw of one value", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "faces", draw=(1.0,))),
+     "draw (1.0,): it is not a tuple of 2 values"),
+    # values that were written and read back as other values
+    ("orientable None", lambda: formats.emit_spoly(with_first(
+        build_theta(), "sheets", orientable=None)),
+     "orientability None: it is neither True nor False"),
+    ("traversal direction 0", lambda: formats.emit_spoly(
+        theta_with_traversal(direction=0)),
+     "direction 0: it is neither +1 nor -1"),
+    ("traversal direction 2", lambda: formats.emit_spoly(
+        theta_with_traversal(direction=2)),
+     "direction 2: it is neither +1 nor -1"),
+    ("contour side 0", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "faces", contours=((("e_c1", 0),),))),
+     "contour direction 0: it is neither +1 nor -1"),
+    ("patch direction 0", lambda: formats.emit_plan(with_first(
+        klein_plan(), "circles", patch_dir=0)),
+     "patch direction 0: it is neither +1 nor -1"),
+    ("image orient 0", lambda: formats.emit_plan(with_image(orient=0)),
+     "orient 0: it is neither +1 nor -1"),
+    ("image inside empty", lambda: formats.emit_plan(with_image(inside="")),
+     "circle id '': it is empty"),
+    ("image draw empty", lambda: formats.emit_plan(with_image(draw=())),
+     "draw (): it is not a tuple of 3 values"),
+    ("curve draw empty", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "curves", draw=())),
+     "draw (): it is not a tuple of 3 values"),
+    ("face draw nan", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "faces", draw=(float("nan"), 0.0))),
+     "coordinate nan: it does not read back as the same number"),
+    ("unbounded yes", lambda: formats.emit_arr(with_first_record(
+        build_base_example(), "faces", unbounded="yes")),
+     "unbounded 'yes': it is neither True nor False"),
 ]
 
 
@@ -196,6 +277,55 @@ def test_values_that_read_back_are_written():
                                                          "a@b.arr"))
     assert replace(parsed, base=None) == replace(plan, base=None)
     assert files == ("a:b.spoly", "a@b.arr")
+    # an arc kind or a genus or slot the validator refuses still reads back
+    for poly in (with_first(build_theta(), "arcs", kind="weird"),
+                 with_first(build_theta(), "sheets", genus=-1),
+                 theta_with_traversal(slot=-1)):
+        assert formats.parse_spoly(formats.emit_spoly(poly)) == poly
+    plan = with_image(label="")
+    parsed, _ = formats.parse_plan(formats.emit_plan(plan))
+    assert replace(parsed, base=None) == replace(plan, base=None)
+
+
+# the values each field kind is tried on, alone and in each field of a token
+PROBES = (True, 0, -1, 1.5, float("nan"), None, "", (), "a b", "a#b", "a:b",
+          "a@b")
+# a value each kind of a token of fields writes
+FIELDS_OF = {
+    "traversal": WingTraversal("c1", 0, 1), "roles": EndRoles(0, 1, 2),
+    "arc end": ("v1", 0), "vertex end": ("c1", 0), "ray": ("e1", 0),
+    "edge end": ("x1", 0), "curve source": ("branch", "c1"),
+    "contour side": ("e1", 1), "wing": ("c1", 0, "L"),
+    "route crossing": ("e1", Fraction(1, 2)), "nesting": ("c1", None, 1),
+}
+
+
+def probed(name):
+    """The probes, and for a token of fields each probe in each field."""
+    valid = FIELDS_OF.get(name)
+    if valid is None:
+        return PROBES
+    if isinstance(valid, tuple):
+        return PROBES + tuple(valid[:at] + (probe,) + valid[at + 1:]
+                              for at in range(len(valid)) for probe in PROBES)
+    return PROBES + tuple(replace(valid, **{field.name: probe})
+                          for field in dataclasses.fields(valid)
+                          for probe in PROBES)
+
+
+@pytest.mark.parametrize("name", ["sheet id"] + sorted(formats._FIELDS))
+def test_each_field_kind_writes_only_what_reads_back(name):
+    # a writer either raises EmitError or writes one token that its reader
+    # reads back as the value; an index is read by the plan's record loop
+    read, write = formats._FIELDS.get(name, formats._WORD)
+    read = formats._INT[0] if name == "index" else read
+    for value in probed(name):
+        try:
+            token = write(value, name)
+        except EmitError:
+            continue
+        assert token and not re.search(r"[\s#]", token), (value, token)
+        assert read(token) == value, (value, token)
 
 
 def test_hole_side_other_than_left_or_right_is_an_emit_error():

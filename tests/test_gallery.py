@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,24 @@ def test_round_reeb_refuses_two_circles_naming_one_arc(circles, message):
         round_reeb(RoundSpec(circles=circles, name="bad"))
     assert info.value.code == "DuplicateId"
     assert str(info.value) == message
+
+
+def test_round_reeb_writes_a_fraction_radius_as_it_writes_a_float():
+    # the labels' `:g` format raised TypeError for a Fraction on Python
+    # 3.11, and the arc id fell back to c<index>, c0 here
+    born = round_reeb(RoundSpec(circles=(
+        RoundCircle("boundary", 1, 0, radius=Fraction(3, 2)),), name="half"))
+    assert [arc.id for arc in born.polyhedron.arcs] == ["c1.5"]
+    assert [face.label for face in born.arrangement.faces] == ["r<1.5",
+                                                               "r>1.5"]
+
+
+def test_round_reeb_refuses_a_radius_that_is_no_real_number():
+    with pytest.raises(PlanError) as info:
+        round_reeb(RoundSpec(circles=(RoundCircle("boundary", 1, 0,
+                                                  radius="1"),), name="bad"))
+    assert info.value.code == "RadiusRule"
+    assert str(info.value) == "circle 0: radius '1' is not a real number"
 
 
 @pytest.mark.parametrize("circle, message", [
