@@ -9,7 +9,6 @@ back equal, so emit/parse round-trips are exact on the in-memory values.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -52,9 +51,10 @@ def _kind(read, what, text=None, reason=None):
     def put(value, name):
         try:
             token = text(value)
-            if get(token) == value:
+            if read(token) == value:
                 return token
-        except (ParseError, KeyError, TypeError):  # TypeError: unhashable
+        except (ParseError, ValueError, ZeroDivisionError, LookupError,
+                TypeError):          # TypeError: an unhashable value
             pass
         raise EmitError(f"cannot write {name} {value!r}: {reason}")
     return get, put
@@ -353,7 +353,7 @@ def _put(table, tokens, value):
 
 def _values(record):
     """The fields of a record value in order, as its template has them."""
-    return [getattr(record, field.name) for field in dataclasses.fields(record)]
+    return [getattr(record, name) for name in record.__dataclass_fields__]
 
 
 def _put_indexed(table, token, value):

@@ -19,7 +19,7 @@ from spineforge.errors import EmitError, SpineForgeError
 from spineforge.gallery import (build_base_example, build_surgered_example,
                                 build_theta, klein_plan, relocation_plan)
 from spineforge.render import render_svg
-from spineforge.surgery import ImageRoute, attach_surface
+from spineforge.surgery import ImageRoute, SurgeryPlan, attach_surface
 
 from conftest import repo_path
 
@@ -311,6 +311,45 @@ def probed(name):
     return PROBES + tuple(replace(valid, **{field.name: probe})
                           for field in dataclasses.fields(valid)
                           for probe in PROBES)
+
+
+def with_segment(**change):
+    """klein_plan() with the first segment of its first circle changed."""
+    plan = klein_plan()
+    return with_first(plan, "circles", segments=(
+        replace(plan.circles[0].segments[0], **change),))
+
+
+def read_back(value):
+    """A born map or plan as its format reads back what it writes."""
+    if isinstance(value, SurgeryPlan):
+        parsed, _ = formats.parse_plan(formats.emit_plan(value))
+        return replace(parsed, base=value.base)
+    arr, data = formats.parse_arr(formats.emit_arr(value))
+    return formats.assemble_born_map(value.polyhedron, arr, data)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: with_first_record(build_base_example(), "faces", unbounded=v),
+    lambda v: with_first_record(build_base_example(), "faces", label=v),
+    lambda v: with_first_record(build_base_example(), "faces", draw=v),
+    lambda v: with_first_record(build_base_example(), "curves", draw=v),
+    lambda v: with_image(inside=v), lambda v: with_image(orient=v),
+    lambda v: with_image(label=v), lambda v: with_image(draw=v),
+    lambda v: with_segment(side_genus=v),
+    lambda v: with_segment(side_circuits=v),
+], ids=["face unbounded", "face label", "face draw", "curve draw",
+        "image inside", "image orient", "image label", "image draw",
+        "side genus", "side circuits"])
+def test_each_keyword_field_writes_only_what_reads_back(make):
+    # a keyword field left out reads as its default, so only that default
+    # may be left out, and a field of several values takes a tuple of them
+    for probe in PROBES + ((1.0, 2.0), (1.0, 2.0, 3.0), (0, 2)):
+        try:
+            value = make(probe)
+            assert read_back(value) == value, probe
+        except EmitError:
+            pass
 
 
 @pytest.mark.parametrize("name", ["sheet id"] + sorted(formats._FIELDS))
