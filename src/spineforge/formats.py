@@ -242,7 +242,7 @@ def _either(tag, first, second, names, omit=True):
     def write(value, name, owner=None):
         if omit and value == absent:
             return " ".join(["", *first])
-        if not kinds and value != True:  # noqa: E712, as 1 reads back so
+        if not kinds and value != True:  # noqa: E712, 1 reads back equal
             raise EmitError(f"cannot write {name} {value!r}: it is neither "
                             f"True nor False")
         fields = (value,) if len(kinds) == 1 else \
